@@ -10,8 +10,8 @@ from .qmath import (PauliLabel, fidelity_to_pure, ghz4, pauli_operator,
                     permanent, permanent_naive, project_to_physical, purity)
 from .simulator import (DetectorModel, LossBudget, OutcomeDistribution,
                         apply_detector_efficiency, coincidence_rate,
-                        qubit_distribution, sample_counts, scatter_distribution,
-                        threshold_and_postselect)
+                        outcome_distribution, qubit_distribution, sample_counts,
+                        scatter_distribution)
 from .source import (EmissionProbabilities, JointInputTerm, MasterFractions,
                      SourceSpec, enumerate_joint_inputs, fit_master_fractions,
                      input_mixture, overlap_bounds, solve_pair_probabilities)

@@ -419,8 +419,13 @@ def mle_log_likelihood(ts: TomographySet, rho: np.ndarray) -> float:
     return float(counts[active] @ np.log(p[active]))
 
 
-def monte_carlo_error(ts: TomographySet, statistic, n_resamples: int, seed) -> float:
-    """Standard deviation of a statistic under Poisson count resampling."""
+def monte_carlo_error(ts: TomographySet, statistic, n_resamples: int, seed):
+    """Standard deviation of a statistic under Poisson count resampling.
+
+    A statistic that returns a tuple of floats gets a tuple of standard
+    deviations, one per component, each the same as a separate run with that
+    component alone would give.
+    """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
     children = np.random.SeedSequence(seed).spawn(n_resamples)
@@ -428,8 +433,11 @@ def monte_carlo_error(ts: TomographySet, statistic, n_resamples: int, seed) -> f
     for child in children:
         rng = np.random.default_rng(child)
         resampled = ts.map_counts(lambda c: rng.poisson(c).astype(float))
-        values.append(float(statistic(resampled)))
-    return float(np.std(values, ddof=1))
+        values.append(statistic(resampled))
+    if isinstance(values[0], tuple):
+        return tuple(float(np.std([float(v) for v in column], ddof=1))
+                     for column in zip(*values))
+    return float(np.std([float(v) for v in values], ddof=1))
 
 
 def max_fidelity_over_phase(rho: np.ndarray) -> tuple[float, float]:

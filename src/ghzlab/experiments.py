@@ -1,15 +1,11 @@
 """Named experiments built on the simulator and analysis layers.
 
 A `SimContext` bundles one complete noise configuration (source, chip
-stage, detectors).  All runs are deterministic given a master seed; the
-per-setting work of a tomography can optionally spread over worker threads
-(GHZLAB_WORKERS) without changing any result.
+stage, detectors).  All runs are deterministic given a master seed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,24 +40,6 @@ class SimContext:
     def with_state_phase(self, theta: float) -> "SimContext":
         stage = PreparationStage.with_state_phase(theta, self.stage.reflectivities)
         return replace(self, stage=stage)
-
-
-def worker_count() -> int:
-    try:
-        n = int(os.environ.get("GHZLAB_WORKERS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, min(n, 32))
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when GHZLAB_WORKERS > 1."""
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def settings_for_labels(labels) -> tuple:
@@ -106,11 +84,10 @@ def run_tomography(ctx: SimContext, shots: int | None = None, seed=None,
         seeds = [None] * len(settings)
     else:
         seeds = np.random.SeedSequence(seed).spawn(len(settings))
-    records = parallel_map(
-        lambda pair: measurement_record(ctx, pair[0], shots=shots, seed=pair[1],
-                                        effective_counts=effective_counts,
-                                        enumeration=enumeration),
-        zip(settings, seeds))
+    records = [measurement_record(ctx, labels, shots=shots, seed=child,
+                                  effective_counts=effective_counts,
+                                  enumeration=enumeration)
+               for labels, child in zip(settings, seeds)]
     return TomographySet(records)
 
 
@@ -135,15 +112,12 @@ def tomography_report(ts: TomographySet, n_resamples: int = 50,
     pur = purity(mle.rho)
     theta_star, fid_star = max_fidelity_over_phase(mle.rho)
 
-    def fid_stat(resampled):
-        return fidelity_to_pure(mle_reconstruct(resampled).rho, target)
-
-    def pur_stat(resampled):
-        return purity(mle_reconstruct(resampled).rho)
+    def fid_pur_stat(resampled):
+        rho = mle_reconstruct(resampled).rho
+        return fidelity_to_pure(rho, target), purity(rho)
 
     if n_resamples >= 2:
-        fid_err = monte_carlo_error(ts, fid_stat, n_resamples, seed)
-        pur_err = monte_carlo_error(ts, pur_stat, n_resamples, seed)
+        fid_err, pur_err = monte_carlo_error(ts, fid_pur_stat, n_resamples, seed)
     else:
         fid_err = pur_err = 0.0
     report = TomographyReport(fidelity=fid, purity=pur, theta_star=theta_star,
@@ -174,11 +148,10 @@ def run_bell(ctx: SimContext, shots: int | None = None, seed=None) -> BellResult
         seeds = [None] * 8
     else:
         seeds = np.random.SeedSequence(seed).spawn(8)
-    records = parallel_map(
-        lambda pair: measurement_record(ctx, pair[0], shots=shots, seed=pair[1],
-                                        effective_counts=max(shots or 1, 1),
-                                        enumeration=enumeration),
-        zip(settings, seeds))
+    records = [measurement_record(ctx, labels, shots=shots, seed=child,
+                                  effective_counts=max(shots or 1, 1),
+                                  enumeration=enumeration)
+               for labels, child in zip(settings, seeds)]
     return bell_value(records)
 
 

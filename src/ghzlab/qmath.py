@@ -133,35 +133,41 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
     return a
 
 
-def permanent(m: np.ndarray) -> complex:
+def permanent(m: np.ndarray):
     """Permanent of a square complex matrix via Ryser's formula.
 
     Subsets are visited in Gray-code order so that each step updates the
     running column sums with a single row add/subtract, giving O(2^n * n)
     arithmetic.  Dimensions up to 16 are accepted.
+
+    A stack of matrices with shape ``(..., n, n)`` gives an array of shape
+    ``(...)`` holding each matrix's permanent; a single ``(n, n)`` matrix
+    gives a complex scalar.
     """
-    a = check_square(m)
-    n = a.shape[0]
-    if n == 0:
-        return 1 + 0j
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    n = a.shape[-1]
     if n > 16:
         raise ValueError(f"permanent limited to n <= 16, got {n}")
-    total = 0j
-    sums = np.zeros(n, dtype=complex)
+    total = np.zeros(a.shape[:-2], dtype=complex)
+    if n == 0:
+        total += 1.0
+    sums = np.zeros(a.shape[:-2] + (n,), dtype=complex)
     prev_gray = 0
     for k in range(1, 1 << n):
         gray = k ^ (k >> 1)
         bit = gray ^ prev_gray
         j = bit.bit_length() - 1
         if gray & bit:
-            sums += a[:, j]
+            sums += a[..., :, j]
         else:
-            sums -= a[:, j]
+            sums -= a[..., :, j]
         prev_gray = gray
         popcount = bin(gray).count("1")
         sign = 1 if (n - popcount) % 2 == 0 else -1
-        total += sign * np.prod(sums)
-    return complex(total)
+        total += sign * np.prod(sums, axis=-1)
+    return complex(total) if a.ndim == 2 else total
 
 
 def permanent_naive(m: np.ndarray) -> complex:

@@ -1,14 +1,26 @@
 """Multi-photon propagation through the chip and threshold detection.
 
 Photons are tracked as (spatial mode, internal label) pairs.  Photons with
-equal labels interfere; groups of mutually orthogonal labels scatter
-independently and their output occupation distributions convolve.  Each
-group's distribution comes from permanents of the scattering submatrices
-with the standard bosonic normalization.
+equal labels interfere; a label group (the photons sharing one label)
+scatters independently of every other group.  Detection is modeled as
+independent binomial loss per output mode followed by threshold (click /
+no-click) readout; an event is kept only when every qubit's mode pair shows
+exactly one clicked detector.
 
-Detection is modeled as independent binomial loss per output mode followed
-by threshold (click / no-click) readout; an event is kept only when every
-qubit's mode pair shows exactly one clicked detector.
+The post-selected outcomes come from a click-mask generating function, not
+from an output histogram.  For a label group with input columns
+A = U[:, modes] and an output mode set S, the probability that no detected
+photon lands outside S is perm(A^dagger D_S A), where D_S is diagonal with 1
+on S and 1 - eta_j elsewhere (Shchesnovich, PRL 116, 123601, 2016); the
+binomial loss is folded in exactly.  A term's value is the product over its
+label groups.  Evaluated on the 81 masks S that hold at most one mode per
+qubit pair, these values give each outcome's probability by
+inclusion-exclusion over the subsets of its four clicked detectors (Quesada
+et al., PRA 98, 062322, 2018); the discard mass is the rest.
+
+`scatter_distribution` and `apply_detector_efficiency` remain as the
+occupation-level model: the full output histogram of one labeled input and
+its binomial thinning.
 """
 
 from __future__ import annotations
@@ -68,7 +80,6 @@ class DetectorModel:
     """Per-mode detection efficiencies of the 8 threshold detectors."""
 
     efficiencies: tuple = (1.0,) * 8
-    threshold: bool = True
 
     def __post_init__(self):
         if len(self.efficiencies) != 8:
@@ -153,14 +164,12 @@ def _group_distribution(u: np.ndarray, modes: tuple) -> dict:
     return dist
 
 
-def scatter_distribution(u: np.ndarray, photons, _group_cache: dict | None = None
-                         ) -> dict:
+def scatter_distribution(u: np.ndarray, photons) -> dict:
     """Distribution over output occupations for labeled input photons.
 
     ``photons`` is a sequence of (input mode, internal label) pairs; photons
     with different labels do not interfere, so their group distributions are
-    convolved.  An optional cache maps sorted input-mode tuples to group
-    distributions so repeated label groups are scattered once per unitary.
+    convolved.
     """
     u = np.asarray(u, dtype=complex)
     n_modes = u.shape[0]
@@ -172,13 +181,7 @@ def scatter_distribution(u: np.ndarray, photons, _group_cache: dict | None = Non
         groups[label].append(mode)
     dist = {tuple([0] * n_modes): 1.0}
     for label in sorted(groups):
-        modes = tuple(sorted(groups[label]))
-        if _group_cache is not None and modes in _group_cache:
-            gdist = _group_cache[modes]
-        else:
-            gdist = _group_distribution(u, modes)
-            if _group_cache is not None:
-                _group_cache[modes] = gdist
+        gdist = _group_distribution(u, tuple(sorted(groups[label])))
         new = defaultdict(float)
         for occ1, p1 in dist.items():
             for occ2, p2 in gdist.items():
@@ -212,30 +215,59 @@ def apply_detector_efficiency(dist: dict, det: DetectorModel) -> dict:
     return dict(out)
 
 
-def threshold_and_postselect(dist: dict) -> OutcomeDistribution:
-    """Map occupations to qubit outcomes, discarding invalid click patterns.
+def _mask_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The 81 click masks as mode sets, and the 16x81 inclusion-exclusion matrix.
 
-    A pattern is valid when each mode pair holds exactly one clicked
-    detector; the clicked rail sets the qubit value (upper = 0).
+    A mask picks, per qubit pair, no mode, the upper rail or the lower rail.
+    Outcome b clicks the rail ``b_k`` of each pair k (upper = 0); its
+    probability sums the masks inside its clicked set, signed by the parity
+    of the pairs the mask leaves empty.
     """
-    probs = np.zeros(16)
-    discard = 0.0
-    for occ, p in dist.items():
-        n_pairs = len(occ) // 2
-        value = 0
-        valid = True
-        for k in range(n_pairs):
-            up = occ[2 * k] > 0
-            down = occ[2 * k + 1] > 0
-            if up == down:
-                valid = False
-                break
-            value = (value << 1) | (1 if down else 0)
-        if valid:
-            probs[value] += p
-        else:
-            discard += p
-    return OutcomeDistribution(probs=probs, discard_mass=discard)
+    choices = np.array(list(itertools.product(range(3), repeat=4)))
+    modes = np.zeros((len(choices), 8), dtype=bool)
+    modes[:, 0::2] = choices == 1
+    modes[:, 1::2] = choices == 2
+    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+    inside = ((choices[None] == 0) | (choices[None] == 1 + bits[:, None])).all(axis=2)
+    sign = (-1.0) ** (choices == 0).sum(axis=1)
+    return modes, np.where(inside, sign, 0.0)
+
+
+_MASK_MODES, _INCLUSION_EXCLUSION = _mask_tables()
+
+# Cancellation in the inclusion-exclusion sum leaves outcomes that should be
+# exactly zero at about -1e-16 times the largest mask value; anything more
+# negative than this is a genuine numerical failure.
+_ROUNDOFF_TOL = 1e-12
+
+
+def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
+                         det: DetectorModel = DetectorModel.ideal()
+                         ) -> OutcomeDistribution:
+    """Post-selected outcomes of the enumeration's terms scattered by ``u``.
+
+    Evaluates every distinct label group on all 81 masks with one stacked
+    permanent per group size, multiplies the groups of each label-group
+    multiset, and applies inclusion-exclusion.  The discard mass is one
+    minus the post-selected mass, so the weight the enumeration dropped is
+    counted as discarded.
+    """
+    u = np.asarray(u, dtype=complex)
+    table = enumeration.label_groups
+    d = np.where(_MASK_MODES, 1.0, 1.0 - np.asarray(det.efficiencies, dtype=float))
+    gram = (u.conj().T * d[:, None, :]) @ u
+    values = np.ones((len(table.groups) + 1, len(_MASK_MODES)))
+    sizes = np.array([len(g) for g in table.groups])
+    for k in np.unique(sizes):
+        rows = np.flatnonzero(sizes == k)
+        modes = np.array([table.groups[r] for r in rows])
+        values[rows] = permanent(gram[:, modes[:, :, None], modes[:, None, :]]).real.T
+    probs = _INCLUSION_EXCLUSION @ (table.weights @ values[table.index].prod(axis=1))
+    low = float(probs.min())
+    if low < -_ROUNDOFF_TOL:
+        raise FloatingPointError(f"inclusion-exclusion gave probability {low:.3e}")
+    probs = np.where(probs < 0.0, 0.0, probs)
+    return OutcomeDistribution(probs=probs, discard_mass=1.0 - float(probs.sum()))
 
 
 def qubit_distribution(spec: SourceSpec, fractions: MasterFractions,
@@ -251,18 +283,7 @@ def qubit_distribution(spec: SourceSpec, fractions: MasterFractions,
     """
     if enumeration is None:
         enumeration = enumerate_joint_inputs(spec, fractions)
-    u = full_unitary(stage, settings)
-    cache: dict = {}
-    rows = np.zeros((max(len(enumeration.terms), 1), 17))
-    for idx, term in enumerate(enumeration.terms):
-        d = scatter_distribution(u, term.photons, _group_cache=cache)
-        d = apply_detector_efficiency(d, det)
-        od = threshold_and_postselect(d)
-        rows[idx, :16] = term.weight * od.probs
-        rows[idx, 16] = term.weight * od.discard_mass
-    summed = rows.sum(axis=0)
-    discard = summed[16] + (1.0 - enumeration.retained_weight)
-    return OutcomeDistribution(probs=summed[:16], discard_mass=float(discard))
+    return outcome_distribution(full_unitary(stage, settings), enumeration, det)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed) -> np.ndarray:

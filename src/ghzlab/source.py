@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -277,11 +279,46 @@ class JointInputTerm:
 
 
 @dataclass(frozen=True)
+class LabelGroups:
+    """Input terms aggregated by their multiset of label groups.
+
+    A label group is the sorted tuple of input modes whose photons share one
+    internal label; photons of different groups never interfere, and the
+    modes of one group are distinct.  Row ``t`` of ``index`` lists the
+    groups of multiset ``t`` as positions in ``groups``, padded with
+    ``len(groups)``; ``weights[t]`` is the summed weight of its terms.
+    """
+
+    groups: tuple
+    weights: np.ndarray
+    index: np.ndarray
+
+
+@dataclass(frozen=True)
 class JointInputEnumeration:
     terms: tuple
     raw_term_count: int
     photon_filtered_count: int
     retained_weight: float
+
+    @cached_property
+    def label_groups(self) -> LabelGroups:
+        """The terms aggregated by label-group multiset, built on first use."""
+        positions: dict = {}
+        multisets: dict = {}
+        for term in self.terms:
+            by_label = defaultdict(list)
+            for mode, label in term.photons:
+                by_label[label].append(mode)
+            key = tuple(sorted(positions.setdefault(tuple(sorted(modes)), len(positions))
+                               for modes in by_label.values()))
+            multisets[key] = multisets.get(key, 0.0) + term.weight
+        width = max((len(key) for key in multisets), default=1)
+        index = np.full((len(multisets), width), len(positions), dtype=np.intp)
+        for row, key in enumerate(multisets):
+            index[row, :len(key)] = key
+        return LabelGroups(tuple(positions),
+                           np.array(list(multisets.values()), dtype=float), index)
 
 
 def enumerate_joint_inputs(spec: SourceSpec, fractions: MasterFractions,

@@ -3,13 +3,20 @@
 Everything here deliberately avoids the package's computational paths:
 matrices are hardcoded entry by entry, permanents expand over explicit
 permutations, and qubit probabilities come from 16-dimensional state
-vectors.
+vectors.  The occupation-histogram oracle scatters each term into its full
+output histogram, thins it binomially and thresholds every occupation; it
+shares only the Ryser permanent with the click-mask path of
+`qubit_distribution`, and that is checked against explicit permutations.
 """
 
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
+
+from ghzlab.simulator import (OutcomeDistribution, apply_detector_efficiency,
+                              scatter_distribution)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -104,3 +111,65 @@ def operator_expectation(state16, matrices):
     for m in matrices[1:]:
         op = np.kron(op, m)
     return complex(np.vdot(state16, op @ state16))
+
+
+def threshold_and_postselect(dist: dict) -> OutcomeDistribution:
+    """Map occupations to qubit outcomes, discarding invalid click patterns.
+
+    A pattern is valid when each mode pair holds exactly one clicked
+    detector; the clicked rail sets the qubit value (upper = 0).
+    """
+    probs = np.zeros(16)
+    discard = 0.0
+    for occ, p in dist.items():
+        n_pairs = len(occ) // 2
+        value = 0
+        valid = True
+        for k in range(n_pairs):
+            up = occ[2 * k] > 0
+            down = occ[2 * k + 1] > 0
+            if up == down:
+                valid = False
+                break
+            value = (value << 1) | (1 if down else 0)
+        if valid:
+            probs[value] += p
+        else:
+            discard += p
+    return OutcomeDistribution(probs=probs, discard_mass=discard)
+
+
+def _convolve(d1: dict, d2: dict) -> dict:
+    out = defaultdict(float)
+    for occ1, p1 in d1.items():
+        for occ2, p2 in d2.items():
+            out[tuple(a + b for a, b in zip(occ1, occ2))] += p1 * p2
+    return dict(out)
+
+
+def oracle_qubit_distribution(u, enumeration, det) -> OutcomeDistribution:
+    """Outcome distribution through full occupation histograms, term by term.
+
+    Each label group is scattered once per unitary and the groups of a term
+    are convolved; the histogram is thinned by the detector efficiencies and
+    thresholded.  The discard mass sums the discarded histogram weight and
+    the weight the enumeration dropped, independently of the kept mass.
+    """
+    group_cache = {}
+    probs = np.zeros(16)
+    discard = 0.0
+    for term in enumeration.terms:
+        groups = defaultdict(list)
+        for mode, label in term.photons:
+            groups[label].append(mode)
+        dist = {(0,) * u.shape[0]: 1.0}
+        for modes in groups.values():
+            key = tuple(sorted(modes))
+            if key not in group_cache:
+                group_cache[key] = scatter_distribution(u, [(m, 0) for m in key])
+            dist = _convolve(dist, group_cache[key])
+        od = threshold_and_postselect(apply_detector_efficiency(dist, det))
+        probs += term.weight * od.probs
+        discard += term.weight * od.discard_mass
+    return OutcomeDistribution(probs=probs,
+                               discard_mass=discard + (1.0 - enumeration.retained_weight))

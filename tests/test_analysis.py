@@ -12,7 +12,7 @@ from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
                              _projector_vectors)
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_record, run_bell,
-                                run_tomography, run_witness)
+                                run_tomography, run_witness, tomography_report)
 from ghzlab.qmath import PauliLabel, fidelity_to_pure, ghz4, purity
 
 from oracles import born_probabilities, ghz_state
@@ -322,6 +322,23 @@ class TestMonteCarloError:
         stat = lambda t: float(t.records[0].counts.sum())
         assert monte_carlo_error(ts, stat, 20, seed=7) == \
             monte_carlo_error(ts, stat, 20, seed=7)
+
+    def test_tuple_statistic_matches_separate_runs(self, ideal_ctx):
+        ts = run_tomography(ideal_ctx, shots=50, seed=0)
+        first = lambda t: float(t.records[0].counts[0])
+        total = lambda t: float(t.records[5].counts.sum()) / 3.0
+        both = monte_carlo_error(ts, lambda t: (first(t), total(t)), 20, seed=7)
+        assert both == (monte_carlo_error(ts, first, 20, seed=7),
+                        monte_carlo_error(ts, total, 20, seed=7))
+
+    def test_report_errors_match_two_pass_computation(self, ideal_ctx):
+        ts = run_tomography(ideal_ctx, shots=450, seed=3)
+        report, _ = tomography_report(ts, n_resamples=3, seed=11)
+        fid = monte_carlo_error(
+            ts, lambda t: fidelity_to_pure(mle_reconstruct(t).rho, ghz4()), 3, 11)
+        pur = monte_carlo_error(ts, lambda t: purity(mle_reconstruct(t).rho), 3, 11)
+        assert report.fidelity_error == fid
+        assert report.purity_error == pur
 
 
 class TestMaxFidelityOverPhase:

@@ -150,15 +150,6 @@ class TestCommands:
 
 
 class TestDeterminismAndExitCodes:
-    def test_worker_threads_do_not_change_results(self, ideal_config, tmp_path,
-                                                  monkeypatch):
-        out1, out2 = tmp_path / "w1", tmp_path / "w4"
-        monkeypatch.delenv("GHZLAB_WORKERS", raising=False)
-        assert main(["bell", "--config", str(ideal_config), "--out", str(out1)]) == 0
-        monkeypatch.setenv("GHZLAB_WORKERS", "4")
-        assert main(["bell", "--config", str(ideal_config), "--out", str(out2)]) == 0
-        assert (out1 / "bell.json").read_bytes() == (out2 / "bell.json").read_bytes()
-
     def test_rerun_byte_identical(self, ideal_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

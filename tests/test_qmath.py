@@ -43,6 +43,19 @@ class TestPermanent:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             permanent(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            permanent(np.ones((4, 2, 3)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_stack_matches_each_matrix(self, n):
+        rng = np.random.default_rng(90 + n)
+        stack = rng.normal(size=(3, 5, n, n)) + 1j * rng.normal(size=(3, 5, n, n))
+        perms = permanent(stack)
+        assert perms.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            assert perms[idx] == permanent(stack[idx])
+            assert abs(perms[idx] - permanent_naive(stack[idx])) <= \
+                1e-12 * max(abs(perms[idx]), 1.0)
 
 
 class TestPauliOperator:

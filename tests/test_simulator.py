@@ -1,21 +1,41 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ghzlab.analysis import bell_settings, tomography_settings
 from ghzlab.chip import MziSetting, PreparationStage, full_unitary, setting_for_projector
-from ghzlab.experiments import SimContext, run_simulate, settings_for_labels
+from ghzlab.experiments import (SimContext, measured_noise_context, run_simulate,
+                                settings_for_labels)
 from ghzlab.qmath import PauliLabel
 from ghzlab.simulator import (DetectorModel, LossBudget, OutcomeDistribution,
                               apply_detector_efficiency, coincidence_rate,
-                              qubit_distribution, sample_counts,
-                              scatter_distribution, threshold_and_postselect)
-from ghzlab.source import MasterFractions, SourceSpec
+                              outcome_distribution, qubit_distribution,
+                              sample_counts, scatter_distribution)
+from ghzlab.source import (JointInputEnumeration, JointInputTerm, MasterFractions,
+                           SourceSpec, enumerate_joint_inputs)
 
-from oracles import assignment_distribution, born_probabilities, ghz_state
+from oracles import (assignment_distribution, born_probabilities, ghz_state,
+                     oracle_qubit_distribution, threshold_and_postselect)
 
 Z4 = (PauliLabel.Z,) * 4
 X4 = (PauliLabel.X,) * 4
+LOSSY_EFFICIENCIES = (1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7)
+
+# The settings of the bell, witness and qss commands: 8 + 2 + 16.
+QSS_BASES = [tuple(PauliLabel.X if c == "x" else PauliLabel.Y for c in bases)
+             for bases in itertools.product("xy", repeat=4)]
+COMMAND_SETTINGS = list(bell_settings()) + [X4, Z4] + QSS_BASES
+
+
+def assert_matches_oracle(u, enumeration, det):
+    new = outcome_distribution(u, enumeration, det)
+    ref = oracle_qubit_distribution(u, enumeration, det)
+    assert np.max(np.abs(new.probs - ref.probs)) <= 1e-12
+    assert abs(new.discard_mass - ref.discard_mass) <= 1e-12
+    return new, ref
 
 
 class TestScatter:
@@ -190,6 +210,104 @@ class TestQubitDistribution:
                                       ideal_ctx.stage, settings_for_labels(Z4), det)
             assert dist.success_probability > last
             last = dist.success_probability
+
+
+class TestOracleAgreement:
+    """The click-mask path against full occupation histograms."""
+
+    @pytest.fixture(scope="class")
+    def noisy_enumeration(self, noise_ctx):
+        return enumerate_joint_inputs(noise_ctx.spec, noise_ctx.fractions)
+
+    @pytest.mark.parametrize("labels", COMMAND_SETTINGS,
+                             ids=["".join(lab.token for lab in s)
+                                  for s in COMMAND_SETTINGS])
+    def test_measured_noise_settings(self, noise_ctx, noisy_enumeration, labels):
+        u = full_unitary(noise_ctx.stage, settings_for_labels(labels))
+        new, ref = assert_matches_oracle(u, noisy_enumeration, noise_ctx.detectors)
+        # the kept probabilities are ~1e-7, so compare the normalized ones too
+        assert np.max(np.abs(new.conditional() - ref.conditional())) <= 1e-12
+
+    @pytest.mark.parametrize("labels", [X4, Z4], ids=["XXXX", "ZZZZ"])
+    def test_imbalanced_detectors(self, noisy_enumeration, labels):
+        ctx = measured_noise_context(detector_efficiencies=LOSSY_EFFICIENCIES)
+        u = full_unitary(ctx.stage, settings_for_labels(labels))
+        assert_matches_oracle(u, noisy_enumeration, ctx.detectors)
+
+
+@st.composite
+def labeled_inputs(draw):
+    """A random unitary, detector efficiencies and 1-2 labeled input terms.
+
+    Each input mode carries one photon, and at most one of them a second
+    photon with a different label.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, r = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    etas = tuple(draw(st.lists(st.floats(0.2, 1.0), min_size=8, max_size=8)))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        labels = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+        photons = list(zip((0, 2, 4, 6), labels))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, 3))
+            photons.append((2 * i, draw(st.integers(0, 4).filter(
+                lambda lab: lab != labels[i]))))
+        terms.append((draw(st.floats(0.1, 1.0)), tuple(photons)))
+    total = sum(w for w, _ in terms)
+    enumeration = JointInputEnumeration(
+        tuple(JointInputTerm(w / total, ph) for w, ph in terms),
+        len(terms), len(terms), sum(w / total for w, _ in terms))
+    return u, DetectorModel(efficiencies=etas), enumeration
+
+
+class TestProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(labeled_inputs())
+    def test_matches_oracle(self, case):
+        u, det, enumeration = case
+        assert_matches_oracle(u, enumeration, det)
+
+    @settings(max_examples=40, deadline=None)
+    @given(labeled_inputs(), st.permutations(range(5)))
+    def test_label_permutation_invariance(self, case, relabel):
+        u, det, enumeration = case
+        terms = tuple(
+            JointInputTerm(t.weight, tuple((m, relabel[lab]) for m, lab in reversed(t.photons)))
+            for t in enumeration.terms)
+        renamed = JointInputEnumeration(terms, enumeration.raw_term_count,
+                                        enumeration.photon_filtered_count,
+                                        enumeration.retained_weight)
+        d1 = outcome_distribution(u, enumeration, det)
+        d2 = outcome_distribution(u, renamed, det)
+        assert np.max(np.abs(d1.probs - d2.probs)) <= 1e-12
+        assert abs(d1.discard_mass - d2.discard_mass) <= 1e-12
+
+
+class TestRoundoffClamp:
+    def test_ideal_z_basis_zeros_sample(self, ideal_ctx):
+        dist = run_simulate(ideal_ctx, Z4)
+        impossible = np.delete(dist.probs, [0b0101, 0b1010])
+        assert np.all(impossible >= 0.0) and np.all(impossible < 1e-30)
+        assert np.any(impossible == 0.0)
+        counts = sample_counts(dist, 1000, 3)
+        assert counts[0b0101] + counts[0b1010] == 1000
+
+    def test_ideal_settings_never_negative(self, ideal_ctx):
+        # about half of these leave -5e-17 on some exact-zero outcome
+        for labels in tomography_settings() + COMMAND_SETTINGS:
+            dist = run_simulate(ideal_ctx, labels)
+            assert np.all(dist.probs >= 0.0)
+            assert sample_counts(dist, 10, 0).sum() == 10
+
+    def test_large_negative_probability_raises(self, ideal_ctx):
+        # a negative term weight makes the kept mass genuinely negative
+        enumeration = JointInputEnumeration(
+            (JointInputTerm(-1.0, ((0, 0), (2, 0), (4, 0), (6, 0))),), 1, 1, -1.0)
+        u = full_unitary(ideal_ctx.stage, settings_for_labels(Z4))
+        with pytest.raises(FloatingPointError):
+            outcome_distribution(u, enumeration, DetectorModel.ideal())
 
 
 class TestSampling:

@@ -194,6 +194,24 @@ class TestEnumeration:
             sum(t.weight for t in enum.terms), abs=1e-15)
         assert enum.retained_weight < 1.0
 
+    def test_label_groups_aggregate_terms(self, noise_ctx):
+        enum = enumerate_joint_inputs(noise_ctx.spec, noise_ctx.fractions)
+        table = enum.label_groups
+        assert enum.label_groups is table
+        assert len(enum.terms) == 410 and len(table.weights) == 162
+        assert len(table.groups) <= 15
+        assert all(len(set(g)) == len(g) and set(g) <= {0, 2, 4, 6}
+                   for g in table.groups)
+        assert table.weights.sum() == pytest.approx(enum.retained_weight, rel=1e-12)
+        # every term's groups, as sets of input modes, appear in its row
+        rows = {tuple(sorted(table.groups[i] for i in row if i < len(table.groups)))
+                for row in table.index}
+        for term in enum.terms:
+            groups = {}
+            for mode, label in term.photons:
+                groups.setdefault(label, []).append(mode)
+            assert tuple(sorted(tuple(sorted(g)) for g in groups.values())) in rows
+
     def test_weight_pruning_threshold(self):
         spec = SourceSpec()
         frac = MasterFractions(x=(0.95,) * 4)
