@@ -205,13 +205,14 @@ class BellResult:
     standard_error: float
 
 
-def bell_value(records) -> BellResult:
+def bell_value(records, exact: bool = False) -> BellResult:
     """Bell-like inequality value from the eight settings of `bell_settings`.
 
     I^2 = sum_i <M0(1) M1(i)> - sum_i <M1(1) M1(i)>
           + 3 <M0 M0 M0 M0> + 3 <M1 M0 M0 M0>,  classically bounded by 6.
-    The standard error propagates per-record multinomial shot noise;
-    exact-probability records (total <= 1) contribute none.
+    The standard error propagates per-record multinomial shot noise, each
+    record's total being its number of events; with ``exact`` the records
+    hold exact probabilities and the standard error is 0.
     """
     records = list(records)
     expected = bell_settings()
@@ -226,10 +227,9 @@ def bell_value(records) -> BellResult:
     coeff = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 3.0, 3.0])
     value = float(coeff @ np.array(e))
     var = 0.0
-    for c, rec, ev in zip(coeff, records, e):
-        n = rec.total
-        if n > 1.0:
-            var += c ** 2 * max(1.0 - ev ** 2, 0.0) / n
+    if not exact:
+        for c, rec, ev in zip(coeff, records, e):
+            var += c ** 2 * max(1.0 - ev ** 2, 0.0) / rec.total
     return BellResult(value=value, expectations=tuple(e),
                       standard_error=math.sqrt(var))
 

@@ -18,13 +18,17 @@ module also provides the forward map and its power-minimizing inverse.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .errors import SolverError
 from .qmath import PauliLabel
@@ -314,45 +318,65 @@ def heater_forward(cal: HeaterCalibration, currents: Sequence[float]
     return alpha, phi
 
 
+@contextmanager
+def _silenced_stdout():
+    """Send file descriptor 1 to the null device for the duration.
+
+    HiGHS's MIP solver prints progress lines through C stdio even with
+    ``disp=False``; C stdio is flushed before fd 1 comes back so that the
+    buffered lines land in the null device rather than at process exit.
+    """
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), 1)
+        yield
+    finally:
+        ctypes.CDLL(None).fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
                  resistances: np.ndarray, usable: np.ndarray,
                  max_lift: int = 4) -> np.ndarray:
     """Power-minimal squared currents with M @ u = base + 2*pi*k, u >= 0.
 
-    Searches every per-target lift combination k in {0..max_lift}^4 with a
-    linear program minimizing sum(R_j * u_j), then polishes the winning
-    support by least squares for machine-precision equality.
+    One mixed-integer program over [u, k], with the per-target lifts k
+    integer in [0, max_lift], minimizes sum(R_j * u_j) and picks the lifts.
+    The fixed-lift linear program at those lifts gives the vertex, which
+    least squares on its support polishes to machine-precision equality.
     """
     m = 1e3 * matrix_krad[:, usable]
     cost = resistances[usable]
     n = m.shape[1]
-    best_u = None
-    best_power = np.inf
-    lifts = np.stack(np.meshgrid(*[np.arange(max_lift + 1)] * 4, indexing="ij"),
-                     axis=-1).reshape(-1, 4)
-    for k in lifts:
-        b = base_rad + TWO_PI * k
-        res = linprog(cost, A_eq=m, b_eq=b, bounds=[(0, None)] * n, method="highs")
-        if not res.success:
-            continue
-        u = np.clip(res.x, 0.0, None)
-        support = u > 1e-12
-        if support.any():
-            sol, *_ = np.linalg.lstsq(m[:, support], b, rcond=None)
-            polished = np.zeros(n)
-            polished[support] = np.clip(sol, 0.0, None)
-            if np.all(sol >= -1e-12) and np.max(np.abs(m @ polished - b)) <= 1e-9:
-                u = polished
-        if np.max(np.abs(m @ u - b)) > 1e-7:
-            continue
-        power = float(cost @ u)
-        if power < best_power - 1e-15:
-            best_power = power
-            best_u = u
-    if best_u is None:
+    lifted = LinearConstraint(np.hstack([m, -TWO_PI * np.eye(4)]), base_rad, base_rad)
+    with _silenced_stdout():
+        mip = milp(np.concatenate([cost, np.zeros(4)]),
+                   integrality=np.r_[np.zeros(n), np.ones(4)],
+                   bounds=Bounds(np.zeros(n + 4), np.r_[np.full(n, np.inf),
+                                                        np.full(4, max_lift)]),
+                   constraints=lifted,
+                   options={"disp": False, "mip_rel_gap": 0.0})
+    if not mip.success:
         raise SolverError("no nonnegative heater solution reaches the target phases")
+    b = base_rad + TWO_PI * np.round(mip.x[n:])
+    res = linprog(cost, A_eq=m, b_eq=b, bounds=[(0, None)] * n, method="highs")
+    if not res.success:
+        raise SolverError(f"fixed-lift heater LP failed: {res.message}")
+    u = np.clip(res.x, 0.0, None)
+    support = u > 1e-12
+    if support.any():
+        sol, *_ = np.linalg.lstsq(m[:, support], b, rcond=None)
+        polished = np.zeros(n)
+        polished[support] = np.clip(sol, 0.0, None)
+        if np.all(sol >= -1e-12) and np.max(np.abs(m @ polished - b)) <= 1e-9:
+            u = polished
+    if np.max(np.abs(m @ u - b)) > 1e-7:
+        raise SolverError("heater solution misses the target phases")
     full = np.zeros(8)
-    full[usable] = best_u
+    full[usable] = u
     return full
 
 
@@ -360,8 +384,10 @@ def heater_solve(cal: HeaterCalibration, alpha_target: Sequence[float],
                  phi_target: Sequence[float]) -> np.ndarray:
     """Currents (16-vector, A) realizing the target phases modulo 2*pi.
 
-    Each target is lifted by the multiple of 2*pi that minimizes the total
-    dissipated power; dead channels stay at zero.
+    The alpha and phi blocks are solved independently, each as one
+    mixed-integer program over the squared currents and the 2*pi lifts of
+    its four targets that minimizes the total dissipated power; dead
+    channels stay at zero.
     """
     at = np.asarray(alpha_target, dtype=float)
     pt = np.asarray(phi_target, dtype=float)

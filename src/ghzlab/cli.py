@@ -199,9 +199,8 @@ def cmd_qss(cfg: ExperimentConfig, outdir: Path) -> list:
 
 
 def cmd_calibrate(cfg: ExperimentConfig, outdir: Path) -> list:
-    block = cfg.raw["calibrate"]
-    alpha_t = [float(v) for v in block["alpha_targets_rad"]]
-    phi_t = [float(v) for v in block["phi_targets_rad"]]
+    alpha_t = list(cfg.calibrate.alpha_rad)
+    phi_t = list(cfg.calibrate.phi_rad)
     currents = heater_solve(cfg.calibration, alpha_t, phi_t)
     alpha, phi = heater_forward(cfg.calibration, currents)
     power = float(cfg.calibration.resistances @ (currents ** 2))

@@ -9,6 +9,7 @@ an emitted default file documents itself.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,14 @@ def default_config() -> dict:
 
 
 @dataclass(frozen=True)
+class CalibrateTargets:
+    """Target phases (rad) of the four alpha and four phi shifters."""
+
+    alpha_rad: tuple
+    phi_rad: tuple
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
     context: SimContext
@@ -92,6 +101,7 @@ class ExperimentConfig:
     exact_probabilities: bool
     budget: LossBudget
     calibration: HeaterCalibration
+    calibrate: CalibrateTargets
 
     @property
     def shots(self) -> int | None:
@@ -101,6 +111,17 @@ class ExperimentConfig:
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
+
+
+def _phase_targets(block: dict, key: str) -> tuple:
+    values = block[key]
+    _require(isinstance(values, (list, tuple)) and len(values) == 4,
+             f"calibrate.{key} must list 4 phases")
+    for v in values:
+        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
+                 and math.isfinite(v),
+                 f"calibrate.{key} entries must be finite numbers, got {v!r}")
+    return tuple(float(v) for v in values)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -143,12 +164,19 @@ def parse_config(data: dict) -> ExperimentConfig:
             eta_detector=float(rate["eta_detector"]),
         )
         calibration_file = merged.get("heater_calibration_file")
-        calibration = (HeaterCalibration.from_file(calibration_file)
-                       if calibration_file else HeaterCalibration())
+        try:
+            calibration = (HeaterCalibration.from_file(calibration_file)
+                           if calibration_file else HeaterCalibration())
+        except OSError as exc:
+            raise ConfigError(f"cannot read heater calibration file: {exc}") from exc
+        targets = CalibrateTargets(
+            alpha_rad=_phase_targets(merged["calibrate"], "alpha_targets_rad"),
+            phi_rad=_phase_targets(merged["calibrate"], "phi_targets_rad"))
         seed = int(merged["seed"])
         shots = int(merged["shots_per_setting"])
         _require(shots >= 1, "shots_per_setting must be positive")
-        exact = bool(merged["exact_probabilities"])
+        exact = merged["exact_probabilities"]
+        _require(isinstance(exact, bool), "exact_probabilities must be true or false")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -156,7 +184,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     ctx = SimContext(spec=spec, fractions=fractions, stage=stage, detectors=det)
     return ExperimentConfig(raw=merged, context=ctx, seed=seed,
                             shots_per_setting=shots, exact_probabilities=exact,
-                            budget=budget, calibration=calibration)
+                            budget=budget, calibration=calibration,
+                            calibrate=targets)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -152,7 +152,7 @@ def run_bell(ctx: SimContext, shots: int | None = None, seed=None) -> BellResult
                                   effective_counts=max(shots or 1, 1),
                                   enumeration=enumeration)
                for labels, child in zip(settings, seeds)]
-    return bell_value(records)
+    return bell_value(records, exact=shots is None)
 
 
 def run_bell_sweep(ctx: SimContext, photon_index: int, scales) -> list:

@@ -7,6 +7,8 @@ vectors.  The occupation-histogram oracle scatters each term into its full
 output histogram, thins it binomially and thresholds every occupation; it
 shares only the Ryser permanent with the click-mask path of
 `qubit_distribution`, and that is checked against explicit permutations.
+The heater oracle solves one linear program per 2*pi lift vector instead of
+the package's single mixed-integer program.
 """
 
 import itertools
@@ -14,7 +16,9 @@ import math
 from collections import defaultdict
 
 import numpy as np
+from scipy.optimize import linprog
 
+from ghzlab.errors import SolverError
 from ghzlab.simulator import (OutcomeDistribution, apply_detector_efficiency,
                               scatter_distribution)
 
@@ -173,3 +177,41 @@ def oracle_qubit_distribution(u, enumeration, det) -> OutcomeDistribution:
         discard += term.weight * od.discard_mass
     return OutcomeDistribution(probs=probs,
                                discard_mass=discard + (1.0 - enumeration.retained_weight))
+
+
+def oracle_heater_block(matrix_krad, base_rad, resistances, usable, max_lift=4):
+    """Heater block solved by one linear program per lift vector.
+
+    Every k in {0..max_lift}^4 gets its own fixed-lift LP and least-squares
+    polish; the lowest-power solution that meets the targets wins, the first
+    in lexicographic order on ties.
+    """
+    m = 1e3 * matrix_krad[:, usable]
+    cost = resistances[usable]
+    n = m.shape[1]
+    best_u = None
+    best_power = np.inf
+    for k in itertools.product(range(max_lift + 1), repeat=4):
+        b = base_rad + 2.0 * math.pi * np.array(k)
+        res = linprog(cost, A_eq=m, b_eq=b, bounds=[(0, None)] * n, method="highs")
+        if not res.success:
+            continue
+        u = np.clip(res.x, 0.0, None)
+        support = u > 1e-12
+        if support.any():
+            sol, *_ = np.linalg.lstsq(m[:, support], b, rcond=None)
+            polished = np.zeros(n)
+            polished[support] = np.clip(sol, 0.0, None)
+            if np.all(sol >= -1e-12) and np.max(np.abs(m @ polished - b)) <= 1e-9:
+                u = polished
+        if np.max(np.abs(m @ u - b)) > 1e-7:
+            continue
+        power = float(cost @ u)
+        if power < best_power - 1e-15:
+            best_power = power
+            best_u = u
+    if best_u is None:
+        raise SolverError("no nonnegative heater solution reaches the target phases")
+    full = np.zeros(8)
+    full[usable] = best_u
+    return full

@@ -166,6 +166,11 @@ class TestBell:
                                     ["x+z", "-x", "x", "-x"], ["x-z", "-x", "x", "-x"]])]
         result = bell_value(records)
         assert result.standard_error > 0.0
+        coeff = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 3.0, 3.0])
+        e = np.array(result.expectations)
+        expected = math.sqrt(float(np.sum(coeff ** 2 * (1.0 - e ** 2))) / 1000)
+        assert result.standard_error == pytest.approx(expected, rel=1e-12)
+        assert bell_value(records, exact=True).standard_error == 0.0
 
     def test_wrong_settings_rejected(self):
         records = self._ideal_records()

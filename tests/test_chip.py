@@ -7,11 +7,12 @@ from ghzlab.chip import (HeaterCalibration, MziSetting, PreparationStage,
                          compensate_setting, full_unitary, heater_forward,
                          heater_solve, measurement_unitary, mzi_block,
                          preparation_unitary, setting_for_projector,
-                         upper_click_probability, PROJECTOR_EIGENSTATE)
+                         upper_click_probability, PROJECTOR_EIGENSTATE, _solve_block)
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
 
-from oracles import assignment_distribution, mzi_reference, preparation_matrix_reference
+from oracles import (assignment_distribution, mzi_reference, oracle_heater_block,
+                     preparation_matrix_reference)
 
 TWO_PI = 2 * math.pi
 
@@ -211,6 +212,50 @@ class TestHeaterSolve:
         cal = HeaterCalibration(alpha_matrix=a)
         with pytest.raises(SolverError):
             heater_solve(cal, [0.1, math.pi, 0.0, 0.0], cal.phi_offset)
+
+
+def _heater_blocks(cal, alpha_target, phi_target):
+    """(matrix, base, resistances, usable) of the alpha and phi blocks."""
+    dead = cal.dead_mask()
+    return [(cal.alpha_matrix, np.mod(alpha_target, TWO_PI), cal.resistances[:8],
+             ~dead[:8]),
+            (cal.phi_matrix, np.mod(phi_target - cal.phi_offset, TWO_PI),
+             cal.resistances[8:], ~dead[8:])]
+
+
+class TestHeaterSolveOracle:
+    """The single mixed-integer program against one LP per lift vector."""
+
+    def test_matches_oracle_small_lifts(self):
+        cal = HeaterCalibration()
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            blocks = _heater_blocks(cal, rng.uniform(0, TWO_PI, 4),
+                                    rng.uniform(0, TWO_PI, 4))
+            for block in blocks:
+                assert np.array_equal(_solve_block(*block, max_lift=2),
+                                      oracle_heater_block(*block, max_lift=2))
+
+    def test_matches_oracle_full_lifts(self):
+        cal = HeaterCalibration()
+        rng = np.random.default_rng(32)
+        alpha_t, phi_t = rng.uniform(0, TWO_PI, 4), rng.uniform(0, TWO_PI, 4)
+        expected = np.sqrt(np.concatenate(
+            [oracle_heater_block(*block) for block in _heater_blocks(cal, alpha_t, phi_t)]))
+        assert np.array_equal(heater_solve(cal, alpha_t, phi_t), expected)
+
+    def test_dead_channels_match_oracle_and_stay_off(self):
+        cal = HeaterCalibration(dead_channels=frozenset({3, 15}))
+        rng = np.random.default_rng(33)
+        alpha_t, phi_t = rng.uniform(0, TWO_PI, 4), rng.uniform(0, TWO_PI, 4)
+        for block in _heater_blocks(cal, alpha_t, phi_t):
+            assert np.array_equal(_solve_block(*block, max_lift=2),
+                                  oracle_heater_block(*block, max_lift=2))
+        currents = heater_solve(cal, alpha_t, phi_t)
+        assert currents[2] == 0.0 and currents[14] == 0.0
+        alpha, phi = heater_forward(cal, currents)
+        assert np.abs(np.angle(np.exp(1j * (alpha - alpha_t)))).max() < 1e-6
+        assert np.abs(np.angle(np.exp(1j * (phi - phi_t)))).max() < 1e-6
 
 
 class TestHeaterCalibrationType:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghzlab
 from ghzlab.cli import main
 from ghzlab.config import default_config, dump_config, load_config, parse_config
 from ghzlab.errors import ConfigError
@@ -46,6 +50,13 @@ class TestConfig:
         cfg = default_config()
         cfg["source"]["g2"] = 0.9
         with pytest.raises(ConfigError):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_exact_probabilities_must_be_bool(self, value):
+        cfg = default_config()
+        cfg["exact_probabilities"] = value
+        with pytest.raises(ConfigError, match="exact_probabilities"):
             parse_config(cfg)
 
     def test_config_init_command(self, tmp_path, capsys):
@@ -101,6 +112,35 @@ class TestCommands:
         achieved = np.asarray(payload["achieved_phi_rad"])
         target = np.asarray(payload["target_phi_rad"])
         assert np.abs(np.angle(np.exp(1j * (achieved - target)))).max() < 1e-6
+
+    def test_calibrate_writes_nothing_to_stdout(self, ideal_config, tmp_path):
+        # HiGHS prints from C code through stdio's buffer, so only a separate
+        # process with stdout on a pipe sees whether anything escapes.
+        cfg = json.loads(ideal_config.read_text())
+        rng = np.random.default_rng(41)
+        src = str(Path(ghzlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for i in range(3):
+            cfg["calibrate"] = {
+                "alpha_targets_rad": rng.uniform(0, 2 * math.pi, 4).tolist(),
+                "phi_targets_rad": rng.uniform(0, 2 * math.pi, 4).tolist(),
+            }
+            path = tmp_path / f"cal{i}.json"
+            path.write_text(dump_config(cfg))
+            proc = subprocess.run(
+                [sys.executable, "-m", "ghzlab.cli", "calibrate", "--config", str(path),
+                 "--out", str(tmp_path / f"out{i}")],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            assert proc.stdout == b""
+
+    def test_bell_default_exact_has_zero_standard_error(self, tmp_path):
+        path = tmp_path / "default.json"
+        path.write_text(dump_config(default_config()))
+        out = tmp_path / "bell"
+        assert main(["bell", "--config", str(path), "--out", str(out)]) == 0
+        assert read_json(out / "bell.json")["standard_error"] == 0.0
 
     def test_qss_small(self, ideal_config, tmp_path):
         cfg = json.loads(ideal_config.read_text())
@@ -171,6 +211,20 @@ class TestDeterminismAndExitCodes:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("update", [
+        {"calibrate": {"alpha_targets_rad": [0.0, 0.0]}},
+        {"calibrate": {"phi_targets_rad": [0.0, "abc", 0.0, 0.0]}},
+        {"calibrate": {"alpha_targets_rad": [0.0, float("nan"), 0.0, 0.0]}},
+        {"heater_calibration_file": "no-such-dir/calibration.txt"},
+    ], ids=["length-2", "non-numeric", "nan", "missing-calibration-file"])
+    def test_bad_calibrate_input_exit_2(self, ideal_config, tmp_path, capsys, update):
+        cfg = json.loads(ideal_config.read_text())
+        cfg.update(update)
+        ideal_config.write_text(dump_config(cfg))
+        assert main(["calibrate", "--config", str(ideal_config),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_numerical_failure_exit_3(self, ideal_config, tmp_path):
         cfg = json.loads(ideal_config.read_text())
