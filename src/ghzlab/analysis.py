@@ -11,6 +11,7 @@ their definitions need them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -270,55 +271,70 @@ class TomographySet:
         return cls(recs)
 
 
-def linear_inversion(ts: TomographySet) -> np.ndarray:
-    """Pauli reconstruction rho = (1/16) sum <P> P over all 256 Pauli strings.
+# Per-party eigenbasis of each tomography label: column b is the ket of
+# outcome bit b (0 for the +1 eigenstate).
+_EIG_BASIS = {
+    PauliLabel.X: np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2,
+    PauliLabel.Y: np.array([[1.0, 1.0], [1.0j, -1.0j]]) / SQRT2,
+    PauliLabel.Z: np.eye(2, dtype=complex),
+}
 
-    Expectations of strings containing identities are averaged over every
-    compatible record with those parties masked.  The output is Hermitian
-    with unit trace but may have negative eigenvalues.
+# Per-party dual frame: row 2*l + b is |e_b><e_b| - I/3 for the l-th
+# tomography label, flattened row-major (6 x 4).
+_DUAL_FRAME = np.array([(np.outer(_EIG_BASIS[lab][:, b], _EIG_BASIS[lab][:, b].conj())
+                         - np.eye(2) / 3.0).ravel()
+                        for lab in TOMOGRAPHY_BASES for b in (0, 1)])
+
+
+def _design_counts(ts: TomographySet) -> np.ndarray:
+    """Outcome counts (1296,), 16 per setting in `tomography_settings` order.
+
+    This is the column order of `_projector_vectors`, whatever the order of
+    the records in ``ts``.
     """
-    labels = (PauliLabel.I,) + TOMOGRAPHY_BASES
-    rho = np.zeros((16, 16), dtype=complex)
-    single = {lab: lab.matrix for lab in labels}
-    for string in itertools.product(labels, repeat=4):
-        mask = tuple(lab is PauliLabel.I for lab in string)
-        compatible = [rec for rec in ts.records
-                      if all(m or rec.settings[i] is string[i]
-                             for i, m in enumerate(mask))]
-        ev = float(np.mean([expectation(rec, identity_mask=mask)
-                            for rec in compatible]))
-        op = single[string[0]]
-        for lab in string[1:]:
-            op = np.kron(op, single[lab])
-        rho += ev * op
-    return rho / 16.0
+    return np.concatenate([ts.record(s).counts for s in tomography_settings()])
 
 
-_EIG_PLUS = {
-    PauliLabel.X: np.array([1.0, 1.0]) / SQRT2,
-    PauliLabel.Y: np.array([1.0, 1.0j]) / SQRT2,
-    PauliLabel.Z: np.array([1.0, 0.0], dtype=complex),
-}
-_EIG_MINUS = {
-    PauliLabel.X: np.array([1.0, -1.0]) / SQRT2,
-    PauliLabel.Y: np.array([1.0, -1.0j]) / SQRT2,
-    PauliLabel.Z: np.array([0.0, 1.0], dtype=complex),
-}
+def linear_inversion(ts: TomographySet) -> np.ndarray:
+    """Linear-inversion estimate from the dual frame of the 81-setting design.
+
+        rho = sum_k p_k  (x)_i (|e_(k,i)><e_(k,i)| - I/3),
+
+    summed over all 1296 (setting, outcome) pairs k, where p_k is the
+    outcome's probability within its setting and |e_(k,i)> is party i's
+    eigenket of its label at its outcome bit.  This equals the Pauli
+    reconstruction (1/16) sum_P <P> P over all 256 strings, each string
+    with identities averaged over every compatible record.  It is one
+    contraction of p, as a (6, 6, 6, 6) tensor indexed by (label, bit) per
+    party, with the 6 x 4 per-party frame.  The output is Hermitian with
+    unit trace but may have negative eigenvalues.
+    """
+    p = np.concatenate([ts.record(s).probabilities() for s in tomography_settings()])
+    p = p.reshape((3,) * 4 + (2,) * 4)
+    t = p.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((6,) * 4)
+    for _ in range(4):
+        t = np.tensordot(t, _DUAL_FRAME, axes=([0], [0]))
+    return t.reshape((2,) * 8).transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(16, 16)
 
 
-def _projector_vectors(ts: TomographySet) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked projector kets (16 x 1296) and counts (1296,) for the MLE."""
-    vecs = []
-    counts = []
-    for rec in ts.records:
-        for outcome in range(16):
-            v = np.array([1.0], dtype=complex)
-            for i, lab in enumerate(rec.settings):
-                bit = (outcome >> (3 - i)) & 1
-                v = np.kron(v, _EIG_MINUS[lab] if bit else _EIG_PLUS[lab])
-            vecs.append(v)
-            counts.append(rec.counts[outcome])
-    return np.array(vecs).T, np.array(counts)
+@functools.cache
+def _projector_vectors() -> np.ndarray:
+    """Projector kets of the 81-setting design as a read-only 16 x 1296 matrix.
+
+    Column 16*s + o is the ket of outcome o at the s-th setting of
+    `tomography_settings`: the kron of the four parties' eigenbases gives a
+    setting's 16 kets at once.  The design never changes, so the matrix is
+    built once; counts are gathered in the same order by `_design_counts`.
+    """
+    blocks = []
+    for setting in tomography_settings():
+        block = np.ones((1, 1), dtype=complex)
+        for lab in setting:
+            block = np.kron(block, _EIG_BASIS[lab])
+        blocks.append(block)
+    v = np.concatenate(blocks, axis=1)
+    v.flags.writeable = False
+    return v
 
 
 @dataclass
@@ -327,13 +343,14 @@ class MleResult:
     log_likelihood: float
     iterations: int
     converged: bool
+    gradient_residual: float
 
 
-def _log_likelihood(counts: np.ndarray, q: np.ndarray, s: float) -> float:
-    active = counts > 0.0
-    if np.any(q[active] <= 0.0):
+def _log_likelihood(counts: np.ndarray, q: np.ndarray, s: float, n_total: float) -> float:
+    """Likelihood over outcomes with counts > 0 only; -inf if any has q <= 0."""
+    if np.any(q <= 0.0):
         return -np.inf
-    return float(counts[active] @ np.log(q[active])) - float(counts.sum()) * math.log(s)
+    return float(counts @ np.log(q)) - n_total * math.log(s)
 
 
 def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
@@ -348,13 +365,20 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
         sum_k (n_k / q_k) v_k (v_k^dag T)  -  (N / S) T,
 
     masked to the lower triangle, where q_k = |T^dag v_k|^2 are
-    unnormalized outcome weights and S = Tr(T T^dag).  Iteration stops
-    when the relative likelihood gain drops below ``rel_tol``.
+    unnormalized outcome weights and S = Tr(T T^dag).  Outcomes with
+    n_k = 0 add nothing to either the likelihood or the gradient, so both
+    run on the columns of the fixed design `_projector_vectors` with
+    n_k > 0.  Iteration stops when the relative likelihood gain drops
+    below ``rel_tol``.  ``gradient_residual`` is the stationarity residual
+    |grad|_F / |(N / S) T|_F at the returned T.
     """
-    v, counts = _projector_vectors(ts)
+    counts = _design_counts(ts)
     n_total = counts.sum()
     if n_total <= 0.0:
         raise ValueError("tomography set has no counts")
+    active = counts > 0.0
+    v = _projector_vectors()[:, active]
+    counts = counts[active]
 
     rho0 = project_to_physical(linear_inversion(ts))
     w, vec = np.linalg.eigh(rho0)
@@ -369,16 +393,18 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
         s = float(np.einsum("ij,ij->", tmat.conj(), tmat).real)
         return wv, q, s
 
+    def gradient(tmat, wv, q, s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(q > 0.0, counts / q, 0.0)
+        return np.tril((v * ratio[None, :]) @ wv.conj().T - (n_total / s) * tmat)
+
     wv, q, s = stats(t)
-    ll = _log_likelihood(counts, q, s)
+    ll = _log_likelihood(counts, q, s, n_total)
     step = 1.0
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(q > 0.0, counts / q, 0.0)
-        grad = (v * ratio[None, :]) @ wv.conj().T - (n_total / s) * t
-        grad = np.tril(grad)
+        grad = gradient(t, wv, q, s)
         gnorm = np.linalg.norm(grad)
         if gnorm == 0.0:
             converged = True
@@ -388,7 +414,7 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
         for _ in range(60):
             t_new = t + step * scale * grad
             wv_new, q_new, s_new = stats(t_new)
-            ll_new = _log_likelihood(counts, q_new, s_new)
+            ll_new = _log_likelihood(counts, q_new, s_new, n_total)
             if ll_new > ll:
                 improved = True
                 break
@@ -402,21 +428,25 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
         if gain <= rel_tol * abs(ll):
             converged = True
             break
+    residual = float(np.linalg.norm(gradient(t, wv, q, s))
+                     / np.linalg.norm((n_total / s) * t))
     rho = t @ t.conj().T
     rho /= np.trace(rho).real
     rho = (rho + rho.conj().T) / 2.0
     return MleResult(rho=check_density_matrix(rho, eig_tol=1e-9),
-                     log_likelihood=ll, iterations=iteration, converged=converged)
+                     log_likelihood=ll, iterations=iteration, converged=converged,
+                     gradient_residual=residual)
 
 
 def mle_log_likelihood(ts: TomographySet, rho: np.ndarray) -> float:
     """Multinomial log-likelihood of a density matrix for a tomography set."""
-    v, counts = _projector_vectors(ts)
-    p = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
+    counts = _design_counts(ts)
     active = counts > 0.0
-    if np.any(p[active] <= 0.0):
+    v = _projector_vectors()[:, active]
+    p = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
+    if np.any(p <= 0.0):
         return -np.inf
-    return float(counts[active] @ np.log(p[active]))
+    return float(counts[active] @ np.log(p))
 
 
 def monte_carlo_error(ts: TomographySet, statistic, n_resamples: int, seed):

@@ -23,7 +23,6 @@ from . import __version__, experiments, qss
 from .chip import heater_forward, heater_solve
 from .config import ExperimentConfig, default_config, dump_config, load_config
 from .errors import ConfigError, FitError, SolverError
-from .qmath import PauliLabel
 from .simulator import OUTCOME_LABELS, coincidence_rate
 
 RESULT_SCHEMA = "ghzlab-result/v1"
@@ -50,12 +49,8 @@ def _write_manifest(outdir: Path, command: str, cfg_path: str, cfg: ExperimentCo
                                                      sort_keys=True) + "\n")
 
 
-def _labels_from_tokens(tokens):
-    return tuple(PauliLabel.from_token(t) for t in tokens)
-
-
 def cmd_simulate(cfg: ExperimentConfig, outdir: Path) -> list:
-    labels = _labels_from_tokens(cfg.raw["simulate"]["settings"])
+    labels = cfg.simulate_labels
     dist = experiments.run_simulate(cfg.context, labels)
     csv_path = outdir / "distribution.csv"
     json_path = outdir / "distribution.json"
@@ -100,9 +95,8 @@ def _density_matrix_text(rho: np.ndarray) -> str:
 def cmd_tomography(cfg: ExperimentConfig, outdir: Path) -> list:
     ts = experiments.run_tomography(cfg.context, shots=cfg.shots, seed=cfg.seed,
                                     effective_counts=cfg.shots_per_setting)
-    resamples = int(cfg.raw["tomography"]["resamples"])
-    report, mle = experiments.tomography_report(ts, n_resamples=resamples,
-                                                seed=cfg.seed + 1)
+    report, mle = experiments.tomography_report(
+        ts, n_resamples=cfg.tomography_resamples, seed=cfg.seed + 1)
     counts_path = outdir / "tomography.json"
     _write_json(counts_path, ts.to_json_dict())
     rho_path = outdir / "rho.json"
@@ -120,6 +114,7 @@ def cmd_tomography(cfg: ExperimentConfig, outdir: Path) -> list:
         "fidelity_at_theta_star": report.fidelity_at_theta_star,
         "mle_iterations": report.mle_iterations,
         "mle_converged": report.mle_converged,
+        "mle_gradient_residual": report.mle_gradient_residual,
     })
     return [counts_path, rho_path, text_path, report_path]
 
@@ -152,7 +147,7 @@ def cmd_bell(cfg: ExperimentConfig, outdir: Path) -> list:
 
 def cmd_bell_sweep(cfg: ExperimentConfig, outdir: Path) -> list:
     block = cfg.raw["bell_sweep"]
-    photon = "ABCD".index(str(block["photon"]).upper())
+    photon = "ABCD".index(cfg.bell_sweep_photon)
     rows = experiments.run_bell_sweep(cfg.context, photon,
                                       [float(s) for s in block["scales"]])
     csv_path = outdir / "sweep.csv"
@@ -160,15 +155,14 @@ def cmd_bell_sweep(cfg: ExperimentConfig, outdir: Path) -> list:
         f"{r['scale']!r},{r['min_pairwise_overlap']!r},{r['bell_value']!r}\n"
         for r in rows))
     json_path = outdir / "sweep.json"
-    _write_json(json_path, {"photon": str(block["photon"]).upper(), "rows": rows})
+    _write_json(json_path, {"photon": cfg.bell_sweep_photon, "rows": rows})
     return [csv_path, json_path]
 
 
 def cmd_ablation(cfg: ExperimentConfig, outdir: Path) -> list:
-    block = cfg.raw["ablation"]
-    pattern = block.get("detector_pattern")
+    pattern = cfg.raw["ablation"].get("detector_pattern")
     rows = experiments.run_ablation(detector_pattern=pattern,
-                                    n_resamples=int(block.get("resamples", 0)),
+                                    n_resamples=cfg.ablation_resamples,
                                     seed=cfg.seed)
     csv_path = outdir / "ablation.csv"
     csv_path.write_text("row,fidelity,purity\n" + "".join(
@@ -182,7 +176,7 @@ def cmd_qss(cfg: ExperimentConfig, outdir: Path) -> list:
     block = cfg.raw["qss"]
     report, transcript = qss.run_qss(cfg.context.spec, cfg.context.fractions,
                                      cfg.context.stage, cfg.context.detectors,
-                                     rounds=int(block["rounds"]), seed=cfg.seed,
+                                     rounds=cfg.qss_rounds, seed=cfg.seed,
                                      public_fraction=float(block["public_fraction"]))
     csv_path = outdir / "transcript.csv"
     csv_path.write_text(qss.transcript_to_csv(transcript))

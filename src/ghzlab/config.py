@@ -16,6 +16,7 @@ from pathlib import Path
 from .chip import HeaterCalibration, PreparationStage
 from .errors import ConfigError
 from .experiments import MEASURED_REFLECTIVITIES, SimContext
+from .qmath import PauliLabel
 from .simulator import DetectorModel, LossBudget
 from .source import MasterFractions, SourceSpec, fit_master_fractions
 
@@ -102,6 +103,11 @@ class ExperimentConfig:
     budget: LossBudget
     calibration: HeaterCalibration
     calibrate: CalibrateTargets
+    simulate_labels: tuple
+    bell_sweep_photon: str
+    qss_rounds: int
+    tomography_resamples: int
+    ablation_resamples: int
 
     @property
     def shots(self) -> int | None:
@@ -122,6 +128,31 @@ def _phase_targets(block: dict, key: str) -> tuple:
                  and math.isfinite(v),
                  f"calibrate.{key} entries must be finite numbers, got {v!r}")
     return tuple(float(v) for v in values)
+
+
+def _whole_number(block: dict, name: str, key: str, minimum: int) -> int:
+    value = block[key]
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+             f"{name}.{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _simulate_labels(block: dict) -> tuple:
+    tokens = block["settings"]
+    _require(isinstance(tokens, (list, tuple)) and len(tokens) == 4
+             and all(isinstance(t, str) for t in tokens),
+             f"simulate.settings must list 4 measurement labels, got {tokens!r}")
+    try:
+        return tuple(PauliLabel.from_token(t) for t in tokens)
+    except ValueError as exc:
+        raise ConfigError(f"simulate.settings: {exc}") from exc
+
+
+def _bell_sweep_photon(block: dict) -> str:
+    photon = block["photon"]
+    _require(isinstance(photon, str) and photon.upper() in ("A", "B", "C", "D"),
+             f"bell_sweep.photon must be one of A, B, C, D, got {photon!r}")
+    return photon.upper()
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -172,6 +203,13 @@ def parse_config(data: dict) -> ExperimentConfig:
         targets = CalibrateTargets(
             alpha_rad=_phase_targets(merged["calibrate"], "alpha_targets_rad"),
             phi_rad=_phase_targets(merged["calibrate"], "phi_targets_rad"))
+        simulate_labels = _simulate_labels(merged["simulate"])
+        photon = _bell_sweep_photon(merged["bell_sweep"])
+        qss_rounds = _whole_number(merged["qss"], "qss", "rounds", 1)
+        tomography_resamples = _whole_number(merged["tomography"], "tomography",
+                                             "resamples", 0)
+        ablation_resamples = _whole_number(merged["ablation"], "ablation",
+                                           "resamples", 0)
         seed = int(merged["seed"])
         shots = int(merged["shots_per_setting"])
         _require(shots >= 1, "shots_per_setting must be positive")
@@ -185,7 +223,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     return ExperimentConfig(raw=merged, context=ctx, seed=seed,
                             shots_per_setting=shots, exact_probabilities=exact,
                             budget=budget, calibration=calibration,
-                            calibrate=targets)
+                            calibrate=targets, simulate_labels=simulate_labels,
+                            bell_sweep_photon=photon, qss_rounds=qss_rounds,
+                            tomography_resamples=tomography_resamples,
+                            ablation_resamples=ablation_resamples)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

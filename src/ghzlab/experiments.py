@@ -101,6 +101,7 @@ class TomographyReport:
     purity_error: float
     mle_iterations: int
     mle_converged: bool
+    mle_gradient_residual: float
 
 
 def tomography_report(ts: TomographySet, n_resamples: int = 50,
@@ -124,7 +125,8 @@ def tomography_report(ts: TomographySet, n_resamples: int = 50,
                               fidelity_at_theta_star=fid_star,
                               fidelity_error=fid_err, purity_error=pur_err,
                               mle_iterations=mle.iterations,
-                              mle_converged=mle.converged)
+                              mle_converged=mle.converged,
+                              mle_gradient_residual=mle.gradient_residual)
     return report, mle
 
 

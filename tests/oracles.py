@@ -8,7 +8,10 @@ output histogram, thins it binomially and thresholds every occupation; it
 shares only the Ryser permanent with the click-mask path of
 `qubit_distribution`, and that is checked against explicit permutations.
 The heater oracle solves one linear program per 2*pi lift vector instead of
-the package's single mixed-integer program.
+the package's single mixed-integer program.  The tomography oracles build
+the projector kets one outcome at a time and invert by summing all 256 Pauli
+strings' averaged expectations, where the package contracts a fixed dual
+frame.
 """
 
 import itertools
@@ -18,7 +21,9 @@ from collections import defaultdict
 import numpy as np
 from scipy.optimize import linprog
 
+from ghzlab.analysis import expectation
 from ghzlab.errors import SolverError
+from ghzlab.qmath import PauliLabel
 from ghzlab.simulator import (OutcomeDistribution, apply_detector_efficiency,
                               scatter_distribution)
 
@@ -215,3 +220,52 @@ def oracle_heater_block(matrix_krad, base_rad, resistances, usable, max_lift=4):
     full = np.zeros(8)
     full[usable] = best_u
     return full
+
+
+def oracle_linear_inversion(ts):
+    """Pauli reconstruction rho = (1/16) sum <P> P over all 256 Pauli strings.
+
+    Expectations of strings containing identities are averaged over every
+    compatible record with those parties masked.
+    """
+    labels = (PauliLabel.I, PauliLabel.X, PauliLabel.Y, PauliLabel.Z)
+    rho = np.zeros((16, 16), dtype=complex)
+    for string in itertools.product(labels, repeat=4):
+        mask = tuple(lab is PauliLabel.I for lab in string)
+        compatible = [rec for rec in ts.records
+                      if all(m or rec.settings[i] is string[i]
+                             for i, m in enumerate(mask))]
+        ev = float(np.mean([expectation(rec, identity_mask=mask)
+                            for rec in compatible]))
+        op = string[0].matrix
+        for lab in string[1:]:
+            op = np.kron(op, lab.matrix)
+        rho += ev * op
+    return rho / 16.0
+
+
+_ORACLE_EIG_PLUS = {
+    PauliLabel.X: np.array([1.0, 1.0]) / SQRT2,
+    PauliLabel.Y: np.array([1.0, 1.0j]) / SQRT2,
+    PauliLabel.Z: np.array([1.0, 0.0], dtype=complex),
+}
+_ORACLE_EIG_MINUS = {
+    PauliLabel.X: np.array([1.0, -1.0]) / SQRT2,
+    PauliLabel.Y: np.array([1.0, -1.0j]) / SQRT2,
+    PauliLabel.Z: np.array([0.0, 1.0], dtype=complex),
+}
+
+
+def oracle_projector_vectors(ts):
+    """Projector kets (16 x 1296) and counts (1296,), outcome by outcome in record order."""
+    vecs = []
+    counts = []
+    for rec in ts.records:
+        for outcome in range(16):
+            v = np.array([1.0], dtype=complex)
+            for i, lab in enumerate(rec.settings):
+                bit = (outcome >> (3 - i)) & 1
+                v = np.kron(v, _ORACLE_EIG_MINUS[lab] if bit else _ORACLE_EIG_PLUS[lab])
+            vecs.append(v)
+            counts.append(rec.counts[outcome])
+    return np.array(vecs).T, np.array(counts)

@@ -9,13 +9,14 @@ from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
                              mle_log_likelihood, mle_reconstruct,
                              monte_carlo_error, phase_witness,
                              stabilizer_witness, tomography_settings,
-                             _projector_vectors)
+                             _design_counts, _projector_vectors)
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_record, run_bell,
                                 run_tomography, run_witness, tomography_report)
 from ghzlab.qmath import PauliLabel, fidelity_to_pure, ghz4, purity
 
-from oracles import born_probabilities, ghz_state
+from oracles import (born_probabilities, ghz_state, oracle_linear_inversion,
+                     oracle_projector_vectors)
 
 SQRT2 = math.sqrt(2)
 
@@ -201,7 +202,42 @@ class TestTomographySetSerialization:
             assert np.array_equal(a.counts, b.counts)
 
 
+def shuffled(ts, seed):
+    records = list(ts.records)
+    np.random.default_rng(seed).shuffle(records)
+    return TomographySet(records)
+
+
+class TestTomographyDesign:
+    def test_kets_equal_oracle_bit_for_bit(self, ideal_ctx):
+        ts = run_tomography(ideal_ctx, shots=50, seed=1)
+        v, counts = oracle_projector_vectors(ts)
+        assert np.array_equal(_projector_vectors(), v)
+        assert np.array_equal(_design_counts(ts), counts)
+
+    def test_cached_kets_are_read_only(self):
+        v = _projector_vectors()
+        assert v is _projector_vectors()
+        assert v.shape == (16, 1296)
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
+
 class TestLinearInversion:
+    def test_matches_oracle_on_random_counts(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            records = [MeasurementRecord(s, rng.uniform(0, 50, 16))
+                       for s in tomography_settings()]
+            ts = TomographySet(records)
+            assert np.max(np.abs(linear_inversion(ts)
+                                 - oracle_linear_inversion(ts))) <= 1e-12
+
+    def test_matches_oracle_on_shuffled_records(self, ideal_ctx):
+        ts = shuffled(run_tomography(ideal_ctx, shots=100, seed=6), 3)
+        assert np.max(np.abs(linear_inversion(ts)
+                             - oracle_linear_inversion(ts))) <= 1e-12
+
     def test_exact_ideal_probabilities(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, effective_counts=1.0)
         rho = linear_inversion(ts)
@@ -256,7 +292,7 @@ class TestMle:
 
     def test_analytic_gradient_matches_finite_difference(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=100, seed=9)
-        v, counts = _projector_vectors(ts)
+        v, counts = _projector_vectors(), _design_counts(ts)
         rng = np.random.default_rng(2)
         t = np.tril(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
         t += 4 * np.eye(16)
@@ -293,6 +329,25 @@ class TestMle:
         res = mle_reconstruct(ts, max_iterations=2)
         assert res.iterations == 2
         assert not res.converged
+
+    def test_record_order_does_not_change_result(self, ideal_ctx):
+        ts = run_tomography(ideal_ctx, shots=450, seed=8)
+        assert [tuple(r.settings) for r in shuffled(ts, 4).records] != \
+            tomography_settings()
+        a, b = mle_reconstruct(ts), mle_reconstruct(shuffled(ts, 4))
+        assert np.max(np.abs(a.rho - b.rho)) <= 1e-12
+        assert a.iterations == b.iterations
+
+    def test_gradient_residual_small_at_convergence(self, ideal_ctx):
+        res = mle_reconstruct(run_tomography(ideal_ctx, effective_counts=1e6))
+        assert res.converged
+        assert 0.0 <= res.gradient_residual < 1e-4
+
+    def test_gradient_residual_larger_when_capped(self, ideal_ctx):
+        ts = run_tomography(ideal_ctx, shots=300, seed=4)
+        capped = mle_reconstruct(ts, max_iterations=2)
+        full = mle_reconstruct(ts)
+        assert capped.gradient_residual > 10.0 * full.gradient_residual
 
 
 class TestMonteCarloError:

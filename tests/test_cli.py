@@ -12,6 +12,7 @@ import ghzlab
 from ghzlab.cli import main
 from ghzlab.config import default_config, dump_config, load_config, parse_config
 from ghzlab.errors import ConfigError
+from ghzlab.qmath import PauliLabel
 
 
 @pytest.fixture()
@@ -51,6 +52,37 @@ class TestConfig:
         cfg["source"]["g2"] = 0.9
         with pytest.raises(ConfigError):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("tomography", "resamples", True),
+        ("tomography", "resamples", 2.0),
+        ("tomography", "resamples", -1),
+        ("ablation", "resamples", "3"),
+        ("qss", "rounds", 0),
+        ("bell_sweep", "photon", 2),
+        ("simulate", "settings", ["z", "z", "z"]),
+        ("simulate", "settings", ["z", "z", "z", 1]),
+    ])
+    def test_command_blocks_validated(self, block, key, value):
+        cfg = default_config()
+        cfg[block][key] = value
+        with pytest.raises(ConfigError, match=block):
+            parse_config(cfg)
+
+    def test_command_blocks_parsed(self):
+        cfg = default_config()
+        cfg["simulate"]["settings"] = ["x", "-z", "y", "x+z"]
+        cfg["bell_sweep"]["photon"] = "b"
+        cfg["qss"]["rounds"] = 7
+        cfg["tomography"]["resamples"] = 0
+        cfg["ablation"]["resamples"] = 3
+        parsed = parse_config(cfg)
+        assert parsed.simulate_labels == (PauliLabel.X, PauliLabel.MINUS_Z,
+                                          PauliLabel.Y, PauliLabel.XPZ)
+        assert parsed.bell_sweep_photon == "B"
+        assert parsed.qss_rounds == 7
+        assert parsed.tomography_resamples == 0
+        assert parsed.ablation_resamples == 3
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_exact_probabilities_must_be_bool(self, value):
@@ -172,6 +204,7 @@ class TestCommands:
         report = read_json(out / "report.json")
         assert report["fidelity"] > 0.9
         assert report["mle_converged"] is True
+        assert 0.0 <= report["mle_gradient_residual"] < 0.01
         rho = read_json(out / "rho.json")
         assert len(rho["real"]) == 16
         assert (out / "rho.txt").read_text().startswith("# real part")
@@ -225,6 +258,24 @@ class TestDeterminismAndExitCodes:
         assert main(["calibrate", "--config", str(ideal_config),
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command, update", [
+        ("tomography", {"tomography": {"resamples": "many"}}),
+        ("qss", {"qss": {"rounds": 0}}),
+        ("bell-sweep", {"bell_sweep": {"photon": "E"}}),
+        ("simulate", {"simulate": {"settings": ["x", "q", "z", "z"]}}),
+    ], ids=["tomography-resamples", "qss-rounds", "bell-sweep-photon",
+            "simulate-label"])
+    def test_bad_command_block_exit_2(self, ideal_config, tmp_path, capsys,
+                                      command, update):
+        cfg = json.loads(ideal_config.read_text())
+        for block, values in update.items():
+            cfg[block].update(values)
+        ideal_config.write_text(dump_config(cfg))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(ideal_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_numerical_failure_exit_3(self, ideal_config, tmp_path):
         cfg = json.loads(ideal_config.read_text())
