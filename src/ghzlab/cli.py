@@ -61,11 +61,10 @@ def cmd_simulate(cfg: ExperimentConfig, outdir: Path) -> list:
 
 
 def cmd_phase_scan(cfg: ExperimentConfig, outdir: Path) -> list:
-    block = cfg.raw["phase_scan"]
-    powers = np.linspace(float(block["power_min_mw"]), float(block["power_max_mw"]),
-                         int(block["points"]))
+    scan = cfg.phase_scan
+    powers = np.linspace(scan.power_min_mw, scan.power_max_mw, scan.points)
     points, fit = experiments.run_phase_scan(
-        cfg.context, powers, float(block["rad_per_mw"]), float(block["offset_rad"]),
+        cfg.context, powers, scan.rad_per_mw, scan.offset_rad,
         shots=cfg.shots, seed=cfg.seed)
     csv_path = outdir / "scan.csv"
     csv_path.write_text("power_mw,phase_witness\n" +
@@ -146,10 +145,8 @@ def cmd_bell(cfg: ExperimentConfig, outdir: Path) -> list:
 
 
 def cmd_bell_sweep(cfg: ExperimentConfig, outdir: Path) -> list:
-    block = cfg.raw["bell_sweep"]
     photon = "ABCD".index(cfg.bell_sweep_photon)
-    rows = experiments.run_bell_sweep(cfg.context, photon,
-                                      [float(s) for s in block["scales"]])
+    rows = experiments.run_bell_sweep(cfg.context, photon, cfg.bell_sweep_scales)
     csv_path = outdir / "sweep.csv"
     csv_path.write_text("scale,min_pairwise_overlap,bell_value\n" + "".join(
         f"{r['scale']!r},{r['min_pairwise_overlap']!r},{r['bell_value']!r}\n"
@@ -160,8 +157,7 @@ def cmd_bell_sweep(cfg: ExperimentConfig, outdir: Path) -> list:
 
 
 def cmd_ablation(cfg: ExperimentConfig, outdir: Path) -> list:
-    pattern = cfg.raw["ablation"].get("detector_pattern")
-    rows = experiments.run_ablation(detector_pattern=pattern,
+    rows = experiments.run_ablation(detector_pattern=cfg.ablation_detector_pattern,
                                     n_resamples=cfg.ablation_resamples,
                                     seed=cfg.seed)
     csv_path = outdir / "ablation.csv"
@@ -173,11 +169,10 @@ def cmd_ablation(cfg: ExperimentConfig, outdir: Path) -> list:
 
 
 def cmd_qss(cfg: ExperimentConfig, outdir: Path) -> list:
-    block = cfg.raw["qss"]
     report, transcript = qss.run_qss(cfg.context.spec, cfg.context.fractions,
                                      cfg.context.stage, cfg.context.detectors,
                                      rounds=cfg.qss_rounds, seed=cfg.seed,
-                                     public_fraction=float(block["public_fraction"]))
+                                     public_fraction=cfg.qss_public_fraction)
     csv_path = outdir / "transcript.csv"
     csv_path.write_text(qss.transcript_to_csv(transcript))
     json_path = outdir / "qss.json"

@@ -94,6 +94,17 @@ class CalibrateTargets:
 
 
 @dataclass(frozen=True)
+class PhaseScanSpec:
+    """Heater power grid (mW) and the scanned shifter's linear power-to-phase map."""
+
+    power_min_mw: float
+    power_max_mw: float
+    points: int
+    rad_per_mw: float
+    offset_rad: float
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
     context: SimContext
@@ -104,10 +115,14 @@ class ExperimentConfig:
     calibration: HeaterCalibration
     calibrate: CalibrateTargets
     simulate_labels: tuple
+    phase_scan: PhaseScanSpec
     bell_sweep_photon: str
+    bell_sweep_scales: tuple
     qss_rounds: int
+    qss_public_fraction: float
     tomography_resamples: int
     ablation_resamples: int
+    ablation_detector_pattern: tuple | None
 
     @property
     def shots(self) -> int | None:
@@ -119,15 +134,56 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _phase_targets(block: dict, key: str) -> tuple:
     values = block[key]
     _require(isinstance(values, (list, tuple)) and len(values) == 4,
              f"calibrate.{key} must list 4 phases")
     for v in values:
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and math.isfinite(v),
+        _require(_is_finite_number(v),
                  f"calibrate.{key} entries must be finite numbers, got {v!r}")
     return tuple(float(v) for v in values)
+
+
+def _number(block: dict, name: str, key: str) -> float:
+    value = block[key]
+    _require(_is_finite_number(value),
+             f"{name}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _fraction_list(values, what: str) -> tuple:
+    _require(isinstance(values, (list, tuple)),
+             f"{what} must be a list of numbers, got {values!r}")
+    for v in values:
+        _require(_is_finite_number(v) and 0.0 <= v <= 1.0,
+                 f"{what} entries must be numbers in [0, 1], got {v!r}")
+    return tuple(float(v) for v in values)
+
+
+def _phase_scan(block: dict) -> PhaseScanSpec:
+    return PhaseScanSpec(
+        power_min_mw=_number(block, "phase_scan", "power_min_mw"),
+        power_max_mw=_number(block, "phase_scan", "power_max_mw"),
+        points=_whole_number(block, "phase_scan", "points", 5),
+        rad_per_mw=_number(block, "phase_scan", "rad_per_mw"),
+        offset_rad=_number(block, "phase_scan", "offset_rad"))
+
+
+def _detector_pattern(block: dict) -> tuple | None:
+    """None, or 8 detector efficiencies in (0, 1] as `DetectorModel` requires."""
+    pattern = block["detector_pattern"]
+    if pattern is None:
+        return None
+    values = _fraction_list(pattern, "ablation.detector_pattern")
+    _require(len(values) == 8 and min(values) > 0.0,
+             f"ablation.detector_pattern must list 8 efficiencies in (0, 1], "
+             f"got {pattern!r}")
+    return values
 
 
 def _whole_number(block: dict, name: str, key: str, minimum: int) -> int:
@@ -204,12 +260,18 @@ def parse_config(data: dict) -> ExperimentConfig:
             alpha_rad=_phase_targets(merged["calibrate"], "alpha_targets_rad"),
             phi_rad=_phase_targets(merged["calibrate"], "phi_targets_rad"))
         simulate_labels = _simulate_labels(merged["simulate"])
+        phase_scan = _phase_scan(merged["phase_scan"])
         photon = _bell_sweep_photon(merged["bell_sweep"])
+        scales = _fraction_list(merged["bell_sweep"]["scales"], "bell_sweep.scales")
         qss_rounds = _whole_number(merged["qss"], "qss", "rounds", 1)
+        public_fraction = _number(merged["qss"], "qss", "public_fraction")
+        _require(0.0 <= public_fraction <= 1.0,
+                 f"qss.public_fraction must lie in [0, 1], got {public_fraction!r}")
         tomography_resamples = _whole_number(merged["tomography"], "tomography",
                                              "resamples", 0)
         ablation_resamples = _whole_number(merged["ablation"], "ablation",
                                            "resamples", 0)
+        detector_pattern = _detector_pattern(merged["ablation"])
         seed = int(merged["seed"])
         shots = int(merged["shots_per_setting"])
         _require(shots >= 1, "shots_per_setting must be positive")
@@ -224,9 +286,12 @@ def parse_config(data: dict) -> ExperimentConfig:
                             shots_per_setting=shots, exact_probabilities=exact,
                             budget=budget, calibration=calibration,
                             calibrate=targets, simulate_labels=simulate_labels,
-                            bell_sweep_photon=photon, qss_rounds=qss_rounds,
+                            phase_scan=phase_scan, bell_sweep_photon=photon,
+                            bell_sweep_scales=scales, qss_rounds=qss_rounds,
+                            qss_public_fraction=public_fraction,
                             tomography_resamples=tomography_resamples,
-                            ablation_resamples=ablation_resamples)
+                            ablation_resamples=ablation_resamples,
+                            ablation_detector_pattern=detector_pattern)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

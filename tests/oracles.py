@@ -11,7 +11,10 @@ The heater oracle solves one linear program per 2*pi lift vector instead of
 the package's single mixed-integer program.  The tomography oracles build
 the projector kets one outcome at a time and invert by summing all 256 Pauli
 strings' averaged expectations, where the package contracts a fixed dual
-frame.
+frame.  The master-fraction oracle sorts the grid point by point with a
+Python objective and refines with finite-difference gradients, where the
+package scores the grid as one array and refines with the analytic
+gradient.
 """
 
 import itertools
@@ -19,11 +22,12 @@ import math
 from collections import defaultdict
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from ghzlab.analysis import expectation
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
+from ghzlab.source import _PAIR_INDEX, MasterFractions, _balance_gauge
 from ghzlab.simulator import (OutcomeDistribution, apply_detector_efficiency,
                               scatter_distribution)
 
@@ -269,3 +273,34 @@ def oracle_projector_vectors(ts):
             vecs.append(v)
             counts.append(rec.counts[outcome])
     return np.array(vecs).T, np.array(counts)
+
+
+def oracle_fit_objective(x, targets):
+    """Sum of squared pair residuals, added pair by pair in AB, AC, BD, CD order."""
+    return sum((x[i] * x[j] - targets[p]) ** 2 for p, (i, j) in _PAIR_INDEX.items())
+
+
+def oracle_grid_starts(measured):
+    """The 32 first points of the 11^4 grid sorted on (objective, x_A, x_B, x_C, x_D)."""
+    grid = np.linspace(0.0, 1.0, 11)
+    ranked = sorted(itertools.product(grid, repeat=4),
+                    key=lambda x: (oracle_fit_objective(np.array(x), measured), x))
+    return np.array(ranked[:32])
+
+
+def oracle_fit_master_fractions(measured):
+    """Master-fraction fit refined with 2-point finite-difference gradients.
+
+    Returns the fitted fractions and the 32 grid starts the refinements ran from.
+    """
+    starts = oracle_grid_starts(measured)
+    best_x = None
+    best_f = np.inf
+    for start in starts:
+        res = minimize(oracle_fit_objective, start, args=(measured,),
+                       method="L-BFGS-B", bounds=[(0.0, 1.0)] * 4,
+                       options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
+        if res.fun < best_f - 1e-15:
+            best_f = res.fun
+            best_x = res.x
+    return MasterFractions(x=tuple(_balance_gauge(best_x))), starts

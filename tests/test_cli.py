@@ -10,7 +10,8 @@ import pytest
 
 import ghzlab
 from ghzlab.cli import main
-from ghzlab.config import default_config, dump_config, load_config, parse_config
+from ghzlab.config import (PhaseScanSpec, default_config, dump_config, load_config,
+                           parse_config)
 from ghzlab.errors import ConfigError
 from ghzlab.qmath import PauliLabel
 
@@ -62,6 +63,17 @@ class TestConfig:
         ("bell_sweep", "photon", 2),
         ("simulate", "settings", ["z", "z", "z"]),
         ("simulate", "settings", ["z", "z", "z", 1]),
+        ("phase_scan", "points", 4),
+        ("phase_scan", "points", 13.0),
+        ("phase_scan", "power_max_mw", float("inf")),
+        ("phase_scan", "offset_rad", None),
+        ("bell_sweep", "scales", [1.0, float("nan")]),
+        ("bell_sweep", "scales", [1.5]),
+        ("bell_sweep", "scales", 0.5),
+        ("qss", "public_fraction", "x"),
+        ("qss", "public_fraction", True),
+        ("ablation", "detector_pattern", [1.0] * 7 + [0.0]),
+        ("ablation", "detector_pattern", [1.0] * 9),
     ])
     def test_command_blocks_validated(self, block, key, value):
         cfg = default_config()
@@ -76,6 +88,10 @@ class TestConfig:
         cfg["qss"]["rounds"] = 7
         cfg["tomography"]["resamples"] = 0
         cfg["ablation"]["resamples"] = 3
+        cfg["phase_scan"]["points"] = 5
+        cfg["bell_sweep"]["scales"] = [1, 0.5, 0]
+        cfg["qss"]["public_fraction"] = 1
+        cfg["ablation"]["detector_pattern"] = [1, 0.5, 0.9, 1, 0.6, 1, 1, 0.7]
         parsed = parse_config(cfg)
         assert parsed.simulate_labels == (PauliLabel.X, PauliLabel.MINUS_Z,
                                           PauliLabel.Y, PauliLabel.XPZ)
@@ -83,6 +99,12 @@ class TestConfig:
         assert parsed.qss_rounds == 7
         assert parsed.tomography_resamples == 0
         assert parsed.ablation_resamples == 3
+        assert parsed.phase_scan == PhaseScanSpec(28.0, 78.0, 5, 0.126264,
+                                                  -0.3848165328204134)
+        assert parsed.bell_sweep_scales == (1.0, 0.5, 0.0)
+        assert parsed.qss_public_fraction == 1.0
+        assert parsed.ablation_detector_pattern == (1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7)
+        assert parse_config(default_config()).ablation_detector_pattern is None
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_exact_probabilities_must_be_bool(self, value):
@@ -264,8 +286,16 @@ class TestDeterminismAndExitCodes:
         ("qss", {"qss": {"rounds": 0}}),
         ("bell-sweep", {"bell_sweep": {"photon": "E"}}),
         ("simulate", {"simulate": {"settings": ["x", "q", "z", "z"]}}),
+        ("phase-scan", {"phase_scan": {"points": 0}}),
+        ("phase-scan", {"phase_scan": {"rad_per_mw": "x"}}),
+        ("qss", {"qss": {"public_fraction": 1.5}}),
+        ("qss", {"qss": {"public_fraction": -0.5}}),
+        ("bell-sweep", {"bell_sweep": {"scales": ["a"]}}),
+        ("ablation", {"ablation": {"detector_pattern": [1, 2]}}),
     ], ids=["tomography-resamples", "qss-rounds", "bell-sweep-photon",
-            "simulate-label"])
+            "simulate-label", "phase-scan-points", "phase-scan-rad-per-mw",
+            "qss-public-fraction-high", "qss-public-fraction-negative",
+            "bell-sweep-scales", "ablation-detector-pattern"])
     def test_bad_command_block_exit_2(self, ideal_config, tmp_path, capsys,
                                       command, update):
         cfg = json.loads(ideal_config.read_text())

@@ -3,14 +3,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzlab.errors import FitError
 from ghzlab.simulator import scatter_distribution
 from ghzlab.source import (MEASURED_PAIRS, MasterFractions, SourceSpec,
+                           _grid_starts, _objective_and_gradient,
                            enumerate_joint_inputs, fit_master_fractions,
                            input_mixture, noise_label, overlap_bounds,
                            solve_pair_probabilities, subsidiary_label,
                            MASTER_LABEL)
+from oracles import oracle_fit_master_fractions, oracle_fit_objective
+
+
+def _products(x):
+    return {"AB": x[0] * x[1], "AC": x[0] * x[2], "BD": x[1] * x[3], "CD": x[2] * x[3]}
+
+
+def _oracle_overlap_sets():
+    """Boundary cases, the measured overlaps, and 60 seeded random sets."""
+    sets = [{p: 0.81 for p in MEASURED_PAIRS},
+            {p: 1.0 for p in MEASURED_PAIRS},
+            {p: 0.0 for p in MEASURED_PAIRS},
+            {"AB": 0.0, "AC": 0.9, "BD": 0.9, "CD": 0.9},
+            dict(SourceSpec().measured_overlaps)]
+    rng = np.random.default_rng(2022)
+    for _ in range(20):
+        sets.append(dict(zip(MEASURED_PAIRS, rng.uniform(0.0, 1.0, 4).tolist())))
+        sets.append(dict(zip(MEASURED_PAIRS, rng.uniform(0.8, 1.0, 4).tolist())))
+        sets.append(_products(rng.uniform(0.05, 1.0, 4).tolist()))
+    return sets
 
 
 class TestPairProbabilities:
@@ -53,19 +75,24 @@ class TestMasterFractionFit:
         frac = fit_master_fractions(m)
         assert max(abs(a - b) for a, b in zip(frac.x, xt)) < 1e-6
 
-    def test_measured_products_recovered_for_any_truth(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
+    def test_measured_products_recovered_for_any_truth(self, xt):
         # the four measured products are identifiable even when the
-        # underlying fractions are not
-        xt = (0.97, 0.95, 0.99, 0.96)
-        m = {"AB": xt[0] * xt[1], "AC": xt[0] * xt[2],
-             "BD": xt[1] * xt[3], "CD": xt[2] * xt[3]}
-        frac = fit_master_fractions(m)
-        x = frac.x
-        pairs = {"AB": x[0] * x[1], "AC": x[0] * x[2],
-                 "BD": x[1] * x[3], "CD": x[2] * x[3]}
+        # underlying fractions are not.  A later refinement replaces the
+        # best one only if it lowers the objective by more than 1e-15, so a
+        # product may sit up to sqrt(1e-15) ~ 3e-8 from its target.
+        m = _products(xt)
+        x = fit_master_fractions(m).x
+        fitted = _products(x)
         for key in MEASURED_PAIRS:
-            assert pairs[key] == pytest.approx(m[key], abs=1e-6)
-        assert x[0] * x[3] == pytest.approx(x[1] * x[2], abs=1e-6)
+            assert fitted[key] == pytest.approx(m[key], abs=4e-8)
+        # balanced whenever the balanced point of the truth's family
+        # (a t, b/t, c/t, d t) lies inside the box
+        a, b, c, d = xt
+        t = (b * c / (a * d)) ** 0.25
+        if max(a * t, b / t, c / t, d * t) < 1.0 - 1e-6:
+            assert x[0] * x[3] == pytest.approx(x[1] * x[2], abs=1e-12)
 
     def test_deterministic(self, measured_overlaps_default):
         a = fit_master_fractions(measured_overlaps_default)
@@ -77,6 +104,30 @@ class TestMasterFractionFit:
             fit_master_fractions({"AB": 1.2, "AC": 0.9, "BD": 0.9, "CD": 0.9})
         with pytest.raises(FitError):
             fit_master_fractions({"AB": 0.9, "AC": 0.9})
+
+
+class TestMasterFractionFitOracle:
+    @pytest.mark.parametrize("measured", _oracle_overlap_sets())
+    def test_matches_oracle(self, measured):
+        expected, oracle_starts = oracle_fit_master_fractions(measured)
+        assert _grid_starts(measured).tobytes() == oracle_starts.tobytes()
+        frac = fit_master_fractions(measured)
+        assert max(abs(a - b) for a, b in zip(frac.x, expected.x)) <= 1e-7
+        assert (oracle_fit_objective(np.array(frac.x), measured)
+                <= oracle_fit_objective(np.array(expected.x), measured) + 1e-15)
+
+    def test_gradient_matches_finite_difference(self):
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        for _ in range(20):
+            measured = dict(zip(MEASURED_PAIRS, rng.uniform(0.0, 1.0, 4).tolist()))
+            x = rng.uniform(0.0, 1.0, 4)
+            f, grad = _objective_and_gradient(x, measured)
+            assert f == pytest.approx(oracle_fit_objective(x, measured), abs=1e-15)
+            numeric = [(oracle_fit_objective(x + h * e, measured)
+                        - oracle_fit_objective(x - h * e, measured)) / (2 * h)
+                       for e in np.eye(4)]
+            assert np.allclose(grad, numeric, rtol=0.0, atol=1e-8)
 
 
 class TestOverlapBounds:
