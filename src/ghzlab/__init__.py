@@ -7,7 +7,7 @@ from .chip import (HeaterCalibration, MziSetting, PreparationStage,
                    heater_solve, measurement_unitary, preparation_unitary,
                    setting_for_projector)
 from .qmath import (PauliLabel, fidelity_to_pure, ghz4, pauli_operator,
-                    permanent, permanent_naive, project_to_physical, purity)
+                    permanent, project_to_physical, purity)
 from .simulator import (DetectorModel, LossBudget, OutcomeDistribution,
                         apply_detector_efficiency, coincidence_rate,
                         outcome_distribution, qubit_distribution, sample_counts,

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import FitError
 from .qmath import (PauliLabel, SQRT2, check_density_matrix,
@@ -118,6 +117,8 @@ def fit_phase_scan(points) -> PhaseScanFit:
     captures the scan; the returned ``power_at_max`` is the fitted-cosine
     argmax closest to the middle of the scanned range.
     """
+    from scipy.optimize import curve_fit
+
     pts = [(float(p), float(w)) for p, w in points]
     if len(pts) < 5:
         raise FitError("need at least 5 scan points")

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .errors import SolverError
 from .qmath import PauliLabel
@@ -348,6 +347,8 @@ def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
     The fixed-lift linear program at those lifts gives the vertex, which
     least squares on its support polishes to machine-precision equality.
     """
+    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
     m = 1e3 * matrix_krad[:, usable]
     cost = resistances[usable]
     n = m.shape[1]

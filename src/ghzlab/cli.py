@@ -268,7 +268,8 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         results = COMMANDS[args.command](cfg, outdir)
-    except (SolverError, FitError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (SolverError, FitError, FloatingPointError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .chip import HeaterCalibration, PreparationStage
@@ -56,15 +57,7 @@ def default_config() -> dict:
             "alpha_targets_rad": [0.0, 0.0, 0.0, 0.0],
             "phi_targets_rad": [3.8656, 2.838, 0.798, 0.990],
         },
-        "rate": {
-            "repetition_rate_hz": 79e6,
-            "filling_factor": 0.67,
-            "first_lens_brightness": 0.50,
-            "eta_coupling": 0.29,
-            "eta_demux": 0.75,
-            "eta_chip": 0.54,
-            "eta_detector": 0.65,
-        },
+        "rate": asdict(LossBudget()),
         "notes": {
             "source": "measured emitter parameters: multiphoton g2(0), pairwise "
                       "mean-wavepacket overlaps of the four measurable photon "
@@ -134,63 +127,39 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _phase_targets(block: dict, key: str) -> tuple:
-    values = block[key]
-    _require(isinstance(values, (list, tuple)) and len(values) == 4,
-             f"calibrate.{key} must list 4 phases")
-    for v in values:
-        _require(_is_finite_number(v),
-                 f"calibrate.{key} entries must be finite numbers, got {v!r}")
-    return tuple(float(v) for v in values)
-
-
-def _number(block: dict, name: str, key: str) -> float:
-    value = block[key]
-    _require(_is_finite_number(value),
-             f"{name}.{key} must be a finite number, got {value!r}")
+def _number(value, name: str, bounds: tuple | None = None) -> float:
+    """A finite JSON number (not a bool or string), within ``bounds`` if given."""
+    lo, hi = bounds or (-math.inf, math.inf)
+    # NaN fails every comparison; the float_info bound also rejects +-inf and
+    # integers too large to convert to a float.
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max and lo <= value <= hi,
+             f"{name} must be a finite number{f' in [{lo}, {hi}]' if bounds else ''}, "
+             f"got {value!r}")
     return float(value)
 
 
-def _fraction_list(values, what: str) -> tuple:
-    _require(isinstance(values, (list, tuple)),
-             f"{what} must be a list of numbers, got {values!r}")
-    for v in values:
-        _require(_is_finite_number(v) and 0.0 <= v <= 1.0,
-                 f"{what} entries must be numbers in [0, 1], got {v!r}")
-    return tuple(float(v) for v in values)
+def _numbers(value, name: str, length: int | None = None,
+             bounds: tuple | None = None) -> tuple:
+    """A list of finite JSON numbers, of exactly ``length`` entries if given."""
+    _require(isinstance(value, (list, tuple)) and length in (None, len(value)),
+             f"{name} must be a list of {length or 'finite'} numbers, got {value!r}")
+    return tuple(_number(v, f"{name}[{i}]", bounds) for i, v in enumerate(value))
 
 
-def _phase_scan(block: dict) -> PhaseScanSpec:
-    return PhaseScanSpec(
-        power_min_mw=_number(block, "phase_scan", "power_min_mw"),
-        power_max_mw=_number(block, "phase_scan", "power_max_mw"),
-        points=_whole_number(block, "phase_scan", "points", 5),
-        rad_per_mw=_number(block, "phase_scan", "rad_per_mw"),
-        offset_rad=_number(block, "phase_scan", "offset_rad"))
-
-
-def _detector_pattern(block: dict) -> tuple | None:
-    """None, or 8 detector efficiencies in (0, 1] as `DetectorModel` requires."""
-    pattern = block["detector_pattern"]
-    if pattern is None:
-        return None
-    values = _fraction_list(pattern, "ablation.detector_pattern")
-    _require(len(values) == 8 and min(values) > 0.0,
-             f"ablation.detector_pattern must list 8 efficiencies in (0, 1], "
-             f"got {pattern!r}")
-    return values
-
-
-def _whole_number(block: dict, name: str, key: str, minimum: int) -> int:
-    value = block[key]
+def _integer(value, name: str, minimum: int) -> int:
+    """An integer (not a bool) no smaller than ``minimum``."""
     _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-             f"{name}.{key} must be an integer >= {minimum}, got {value!r}")
+             f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _build(cls, block: str, **kwargs):
+    """``cls(**kwargs)``, its range-check ``ValueError`` reported against ``block``."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{block}: {exc}") from exc
 
 
 def _simulate_labels(block: dict) -> tuple:
@@ -204,52 +173,39 @@ def _simulate_labels(block: dict) -> tuple:
         raise ConfigError(f"simulate.settings: {exc}") from exc
 
 
-def _bell_sweep_photon(block: dict) -> str:
-    photon = block["photon"]
-    _require(isinstance(photon, str) and photon.upper() in ("A", "B", "C", "D"),
-             f"bell_sweep.photon must be one of A, B, C, D, got {photon!r}")
-    return photon.upper()
-
-
 def parse_config(data: dict) -> ExperimentConfig:
     _require(isinstance(data, dict), "config must be a JSON object")
     _require(data.get("schema") == SCHEMA, f"config schema must be {SCHEMA!r}")
     merged = default_config()
     for key, value in data.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+        if isinstance(merged.get(key), dict):
+            _require(isinstance(value, dict), f"{key} must be a JSON object, got {value!r}")
             merged[key].update(value)
         else:
             merged[key] = value
     try:
         src = merged["source"]
-        spec = SourceSpec(
-            g2=float(src["g2"]),
-            measured_overlaps={k: float(v) for k, v in src["overlaps"].items()},
-            eta=float(src["eta"]),
-            distinguishability_scale=tuple(float(s)
-                                           for s in src["distinguishability_scale"]),
-        )
-        if all(v == 1.0 for v in spec.measured_overlaps.values()):
-            fractions = MasterFractions.perfect()
-        else:
-            fractions = fit_master_fractions(spec.measured_overlaps)
-        chip_block = merged["chip"]
-        stage = PreparationStage(
-            path_phases=tuple(float(p) for p in chip_block["path_phases"]),
-            reflectivities=tuple(float(r) for r in chip_block["reflectivities"]),
-        )
-        det = DetectorModel(efficiencies=tuple(
-            float(e) for e in merged["detectors"]["efficiencies"]))
-        rate = merged["rate"]
-        budget = LossBudget(
-            repetition_rate_hz=float(rate["repetition_rate_hz"]),
-            filling_factor=float(rate["filling_factor"]),
-            first_lens_brightness=float(rate["first_lens_brightness"]),
-            eta_coupling=float(rate["eta_coupling"]),
-            eta_demux=float(rate["eta_demux"]),
-            eta_chip=float(rate["eta_chip"]),
-            eta_detector=float(rate["eta_detector"]),
-        )
+        overlaps = src["overlaps"]
+        _require(isinstance(overlaps, dict),
+                 f"source.overlaps must be a JSON object, got {overlaps!r}")
+        spec = _build(
+            SourceSpec, "source",
+            g2=_number(src["g2"], "source.g2"),
+            measured_overlaps={k: _number(v, f"source.overlaps.{k}")
+                               for k, v in overlaps.items()},
+            eta=_number(src["eta"], "source.eta"),
+            distinguishability_scale=_numbers(src["distinguishability_scale"],
+                                              "source.distinguishability_scale"))
+        stage = _build(
+            PreparationStage, "chip",
+            path_phases=_numbers(merged["chip"]["path_phases"], "chip.path_phases"),
+            reflectivities=_numbers(merged["chip"]["reflectivities"],
+                                    "chip.reflectivities"))
+        det = _build(DetectorModel, "detectors", efficiencies=_numbers(
+            merged["detectors"]["efficiencies"], "detectors.efficiencies"))
+        budget = _build(LossBudget, "rate", **{
+            f.name: _number(merged["rate"][f.name], f"rate.{f.name}")
+            for f in fields(LossBudget)})
         calibration_file = merged.get("heater_calibration_file")
         try:
             calibration = (HeaterCalibration.from_file(calibration_file)
@@ -257,26 +213,42 @@ def parse_config(data: dict) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read heater calibration file: {exc}") from exc
         targets = CalibrateTargets(
-            alpha_rad=_phase_targets(merged["calibrate"], "alpha_targets_rad"),
-            phi_rad=_phase_targets(merged["calibrate"], "phi_targets_rad"))
+            alpha_rad=_numbers(merged["calibrate"]["alpha_targets_rad"],
+                               "calibrate.alpha_targets_rad", 4),
+            phi_rad=_numbers(merged["calibrate"]["phi_targets_rad"],
+                             "calibrate.phi_targets_rad", 4))
         simulate_labels = _simulate_labels(merged["simulate"])
-        phase_scan = _phase_scan(merged["phase_scan"])
-        photon = _bell_sweep_photon(merged["bell_sweep"])
-        scales = _fraction_list(merged["bell_sweep"]["scales"], "bell_sweep.scales")
-        qss_rounds = _whole_number(merged["qss"], "qss", "rounds", 1)
-        public_fraction = _number(merged["qss"], "qss", "public_fraction")
-        _require(0.0 <= public_fraction <= 1.0,
-                 f"qss.public_fraction must lie in [0, 1], got {public_fraction!r}")
-        tomography_resamples = _whole_number(merged["tomography"], "tomography",
-                                             "resamples", 0)
-        ablation_resamples = _whole_number(merged["ablation"], "ablation",
-                                           "resamples", 0)
-        detector_pattern = _detector_pattern(merged["ablation"])
-        seed = int(merged["seed"])
-        shots = int(merged["shots_per_setting"])
-        _require(shots >= 1, "shots_per_setting must be positive")
+        scan = merged["phase_scan"]
+        phase_scan = PhaseScanSpec(
+            power_min_mw=_number(scan["power_min_mw"], "phase_scan.power_min_mw"),
+            power_max_mw=_number(scan["power_max_mw"], "phase_scan.power_max_mw"),
+            points=_integer(scan["points"], "phase_scan.points", 5),
+            rad_per_mw=_number(scan["rad_per_mw"], "phase_scan.rad_per_mw"),
+            offset_rad=_number(scan["offset_rad"], "phase_scan.offset_rad"))
+        photon = merged["bell_sweep"]["photon"]
+        _require(isinstance(photon, str) and photon.upper() in ("A", "B", "C", "D"),
+                 f"bell_sweep.photon must be one of A, B, C, D, got {photon!r}")
+        scales = _numbers(merged["bell_sweep"]["scales"], "bell_sweep.scales",
+                          bounds=(0.0, 1.0))
+        qss_rounds = _integer(merged["qss"]["rounds"], "qss.rounds", 1)
+        public_fraction = _number(merged["qss"]["public_fraction"],
+                                  "qss.public_fraction", (0.0, 1.0))
+        tomography_resamples = _integer(merged["tomography"]["resamples"],
+                                        "tomography.resamples", 0)
+        ablation_resamples = _integer(merged["ablation"]["resamples"],
+                                      "ablation.resamples", 0)
+        pattern = merged["ablation"]["detector_pattern"]
+        detector_pattern = None if pattern is None else _build(
+            DetectorModel, "ablation.detector_pattern",
+            efficiencies=_numbers(pattern, "ablation.detector_pattern")).efficiencies
+        seed = _integer(merged["seed"], "seed", 0)
+        shots = _integer(merged["shots_per_setting"], "shots_per_setting", 1)
         exact = merged["exact_probabilities"]
         _require(isinstance(exact, bool), "exact_probabilities must be true or false")
+        if all(v == 1.0 for v in spec.measured_overlaps.values()):
+            fractions = MasterFractions.perfect()
+        else:
+            fractions = fit_master_fractions(spec.measured_overlaps)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -286,7 +258,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                             shots_per_setting=shots, exact_probabilities=exact,
                             budget=budget, calibration=calibration,
                             calibrate=targets, simulate_labels=simulate_labels,
-                            phase_scan=phase_scan, bell_sweep_photon=photon,
+                            phase_scan=phase_scan, bell_sweep_photon=photon.upper(),
                             bell_sweep_scales=scales, qss_rounds=qss_rounds,
                             qss_public_fraction=public_fraction,
                             tomography_resamples=tomography_resamples,

@@ -13,7 +13,6 @@ labels read left to right in the order 0000, 0001, ..., 1111.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from typing import Sequence
 
@@ -104,22 +103,6 @@ def check_square(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_unitary(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    a = check_square(m)
-    dev = np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0]))
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3e} > {tol:.1e})")
-    return a
-
-
-def check_state(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    a = np.asarray(v, dtype=complex).ravel()
-    n2 = float(np.vdot(a, a).real)
-    if abs(n2 - 1.0) > tol:
-        raise ValueError(f"state norm^2 = {n2} differs from 1 by more than {tol:.1e}")
-    return a
-
-
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
                          trace_tol: float = 1e-10, eig_tol: float = 1e-10) -> np.ndarray:
     a = check_square(rho)
@@ -170,22 +153,6 @@ def permanent(m: np.ndarray):
     return complex(total) if a.ndim == 2 else total
 
 
-def permanent_naive(m: np.ndarray) -> complex:
-    """Permanent by explicit sum over all n! permutations (reference only)."""
-    a = check_square(m)
-    n = a.shape[0]
-    if n > 8:
-        raise ValueError("factorial expansion limited to n <= 8")
-    idx = range(n)
-    total = 0j
-    for perm in itertools.permutations(idx):
-        p = 1 + 0j
-        for i, j in zip(idx, perm):
-            p *= a[i, j]
-        total += p
-    return complex(total)
-
-
 def pauli_operator(labels: Sequence[PauliLabel]) -> np.ndarray:
     """Kronecker product of single-qubit operators, first label most significant."""
     labels = list(labels)
@@ -224,10 +191,13 @@ def purity(rho: np.ndarray) -> float:
 
 
 def project_to_physical(h: np.ndarray, herm_tol: float = 1e-8) -> np.ndarray:
-    """Nearest-valid density matrix from a Hermitian estimate.
+    """Density matrix from a Hermitian estimate by clamping its spectrum.
 
     Eigendecomposes, clamps negative eigenvalues to zero and renormalizes
-    the trace to one.  Raises if nothing positive survives the clamp.
+    the trace to one.  Raises if nothing positive survives the clamp.  This
+    is not the Frobenius-nearest density matrix, which projects the
+    eigenvalues onto the probability simplex instead (Smolin, Gambetta and
+    Smith, PRL 108, 070502, 2012).
     """
     a = check_square(h)
     if np.linalg.norm(a - a.conj().T) > herm_tol:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import simulator
 from .chip import PreparationStage, setting_for_projector
+from .errors import SolverError
 from .qmath import PauliLabel, ghz4, pauli_operator
 from .simulator import DetectorModel
 from .source import MasterFractions, SourceSpec, enumerate_joint_inputs
@@ -155,7 +156,7 @@ def run_qss(spec: SourceSpec, fractions: MasterFractions, stage: PreparationStag
                                       case=case, kept=kept, inferred=inferred,
                                       dealer_bit=outcomes[0]))
     if sifted == 0:
-        raise ValueError("no rounds survived sifting")
+        raise SolverError("no rounds survived sifting")
     errors = np.asarray(errors_all)
     if public_fraction > 0.0:
         rng = np.random.default_rng(children[rounds])

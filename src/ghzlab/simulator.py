@@ -250,7 +250,8 @@ def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
     permanent per group size, multiplies the groups of each label-group
     multiset, and applies inclusion-exclusion.  The discard mass is one
     minus the post-selected mass, so the weight the enumeration dropped is
-    counted as discarded.
+    counted as discarded.  Raises ``FloatingPointError`` when round-off
+    leaves a probability below tolerance or no post-selected mass at all.
     """
     u = np.asarray(u, dtype=complex)
     table = enumeration.label_groups
@@ -267,6 +268,8 @@ def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
     if low < -_ROUNDOFF_TOL:
         raise FloatingPointError(f"inclusion-exclusion gave probability {low:.3e}")
     probs = np.where(probs < 0.0, 0.0, probs)
+    if not probs.any():
+        raise FloatingPointError("no post-selected probability mass")
     return OutcomeDistribution(probs=probs, discard_mass=1.0 - float(probs.sum()))
 
 

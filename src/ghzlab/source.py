@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import FitError
 
@@ -174,6 +173,8 @@ def fit_master_fractions(measured: dict) -> MasterFractions:
     analytic gradient, and the scaling freedom left by the four products is
     resolved to the balanced gauge.
     """
+    from scipy.optimize import minimize
+
     if set(measured) != set(MEASURED_PAIRS):
         raise FitError(f"overlaps must cover exactly pairs {MEASURED_PAIRS}")
     for k, v in measured.items():
@@ -202,6 +203,8 @@ def overlap_bounds(measured: dict) -> tuple[tuple[float, float], tuple[float, fl
     the ranges follow from the slide's box limits, refined by constrained
     optimization.
     """
+    from scipy.optimize import minimize
+
     frac = fit_master_fractions(measured)
     x = np.array(frac.x)
     tol = 1e-6

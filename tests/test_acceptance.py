@@ -18,14 +18,13 @@ from ghzlab.experiments import (SimContext, measured_noise_context, run_bell,
                                 run_bell_sweep, run_phase_witness,
                                 run_simulate, run_tomography, run_witness,
                                 settings_for_labels, tomography_report)
-from ghzlab.qmath import (PauliLabel, fidelity_to_pure, ghz4, permanent,
-                          permanent_naive, purity)
+from ghzlab.qmath import PauliLabel, fidelity_to_pure, ghz4, permanent, purity
 from ghzlab.qss import classify_bases, run_qss
 from ghzlab.simulator import (DetectorModel, LossBudget, coincidence_rate,
                               qubit_distribution, sample_counts)
 from ghzlab.source import MasterFractions, SourceSpec, fit_master_fractions
 
-from oracles import assignment_distribution
+from oracles import assignment_distribution, permanent_by_permutations
 
 SQRT2 = math.sqrt(2)
 Z4 = (PauliLabel.Z,) * 4
@@ -192,7 +191,7 @@ def test_criterion_09_oracles(ideal):
     for _ in range(100):
         n = int(rng.integers(2, 6))
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        naive = permanent_naive(m)
+        naive = permanent_by_permutations(m)
         worst_perm = max(worst_perm,
                          abs(permanent(m) - naive) / max(abs(naive), 1.0))
 

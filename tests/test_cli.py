@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ghzlab
-from ghzlab.cli import main
+from ghzlab.cli import COMMANDS, main
 from ghzlab.config import (PhaseScanSpec, default_config, dump_config, load_config,
                            parse_config)
 from ghzlab.errors import ConfigError
@@ -78,7 +83,7 @@ class TestConfig:
     def test_command_blocks_validated(self, block, key, value):
         cfg = default_config()
         cfg[block][key] = value
-        with pytest.raises(ConfigError, match=block):
+        with pytest.raises(ConfigError, match=re.escape(f"{block}.{key}")):
             parse_config(cfg)
 
     def test_command_blocks_parsed(self):
@@ -255,13 +260,34 @@ class TestDeterminismAndExitCodes:
         assert (out1 / "distribution.csv").read_bytes() == \
             (out2 / "distribution.csv").read_bytes()
 
-    def test_invalid_config_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("path, value", [
+        ("detectors", {"efficiencies": [2.0] * 8}),
+        ("seed", -1),
+        ("seed", math.inf),
+        ("seed", 1.7),
+        ("seed", True),
+        ("shots_per_setting", 2.9),
+        ("source.g2", "0.1"),
+        ("source.overlaps", [1, 2]),
+        ("chip.path_phases", [math.nan] * 8),
+        ("chip.path_phases", [0.0] * 7 + [-math.inf]),
+        ("rate.repetition_rate_hz", math.nan),
+        ("rate.repetition_rate_hz", math.inf),
+    ], ids=["efficiency-2", "seed-negative", "seed-inf", "seed-float", "seed-bool",
+            "shots-float", "g2-string", "overlaps-list", "path-phase-nan",
+            "path-phase-minus-inf", "repetition-rate-nan", "repetition-rate-inf"])
+    def test_invalid_config_exit_2(self, tmp_path, capsys, path, value):
         bad = tmp_path / "bad.json"
         cfg = default_config()
-        cfg["detectors"]["efficiencies"] = [2.0] * 8
+        *blocks, key = path.split(".")
+        target = cfg
+        for block in blocks:
+            target = target[block]
+        target[key] = value
         bad.write_text(dump_config(cfg))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}")
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
@@ -316,3 +342,92 @@ class TestDeterminismAndExitCodes:
         out = tmp_path / "fail"
         assert main(["phase-scan", "--config", str(ideal_config),
                      "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("command, update", [
+        ("qss", {"qss": {"rounds": 1}, "seed": 2}),
+        ("bell", {"detectors": {"efficiencies": [1e-300] * 8}}),
+        ("tomography", {"shots_per_setting": 10 ** 400}),
+    ], ids=["qss-nothing-sifted", "no-post-selected-mass", "shots-overflow"])
+    def test_degenerate_run_exit_3(self, ideal_config, tmp_path, capsys, command, update):
+        cfg = json.loads(ideal_config.read_text())
+        for key, value in update.items():
+            if isinstance(value, dict):
+                cfg[key].update(value)
+            else:
+                cfg[key] = value
+        ideal_config.write_text(dump_config(cfg))
+        assert main([command, "--config", str(ideal_config),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, 2 ** 63, 1e300, 5e-324]),
+    st.integers(-(2 ** 70), 2 ** 70), st.floats(allow_nan=False),
+    st.floats(-2.0, 2.0), st.lists(st.floats(-2.0, 2.0), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
+_SEEDS = st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 64),
+                   st.floats(), st.sampled_from([10 ** 400, True, "1"]))
+
+
+def _slots(node):
+    """Every (container, key) pair below ``node``, through objects and lists."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in list(items):
+        yield node, key
+        yield from _slots(value)
+
+
+def _mutate(data, cfg):
+    """One type swap, odd value, deletion, truncation, extra key or odd seed."""
+    slots = list(_slots(cfg))
+    kind = data.draw(st.sampled_from(["replace", "delete", "truncate", "extra", "seed"]))
+    if kind in ("replace", "delete"):
+        container, key = data.draw(st.sampled_from(slots))
+        if kind == "replace":
+            container[key] = data.draw(_ODD_VALUES)
+        else:
+            del container[key]
+    elif kind == "truncate":
+        lists = [c[k] for c, k in slots if isinstance(c[k], list) and c[k]]
+        if lists:
+            values = data.draw(st.sampled_from(lists))
+            del values[data.draw(st.integers(0, len(values) - 1)):]
+    elif kind == "extra":
+        target = data.draw(st.sampled_from([cfg] + [c[k] for c, k in slots
+                                                    if isinstance(c[k], dict)]))
+        target[data.draw(st.text(max_size=4))] = data.draw(_ODD_VALUES)
+    else:
+        cfg["seed"] = data.draw(_SEEDS)
+
+
+def _int_above(value, cap) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_config_exits_0_2_or_3(data):
+    """The CLI contract on a mutated ``config-init`` document: no command raises."""
+    cfg = json.loads(dump_config(default_config()))
+    cfg["qss"]["rounds"] = 20
+    cfg["tomography"]["resamples"] = 0
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, cfg)
+    # Large valid counts make a run long (or, for 2**70 scan points or rounds,
+    # unallocatable), so sampling stays off and the counts are capped.
+    if cfg.get("exact_probabilities") is False:
+        cfg["exact_probabilities"] = True
+    for block, key, cap in (("qss", "rounds", 20), ("tomography", "resamples", 0),
+                            ("ablation", "resamples", 0), ("phase_scan", "points", 13)):
+        if isinstance(cfg.get(block), dict) and _int_above(cfg[block].get(key), cap):
+            cfg[block][key] = cap
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(dump_config(cfg))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3)
