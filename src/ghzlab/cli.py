@@ -169,9 +169,7 @@ def cmd_ablation(cfg: ExperimentConfig, outdir: Path) -> list:
 
 
 def cmd_qss(cfg: ExperimentConfig, outdir: Path) -> list:
-    report, transcript = qss.run_qss(cfg.context.spec, cfg.context.fractions,
-                                     cfg.context.stage, cfg.context.detectors,
-                                     rounds=cfg.qss_rounds, seed=cfg.seed,
+    report, transcript = qss.run_qss(cfg.context, rounds=cfg.qss_rounds, seed=cfg.seed,
                                      public_fraction=cfg.qss_public_fraction)
     csv_path = outdir / "transcript.csv"
     csv_path.write_text(qss.transcript_to_csv(transcript))

@@ -16,12 +16,16 @@ from pathlib import Path
 
 from .chip import HeaterCalibration, PreparationStage
 from .errors import ConfigError
-from .experiments import MEASURED_REFLECTIVITIES, SimContext
+from .experiments import MEASURED_REFLECTIVITIES
 from .qmath import PauliLabel
-from .simulator import DetectorModel, LossBudget
+from .simulator import DetectorModel, LossBudget, SimContext
 from .source import MasterFractions, SourceSpec, fit_master_fractions
 
 SCHEMA = "ghzlab-config/v1"
+
+# Upper bound on counts that size arrays up front: phase_scan.points and
+# qss.rounds.
+MAX_COUNT = 10 ** 6
 
 
 def default_config() -> dict:
@@ -147,10 +151,12 @@ def _numbers(value, name: str, length: int | None = None,
     return tuple(_number(v, f"{name}[{i}]", bounds) for i, v in enumerate(value))
 
 
-def _integer(value, name: str, minimum: int) -> int:
-    """An integer (not a bool) no smaller than ``minimum``."""
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-             f"{name} must be an integer >= {minimum}, got {value!r}")
+def _integer(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """An integer (not a bool) no smaller than ``minimum``, nor above ``maximum``."""
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+             and (maximum is None or value <= maximum),
+             f"{name} must be an integer >= {minimum}"
+             f"{f' and <= {maximum}' if maximum is not None else ''}, got {value!r}")
     return value
 
 
@@ -222,7 +228,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         phase_scan = PhaseScanSpec(
             power_min_mw=_number(scan["power_min_mw"], "phase_scan.power_min_mw"),
             power_max_mw=_number(scan["power_max_mw"], "phase_scan.power_max_mw"),
-            points=_integer(scan["points"], "phase_scan.points", 5),
+            points=_integer(scan["points"], "phase_scan.points", 5, MAX_COUNT),
             rad_per_mw=_number(scan["rad_per_mw"], "phase_scan.rad_per_mw"),
             offset_rad=_number(scan["offset_rad"], "phase_scan.offset_rad"))
         photon = merged["bell_sweep"]["photon"]
@@ -230,7 +236,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                  f"bell_sweep.photon must be one of A, B, C, D, got {photon!r}")
         scales = _numbers(merged["bell_sweep"]["scales"], "bell_sweep.scales",
                           bounds=(0.0, 1.0))
-        qss_rounds = _integer(merged["qss"]["rounds"], "qss.rounds", 1)
+        qss_rounds = _integer(merged["qss"]["rounds"], "qss.rounds", 1, MAX_COUNT)
         public_fraction = _number(merged["qss"]["public_fraction"],
                                   "qss.public_fraction", (0.0, 1.0))
         tomography_resamples = _integer(merged["tomography"]["resamples"],

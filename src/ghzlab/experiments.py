@@ -1,7 +1,10 @@
 """Named experiments built on the simulator and analysis layers.
 
-A `SimContext` bundles one complete noise configuration (source, chip
-stage, detectors).  All runs are deterministic given a master seed.
+Every run takes one `SimContext` (source, chip stage, detectors), imported
+here from the simulator; the context's input enumeration is built once and
+shared by all settings of the run.  All runs are deterministic given a
+master seed: a sampled run gives its i-th setting the i-th child of that
+seed, and an exact run needs none.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis, qmath, simulator
+from . import analysis
 from .analysis import (BellResult, MeasurementRecord, MleResult, PhaseScanFit,
                        TomographySet, WitnessResult, bell_settings, bell_value,
                        fit_phase_scan, max_fidelity_over_phase, mle_reconstruct,
@@ -18,28 +21,11 @@ from .analysis import (BellResult, MeasurementRecord, MleResult, PhaseScanFit,
                        tomography_settings)
 from .chip import PreparationStage, setting_for_projector
 from .qmath import PauliLabel, fidelity_to_pure, ghz4, purity
-from .simulator import DetectorModel, OutcomeDistribution, qubit_distribution, sample_counts
-from .source import (MasterFractions, SourceSpec, enumerate_joint_inputs,
-                     fit_master_fractions)
+from .simulator import (DetectorModel, OutcomeDistribution, SimContext,
+                        qubit_distribution, sample_counts)
+from .source import MasterFractions, SourceSpec, fit_master_fractions
 
 MEASURED_REFLECTIVITIES = (0.500, 0.505, 0.4905, 0.503)
-
-
-@dataclass(frozen=True)
-class SimContext:
-    spec: SourceSpec
-    fractions: MasterFractions
-    stage: PreparationStage
-    detectors: DetectorModel
-
-    @classmethod
-    def ideal(cls) -> "SimContext":
-        return cls(spec=SourceSpec.ideal(), fractions=MasterFractions.perfect(),
-                   stage=PreparationStage(), detectors=DetectorModel.ideal())
-
-    def with_state_phase(self, theta: float) -> "SimContext":
-        stage = PreparationStage.with_state_phase(theta, self.stage.reflectivities)
-        return replace(self, stage=stage)
 
 
 def settings_for_labels(labels) -> tuple:
@@ -52,17 +38,14 @@ def settings_for_labels(labels) -> tuple:
 
 
 def measurement_record(ctx: SimContext, labels, shots: int | None = None,
-                       seed=None, effective_counts: float = 1.0,
-                       enumeration=None) -> MeasurementRecord:
+                       seed=None, effective_counts: float = 1.0) -> MeasurementRecord:
     """Simulate one measurement setting.
 
     With ``shots`` set, counts are a seeded multinomial sample of that many
     post-selected events; otherwise the exact conditional probabilities are
     scaled by ``effective_counts``.
     """
-    dist = qubit_distribution(ctx.spec, ctx.fractions, ctx.stage,
-                              settings_for_labels(labels), ctx.detectors,
-                              enumeration=enumeration)
+    dist = qubit_distribution(ctx, settings_for_labels(labels))
     if shots is None:
         counts = dist.conditional() * effective_counts
     else:
@@ -70,25 +53,29 @@ def measurement_record(ctx: SimContext, labels, shots: int | None = None,
     return MeasurementRecord(settings=tuple(labels), counts=counts)
 
 
+def _child_seeds(shots: int | None, seed, n: int) -> list:
+    """No seeds for an exact run; otherwise ``n`` children of ``seed``."""
+    return [None] * n if shots is None else np.random.SeedSequence(seed).spawn(n)
+
+
+def measurement_records(ctx: SimContext, label_tuples, shots: int | None, seed,
+                        effective_counts: float = 1.0) -> list:
+    """One record per setting of ``label_tuples``, setting i seeded by child i."""
+    label_tuples = list(label_tuples)
+    seeds = _child_seeds(shots, seed, len(label_tuples))
+    return [measurement_record(ctx, labels, shots, child, effective_counts)
+            for labels, child in zip(label_tuples, seeds)]
+
+
 def run_simulate(ctx: SimContext, labels) -> OutcomeDistribution:
-    return qubit_distribution(ctx.spec, ctx.fractions, ctx.stage,
-                              settings_for_labels(labels), ctx.detectors)
+    return qubit_distribution(ctx, settings_for_labels(labels))
 
 
 def run_tomography(ctx: SimContext, shots: int | None = None, seed=None,
                    effective_counts: float = 1e6) -> TomographySet:
     """All 81 tomography records, exact or sampled with per-setting child seeds."""
-    settings = tomography_settings()
-    enumeration = enumerate_joint_inputs(ctx.spec, ctx.fractions)
-    if shots is None:
-        seeds = [None] * len(settings)
-    else:
-        seeds = np.random.SeedSequence(seed).spawn(len(settings))
-    records = [measurement_record(ctx, labels, shots=shots, seed=child,
-                                  effective_counts=effective_counts,
-                                  enumeration=enumeration)
-               for labels, child in zip(settings, seeds)]
-    return TomographySet(records)
+    return TomographySet(measurement_records(ctx, tomography_settings(), shots, seed,
+                                             effective_counts))
 
 
 @dataclass(frozen=True)
@@ -131,9 +118,8 @@ def tomography_report(ts: TomographySet, n_resamples: int = 50,
 
 
 def run_witness(ctx: SimContext, shots: int | None = None, seed=None) -> WitnessResult:
-    seeds = np.random.SeedSequence(seed).spawn(2) if shots is not None else [None, None]
-    rec_x = measurement_record(ctx, (PauliLabel.X,) * 4, shots=shots, seed=seeds[0])
-    rec_z = measurement_record(ctx, (PauliLabel.Z,) * 4, shots=shots, seed=seeds[1])
+    rec_x, rec_z = measurement_records(ctx, [(PauliLabel.X,) * 4, (PauliLabel.Z,) * 4],
+                                       shots, seed)
     return stabilizer_witness(rec_x, rec_z)
 
 
@@ -144,16 +130,7 @@ def run_phase_witness(ctx: SimContext, shots: int | None = None, seed=None) -> f
 
 
 def run_bell(ctx: SimContext, shots: int | None = None, seed=None) -> BellResult:
-    settings = bell_settings()
-    enumeration = enumerate_joint_inputs(ctx.spec, ctx.fractions)
-    if shots is None:
-        seeds = [None] * 8
-    else:
-        seeds = np.random.SeedSequence(seed).spawn(8)
-    records = [measurement_record(ctx, labels, shots=shots, seed=child,
-                                  effective_counts=max(shots or 1, 1),
-                                  enumeration=enumeration)
-               for labels, child in zip(settings, seeds)]
+    records = measurement_records(ctx, bell_settings(), shots, seed)
     return bell_value(records, exact=shots is None)
 
 
@@ -183,12 +160,9 @@ def run_phase_scan(ctx: SimContext, powers_mw, rad_per_mw: float,
     """
     powers = list(powers_mw)
     points = []
-    if shots is not None:
-        seeds = np.random.SeedSequence(seed).spawn(len(powers))
-    for i, p in enumerate(powers):
+    for p, child in zip(powers, _child_seeds(shots, seed, len(powers))):
         theta = rad_per_mw * p + offset_rad
-        val = run_phase_witness(ctx.with_state_phase(theta),
-                                shots=shots, seed=seeds[i] if shots else None)
+        val = run_phase_witness(ctx.with_state_phase(theta), shots=shots, seed=child)
         points.append((float(p), float(val)))
     return points, fit_phase_scan(points)
 

@@ -49,51 +49,47 @@ class PauliLabel(enum.Enum):
         return -1 if self in (PauliLabel.MINUS_X, PauliLabel.MINUS_Z) else 1
 
     @property
-    def unsigned(self) -> "PauliLabel":
-        if self is PauliLabel.MINUS_X:
-            return PauliLabel.X
-        if self is PauliLabel.MINUS_Z:
-            return PauliLabel.Z
-        return self
-
-    @property
     def matrix(self) -> np.ndarray:
         """The 2x2 Hermitian operator this label names (sign included)."""
-        base = {
-            PauliLabel.I: PAULI_I,
-            PauliLabel.X: PAULI_X,
-            PauliLabel.Y: PAULI_Y,
-            PauliLabel.Z: PAULI_Z,
-            PauliLabel.MINUS_X: -PAULI_X,
-            PauliLabel.MINUS_Z: -PAULI_Z,
-            PauliLabel.XPZ: (PAULI_X + PAULI_Z) / SQRT2,
-            PauliLabel.XMZ: (PAULI_X - PAULI_Z) / SQRT2,
-        }
-        return base[self].copy()
+        return _LABEL_MATRICES[self].copy()
 
     @classmethod
     def from_token(cls, token: str) -> "PauliLabel":
         t = token.strip().lower()
-        table = {
-            "i": cls.I, "1": cls.I,
-            "x": cls.X, "y": cls.Y, "z": cls.Z,
-            "-x": cls.MINUS_X, "-z": cls.MINUS_Z,
-            "x+z": cls.XPZ, "(x+z)/sqrt2": cls.XPZ,
-            "x-z": cls.XMZ, "(x-z)/sqrt2": cls.XMZ,
-        }
-        if t not in table:
+        if t not in _TOKEN_LABELS:
             raise ValueError(f"unknown measurement label {token!r}")
-        return table[t]
+        return _TOKEN_LABELS[t]
 
     @property
     def token(self) -> str:
-        rev = {
-            PauliLabel.I: "I", PauliLabel.X: "X", PauliLabel.Y: "Y",
-            PauliLabel.Z: "Z", PauliLabel.MINUS_X: "-X",
-            PauliLabel.MINUS_Z: "-Z", PauliLabel.XPZ: "X+Z",
-            PauliLabel.XMZ: "X-Z",
-        }
-        return rev[self]
+        return _LABEL_TOKENS[self]
+
+
+_LABEL_MATRICES = {
+    PauliLabel.I: PAULI_I,
+    PauliLabel.X: PAULI_X,
+    PauliLabel.Y: PAULI_Y,
+    PauliLabel.Z: PAULI_Z,
+    PauliLabel.MINUS_X: -PAULI_X,
+    PauliLabel.MINUS_Z: -PAULI_Z,
+    PauliLabel.XPZ: (PAULI_X + PAULI_Z) / SQRT2,
+    PauliLabel.XMZ: (PAULI_X - PAULI_Z) / SQRT2,
+}
+
+_LABEL_TOKENS = {
+    PauliLabel.I: "I", PauliLabel.X: "X", PauliLabel.Y: "Y",
+    PauliLabel.Z: "Z", PauliLabel.MINUS_X: "-X",
+    PauliLabel.MINUS_Z: "-Z", PauliLabel.XPZ: "X+Z",
+    PauliLabel.XMZ: "X-Z",
+}
+
+_TOKEN_LABELS = {
+    "i": PauliLabel.I, "1": PauliLabel.I,
+    "x": PauliLabel.X, "y": PauliLabel.Y, "z": PauliLabel.Z,
+    "-x": PauliLabel.MINUS_X, "-z": PauliLabel.MINUS_Z,
+    "x+z": PauliLabel.XPZ, "(x+z)/sqrt2": PauliLabel.XPZ,
+    "x-z": PauliLabel.XMZ, "(x-z)/sqrt2": PauliLabel.XMZ,
+}
 
 
 def check_square(m: np.ndarray) -> np.ndarray:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator
-from .chip import PreparationStage, setting_for_projector
+from .chip import setting_for_projector
 from .errors import SolverError
 from .qmath import PauliLabel, ghz4, pauli_operator
-from .simulator import DetectorModel
-from .source import MasterFractions, SourceSpec, enumerate_joint_inputs
+from .simulator import SimContext
 
 BASIS_TOKENS = ("x", "y")
 
@@ -114,8 +113,7 @@ def _basis_settings(bases):
         PauliLabel.X if v == "x" else PauliLabel.Y) for v in bases)
 
 
-def run_qss(spec: SourceSpec, fractions: MasterFractions, stage: PreparationStage,
-            det: DetectorModel, rounds: int, seed,
+def run_qss(ctx: SimContext, rounds: int, seed,
             public_fraction: float = 0.0) -> tuple[QssReport, list]:
     """Run the protocol for ``rounds`` post-selected events.
 
@@ -127,12 +125,9 @@ def run_qss(spec: SourceSpec, fractions: MasterFractions, stage: PreparationStag
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    enumeration = enumerate_joint_inputs(spec, fractions)
     conditionals: dict = {}
     for bases in itertools.product(BASIS_TOKENS, repeat=4):
-        dist = simulator.qubit_distribution(spec, fractions, stage,
-                                            _basis_settings(bases), det,
-                                            enumeration=enumeration)
+        dist = simulator.qubit_distribution(ctx, _basis_settings(bases))
         conditionals[bases] = dist.conditional()
 
     master = np.random.SeedSequence(seed)
@@ -171,19 +166,14 @@ def run_qss(spec: SourceSpec, fractions: MasterFractions, stage: PreparationStag
     return report, transcript
 
 
-def expected_qber(spec: SourceSpec, fractions: MasterFractions,
-                  stage: PreparationStage, det: DetectorModel) -> float:
+def expected_qber(ctx: SimContext) -> float:
     """Exact error probability of the sifted key, averaged over kept bases."""
-    enumeration = enumerate_joint_inputs(spec, fractions)
     total_weight = 0.0
     total_error = 0.0
     for bases in itertools.product(BASIS_TOKENS, repeat=4):
         if classify_bases(bases) == "b":
             continue
-        dist = simulator.qubit_distribution(spec, fractions, stage,
-                                            _basis_settings(bases), det,
-                                            enumeration=enumeration)
-        p = dist.conditional()
+        p = simulator.qubit_distribution(ctx, _basis_settings(bases)).conditional()
         err = 0.0
         for outcome_index in range(16):
             outcomes = tuple((outcome_index >> (3 - i)) & 1 for i in range(4))

@@ -18,6 +18,12 @@ qubit pair, these values give each outcome's probability by
 inclusion-exclusion over the subsets of its four clicked detectors (Quesada
 et al., PRA 98, 062322, 2018); the discard mass is the rest.
 
+A `SimContext` is the simulator's one input: source, master fractions,
+chip stage and detectors.  The source expands into one weighted enumeration
+of labeled inputs, which depends on the source alone; the context builds it
+on first use and every setting simulated with that context scatters the
+same enumeration.
+
 `scatter_distribution` and `apply_detector_efficiency` remain as the
 occupation-level model: the full output histogram of one labeled input and
 its binomial thinning.
@@ -28,7 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +102,33 @@ class DetectorModel:
     @property
     def is_ideal(self) -> bool:
         return all(e == 1.0 for e in self.efficiencies)
+
+
+@dataclass(frozen=True)
+class SimContext:
+    """One complete noise configuration: source, chip stage and detectors."""
+
+    spec: SourceSpec
+    fractions: MasterFractions
+    stage: PreparationStage
+    detectors: DetectorModel
+
+    @classmethod
+    def ideal(cls) -> "SimContext":
+        return cls(spec=SourceSpec.ideal(), fractions=MasterFractions.perfect(),
+                   stage=PreparationStage(), detectors=DetectorModel.ideal())
+
+    def with_state_phase(self, theta: float) -> "SimContext":
+        stage = PreparationStage.with_state_phase(theta, self.stage.reflectivities)
+        return replace(self, stage=stage)
+
+    @cached_property
+    def enumeration(self) -> JointInputEnumeration:
+        """The source's weighted labeled inputs, built on first use.
+
+        A context made with ``dataclasses.replace`` builds its own.
+        """
+        return enumerate_joint_inputs(self.spec, self.fractions)
 
 
 @dataclass(frozen=True)
@@ -240,6 +274,12 @@ _MASK_MODES, _INCLUSION_EXCLUSION = _mask_tables()
 # negative than this is a genuine numerical failure.
 _ROUNDOFF_TOL = 1e-12
 
+# The round-off of the inclusion-exclusion sum is at most eps times its
+# absolute sum.  With small detector efficiencies every mask value is close
+# to 1 and the post-selected mass is their tiny difference; once the bound
+# exceeds this fraction of that mass the outcomes are not trustworthy.
+_CANCELLATION_TOL = 1e-6
+
 
 def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
                          det: DetectorModel = DetectorModel.ideal()
@@ -251,7 +291,8 @@ def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
     multiset, and applies inclusion-exclusion.  The discard mass is one
     minus the post-selected mass, so the weight the enumeration dropped is
     counted as discarded.  Raises ``FloatingPointError`` when round-off
-    leaves a probability below tolerance or no post-selected mass at all.
+    leaves a probability below tolerance, no post-selected mass at all, or
+    a round-off bound above ``_CANCELLATION_TOL`` of the post-selected mass.
     """
     u = np.asarray(u, dtype=complex)
     table = enumeration.label_groups
@@ -263,30 +304,33 @@ def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
         rows = np.flatnonzero(sizes == k)
         modes = np.array([table.groups[r] for r in rows])
         values[rows] = permanent(gram[:, modes[:, :, None], modes[:, None, :]]).real.T
-    probs = _INCLUSION_EXCLUSION @ (table.weights @ values[table.index].prod(axis=1))
+    masks = table.weights @ values[table.index].prod(axis=1)
+    probs = _INCLUSION_EXCLUSION @ masks
     low = float(probs.min())
     if low < -_ROUNDOFF_TOL:
         raise FloatingPointError(f"inclusion-exclusion gave probability {low:.3e}")
     probs = np.where(probs < 0.0, 0.0, probs)
     if not probs.any():
         raise FloatingPointError("no post-selected probability mass")
-    return OutcomeDistribution(probs=probs, discard_mass=1.0 - float(probs.sum()))
+    mass = float(probs.sum())
+    roundoff = np.finfo(float).eps * float(
+        (np.abs(_INCLUSION_EXCLUSION) @ np.abs(masks)).sum())
+    if roundoff > _CANCELLATION_TOL * mass:
+        raise FloatingPointError(f"inclusion-exclusion round-off {roundoff:.3e} is more "
+                                 f"than {_CANCELLATION_TOL:g} of the post-selected "
+                                 f"mass {mass:.3e}")
+    return OutcomeDistribution(probs=probs, discard_mass=1.0 - mass)
 
 
-def qubit_distribution(spec: SourceSpec, fractions: MasterFractions,
-                       stage: PreparationStage, settings,
-                       det: DetectorModel = DetectorModel.ideal(),
-                       enumeration: JointInputEnumeration | None = None
-                       ) -> OutcomeDistribution:
+def qubit_distribution(ctx: SimContext, settings) -> OutcomeDistribution:
     """End-to-end outcome distribution for one measurement configuration.
 
     The weight that the input enumeration dropped (fewer than four photons,
     or negligible terms) is accounted to the discard mass, so the total
     probability including discards is one.
     """
-    if enumeration is None:
-        enumeration = enumerate_joint_inputs(spec, fractions)
-    return outcome_distribution(full_unitary(stage, settings), enumeration, det)
+    return outcome_distribution(full_unitary(ctx.stage, settings), ctx.enumeration,
+                                ctx.detectors)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed) -> np.ndarray:

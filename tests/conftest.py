@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import ghzlab.simulator
 from ghzlab.experiments import SimContext, measured_noise_context
 from ghzlab.source import SourceSpec, fit_master_fractions
 
@@ -28,3 +29,17 @@ def fitted_fractions(measured_overlaps_default):
 def noise_ctx():
     """Full measured-noise configuration, ideal detectors."""
     return measured_noise_context()
+
+
+@pytest.fixture()
+def enumeration_calls(monkeypatch):
+    """Counts the simulator's calls of ``enumerate_joint_inputs``."""
+    calls = []
+    original = ghzlab.simulator.enumerate_joint_inputs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ghzlab.simulator, "enumerate_joint_inputs", counted)
+    return calls

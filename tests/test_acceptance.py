@@ -99,9 +99,7 @@ def test_criterion_05_tomography_consistency(ideal):
     p_exact = purity(mle.rho)
 
     settings = tomography_settings()
-    dists = [qubit_distribution(ideal.spec, ideal.fractions, ideal.stage,
-                                settings_for_labels(s), ideal.detectors)
-             for s in settings]
+    dists = [qubit_distribution(ideal, settings_for_labels(s)) for s in settings]
     successes = 0
     fidelities = []
     for run_seed in range(20):
@@ -168,12 +166,10 @@ def test_criterion_07_bell_under_noise(noisy):
 
 def test_criterion_08_qss(ideal, noisy):
     t0 = time.perf_counter()
-    rep_ideal, _ = run_qss(ideal.spec, ideal.fractions, ideal.stage,
-                           ideal.detectors, rounds=10 ** 4, seed=404)
+    rep_ideal, _ = run_qss(ideal, rounds=10 ** 4, seed=404)
     census = Counter(classify_bases(b) for b in itertools.product("xy", repeat=4))
     sigma = math.sqrt(0.25 / 10 ** 4)
-    rep_noise, _ = run_qss(noisy.spec, noisy.fractions, noisy.stage,
-                           noisy.detectors, rounds=10 ** 4, seed=405)
+    rep_noise, _ = run_qss(noisy, rounds=10 ** 4, seed=405)
     elapsed = time.perf_counter() - t0
     ok = (rep_ideal.qber == 0.0
           and abs(rep_ideal.sift_rate - 0.5) < 5 * sigma
@@ -201,8 +197,7 @@ def test_criterion_09_oracles(ideal):
         settings = [MziSetting(rng.uniform(0, 2 * math.pi),
                                rng.uniform(0, 2 * math.pi)) for _ in range(4)]
         ctx = ideal.with_state_phase(theta)
-        dist = qubit_distribution(ctx.spec, ctx.fractions, ctx.stage,
-                                  settings, ctx.detectors)
+        dist = qubit_distribution(ctx, settings)
         oracle = assignment_distribution(full_unitary(ctx.stage, settings))
         worst_dist = max(worst_dist, float(np.max(np.abs(dist.probs - oracle))))
 

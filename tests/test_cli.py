@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import ghzlab
 from ghzlab.cli import COMMANDS, main
-from ghzlab.config import (PhaseScanSpec, default_config, dump_config, load_config,
-                           parse_config)
+from ghzlab.config import (MAX_COUNT, PhaseScanSpec, default_config, dump_config,
+                           load_config, parse_config)
 from ghzlab.errors import ConfigError
 from ghzlab.qmath import PauliLabel
 
@@ -70,6 +70,8 @@ class TestConfig:
         ("simulate", "settings", ["z", "z", "z", 1]),
         ("phase_scan", "points", 4),
         ("phase_scan", "points", 13.0),
+        ("phase_scan", "points", MAX_COUNT + 1),
+        ("qss", "rounds", 2 ** 70),
         ("phase_scan", "power_max_mw", float("inf")),
         ("phase_scan", "offset_rad", None),
         ("bell_sweep", "scales", [1.0, float("nan")]),
@@ -110,6 +112,14 @@ class TestConfig:
         assert parsed.qss_public_fraction == 1.0
         assert parsed.ablation_detector_pattern == (1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7)
         assert parse_config(default_config()).ablation_detector_pattern is None
+
+    def test_counts_accepted_up_to_max(self):
+        cfg = default_config()
+        cfg["phase_scan"]["points"] = MAX_COUNT
+        cfg["qss"]["rounds"] = MAX_COUNT
+        parsed = parse_config(cfg)
+        assert parsed.phase_scan.points == MAX_COUNT
+        assert parsed.qss_rounds == MAX_COUNT
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_exact_probabilities_must_be_bool(self, value):
@@ -318,10 +328,13 @@ class TestDeterminismAndExitCodes:
         ("qss", {"qss": {"public_fraction": -0.5}}),
         ("bell-sweep", {"bell_sweep": {"scales": ["a"]}}),
         ("ablation", {"ablation": {"detector_pattern": [1, 2]}}),
+        ("phase-scan", {"phase_scan": {"points": 2 ** 70}}),
+        ("qss", {"qss": {"rounds": 2 ** 70}}),
     ], ids=["tomography-resamples", "qss-rounds", "bell-sweep-photon",
             "simulate-label", "phase-scan-points", "phase-scan-rad-per-mw",
             "qss-public-fraction-high", "qss-public-fraction-negative",
-            "bell-sweep-scales", "ablation-detector-pattern"])
+            "bell-sweep-scales", "ablation-detector-pattern",
+            "phase-scan-points-huge", "qss-rounds-huge"])
     def test_bad_command_block_exit_2(self, ideal_config, tmp_path, capsys,
                                       command, update):
         cfg = json.loads(ideal_config.read_text())
@@ -347,7 +360,10 @@ class TestDeterminismAndExitCodes:
         ("qss", {"qss": {"rounds": 1}, "seed": 2}),
         ("bell", {"detectors": {"efficiencies": [1e-300] * 8}}),
         ("tomography", {"shots_per_setting": 10 ** 400}),
-    ], ids=["qss-nothing-sifted", "no-post-selected-mass", "shots-overflow"])
+        ("bell", {"detectors": {"efficiencies": [1e-4] * 8}}),
+        ("simulate", {"detectors": {"efficiencies": [1e-4] * 8}}),
+    ], ids=["qss-nothing-sifted", "no-post-selected-mass", "shots-overflow",
+            "bell-cancellation", "simulate-cancellation"])
     def test_degenerate_run_exit_3(self, ideal_config, tmp_path, capsys, command, update):
         cfg = json.loads(ideal_config.read_text())
         for key, value in update.items():
@@ -359,6 +375,15 @@ class TestDeterminismAndExitCodes:
         assert main([command, "--config", str(ideal_config),
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_context_only_commands_never_enumerate(tmp_path, enumeration_calls):
+    """``load_config`` builds a context, but only simulating commands enumerate."""
+    path = tmp_path / "config.json"
+    assert main(["config-init", "--out", str(path)]) == 0
+    for command in ("calibrate", "rate"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    assert enumeration_calls == []
 
 
 _ODD_VALUES = st.one_of(
@@ -407,6 +432,14 @@ def _int_above(value, cap) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value > cap
 
 
+# (block, key, cap, limit): valid counts above ``cap`` make a run long, so
+# they are capped; counts above the parser's ``limit`` are left for it to
+# reject.
+_CAPPED_COUNTS = (("qss", "rounds", 20, MAX_COUNT), ("phase_scan", "points", 13, MAX_COUNT),
+                  ("tomography", "resamples", 0, math.inf),
+                  ("ablation", "resamples", 0, math.inf))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_mutated_config_exits_0_2_or_3(data):
@@ -416,13 +449,13 @@ def test_mutated_config_exits_0_2_or_3(data):
     cfg["tomography"]["resamples"] = 0
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data, cfg)
-    # Large valid counts make a run long (or, for 2**70 scan points or rounds,
-    # unallocatable), so sampling stays off and the counts are capped.
+    # Large valid counts make a run long, so sampling stays off and the
+    # counts are capped.
     if cfg.get("exact_probabilities") is False:
         cfg["exact_probabilities"] = True
-    for block, key, cap in (("qss", "rounds", 20), ("tomography", "resamples", 0),
-                            ("ablation", "resamples", 0), ("phase_scan", "points", 13)):
-        if isinstance(cfg.get(block), dict) and _int_above(cfg[block].get(key), cap):
+    for block, key, cap, limit in _CAPPED_COUNTS:
+        if (isinstance(cfg.get(block), dict) and _int_above(cfg[block].get(key), cap)
+                and cfg[block][key] <= limit):
             cfg[block][key] = cap
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
     with tempfile.TemporaryDirectory() as tmp:

@@ -86,9 +86,7 @@ class TestInference:
 
 class TestRunQss:
     def test_ideal_run(self, ideal_ctx):
-        report, transcript = run_qss(ideal_ctx.spec, ideal_ctx.fractions,
-                                     ideal_ctx.stage, ideal_ctx.detectors,
-                                     rounds=10000, seed=1)
+        report, transcript = run_qss(ideal_ctx, rounds=10000, seed=1)
         assert report.qber == 0.0
         assert report.secure
         # sift rate within 5 sigma of 1/2
@@ -97,9 +95,7 @@ class TestRunQss:
         assert report.sifted_length == sum(1 for r in transcript if r.kept)
 
     def test_transcript_consistency(self, ideal_ctx):
-        report, transcript = run_qss(ideal_ctx.spec, ideal_ctx.fractions,
-                                     ideal_ctx.stage, ideal_ctx.detectors,
-                                     rounds=200, seed=2)
+        report, transcript = run_qss(ideal_ctx, rounds=200, seed=2)
         for rec in transcript:
             assert rec.kept == (rec.case != "b")
             if rec.kept:
@@ -110,26 +106,19 @@ class TestRunQss:
             assert rec.dealer_bit == rec.outcomes[0]
 
     def test_deterministic_given_seed(self, ideal_ctx):
-        r1, t1 = run_qss(ideal_ctx.spec, ideal_ctx.fractions, ideal_ctx.stage,
-                         ideal_ctx.detectors, rounds=300, seed=5)
-        r2, t2 = run_qss(ideal_ctx.spec, ideal_ctx.fractions, ideal_ctx.stage,
-                         ideal_ctx.detectors, rounds=300, seed=5)
+        r1, t1 = run_qss(ideal_ctx, rounds=300, seed=5)
+        r2, t2 = run_qss(ideal_ctx, rounds=300, seed=5)
         assert r1 == r2
         assert t1 == t2
-        r3, t3 = run_qss(ideal_ctx.spec, ideal_ctx.fractions, ideal_ctx.stage,
-                         ideal_ctx.detectors, rounds=300, seed=6)
+        r3, t3 = run_qss(ideal_ctx, rounds=300, seed=6)
         assert t3 != t1
 
     def test_public_fraction_subset(self, ideal_ctx):
-        report, _ = run_qss(ideal_ctx.spec, ideal_ctx.fractions, ideal_ctx.stage,
-                            ideal_ctx.detectors, rounds=500, seed=3,
-                            public_fraction=0.2)
+        report, _ = run_qss(ideal_ctx, rounds=500, seed=3, public_fraction=0.2)
         assert report.qber == 0.0
 
     def test_csv_export(self, ideal_ctx):
-        _, transcript = run_qss(ideal_ctx.spec, ideal_ctx.fractions,
-                                ideal_ctx.stage, ideal_ctx.detectors,
-                                rounds=50, seed=4)
+        _, transcript = run_qss(ideal_ctx, rounds=50, seed=4)
         csv = transcript_to_csv(transcript)
         lines = csv.strip().splitlines()
         assert lines[0] == "round,bases,outcomes,case,kept,inferred,dealer_bit"
@@ -144,7 +133,6 @@ class TestQberMonotonicity:
             scale = list(noise_ctx.spec.distinguishability_scale)
             scale[2] = s
             spec = replace(noise_ctx.spec, distinguishability_scale=tuple(scale))
-            values.append(expected_qber(spec, noise_ctx.fractions,
-                                        noise_ctx.stage, noise_ctx.detectors))
+            values.append(expected_qber(replace(noise_ctx, spec=spec)))
         assert all(b > a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] > values[0]

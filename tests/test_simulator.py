@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from ghzlab.analysis import bell_settings, tomography_settings
 from ghzlab.chip import MziSetting, PreparationStage, full_unitary, setting_for_projector
-from ghzlab.experiments import (SimContext, measured_noise_context, run_simulate,
+from ghzlab.experiments import (SimContext, measured_noise_context, run_bell,
+                                run_simulate, run_tomography, run_witness,
                                 settings_for_labels)
+from ghzlab.qss import run_qss
 from ghzlab.qmath import PauliLabel
 from ghzlab.simulator import (DetectorModel, LossBudget, OutcomeDistribution,
                               apply_detector_efficiency, coincidence_rate,
                               outcome_distribution, qubit_distribution,
                               sample_counts, scatter_distribution)
 from ghzlab.source import (JointInputEnumeration, JointInputTerm, MasterFractions,
-                           SourceSpec, enumerate_joint_inputs)
+                           SourceSpec)
 
 from oracles import (assignment_distribution, born_probabilities, ghz_state,
                      oracle_qubit_distribution, threshold_and_postselect)
@@ -184,8 +187,7 @@ class TestQubitDistribution:
             settings = [MziSetting(rng.uniform(0, 2 * math.pi),
                                    rng.uniform(0, 2 * math.pi)) for _ in range(4)]
             ctx = ideal_ctx.with_state_phase(theta)
-            dist = qubit_distribution(ctx.spec, ctx.fractions, ctx.stage,
-                                      settings, ctx.detectors)
+            dist = qubit_distribution(ctx, settings)
             u = full_unitary(ctx.stage, settings)
             oracle = assignment_distribution(u)
             assert np.max(np.abs(dist.probs - oracle)) < 1e-9
@@ -205,9 +207,8 @@ class TestQubitDistribution:
     def test_success_monotone_in_uniform_efficiency(self, ideal_ctx):
         last = -1.0
         for eta in (0.4, 0.6, 0.8, 1.0):
-            det = DetectorModel(efficiencies=(eta,) * 8)
-            dist = qubit_distribution(ideal_ctx.spec, ideal_ctx.fractions,
-                                      ideal_ctx.stage, settings_for_labels(Z4), det)
+            ctx = replace(ideal_ctx, detectors=DetectorModel(efficiencies=(eta,) * 8))
+            dist = qubit_distribution(ctx, settings_for_labels(Z4))
             assert dist.success_probability > last
             last = dist.success_probability
 
@@ -217,7 +218,7 @@ class TestOracleAgreement:
 
     @pytest.fixture(scope="class")
     def noisy_enumeration(self, noise_ctx):
-        return enumerate_joint_inputs(noise_ctx.spec, noise_ctx.fractions)
+        return noise_ctx.enumeration
 
     @pytest.mark.parametrize("labels", COMMAND_SETTINGS,
                              ids=["".join(lab.token for lab in s)
@@ -308,6 +309,40 @@ class TestRoundoffClamp:
         u = full_unitary(ideal_ctx.stage, settings_for_labels(Z4))
         with pytest.raises(FloatingPointError):
             outcome_distribution(u, enumeration, DetectorModel.ideal())
+
+
+class TestSimContext:
+    def test_one_enumeration_across_runs(self, enumeration_calls):
+        ctx = SimContext.ideal()
+        run_bell(ctx)
+        run_witness(ctx)
+        run_tomography(ctx)
+        run_qss(ctx, rounds=50, seed=1)
+        assert len(enumeration_calls) == 1
+
+    def test_replaced_context_builds_its_own(self, enumeration_calls):
+        ctx = SimContext.ideal()
+        spec = replace(ctx.spec, distinguishability_scale=(1.0, 1.0, 0.0, 1.0))
+        other = replace(ctx, spec=spec)
+        assert other.enumeration is not ctx.enumeration
+        assert other.enumeration.terms != ctx.enumeration.terms
+        assert run_bell(other).value < run_bell(ctx).value
+        assert len(enumeration_calls) == 2
+
+
+class TestCancellationGuard:
+    """Small detector efficiencies leave the kept mass a difference of near-1 masks."""
+
+    @pytest.mark.parametrize("eta", [0.03, 0.1, 0.5])
+    def test_uniform_efficiency_keeps_bell_value(self, ideal_ctx, eta):
+        ctx = replace(ideal_ctx, detectors=DetectorModel(efficiencies=(eta,) * 8))
+        assert run_bell(ctx).value == pytest.approx(6 * math.sqrt(2), abs=1e-6)
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-4])
+    def test_tiny_uniform_efficiency_raises(self, ideal_ctx, eta):
+        ctx = replace(ideal_ctx, detectors=DetectorModel(efficiencies=(eta,) * 8))
+        with pytest.raises(FloatingPointError, match="round-off"):
+            run_bell(ctx)
 
 
 class TestSampling:
