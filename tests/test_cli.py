@@ -70,8 +70,6 @@ class TestConfig:
         ("simulate", "settings", ["z", "z", "z", 1]),
         ("phase_scan", "points", 4),
         ("phase_scan", "points", 13.0),
-        ("phase_scan", "points", MAX_COUNT + 1),
-        ("qss", "rounds", 2 ** 70),
         ("phase_scan", "power_max_mw", float("inf")),
         ("phase_scan", "offset_rad", None),
         ("bell_sweep", "scales", [1.0, float("nan")]),
@@ -81,6 +79,8 @@ class TestConfig:
         ("qss", "public_fraction", True),
         ("ablation", "detector_pattern", [1.0] * 7 + [0.0]),
         ("ablation", "detector_pattern", [1.0] * 9),
+        ("phase_scan", "points", MAX_COUNT + 1),
+        ("qss", "rounds", 2 ** 70),
     ])
     def test_command_blocks_validated(self, block, key, value):
         cfg = default_config()
