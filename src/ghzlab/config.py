@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .experiments import MEASURED_REFLECTIVITIES
 from .qmath import PauliLabel
 from .simulator import DetectorModel, LossBudget, SimContext
-from .source import MasterFractions, SourceSpec, fit_master_fractions
+from .source import SourceSpec
 
 SCHEMA = "ghzlab-config/v1"
 
@@ -251,15 +251,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         shots = _integer(merged["shots_per_setting"], "shots_per_setting", 1)
         exact = merged["exact_probabilities"]
         _require(isinstance(exact, bool), "exact_probabilities must be true or false")
-        if all(v == 1.0 for v in spec.measured_overlaps.values()):
-            fractions = MasterFractions.perfect()
-        else:
-            fractions = fit_master_fractions(spec.measured_overlaps)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    ctx = SimContext(spec=spec, fractions=fractions, stage=stage, detectors=det)
+    ctx = SimContext(spec=spec, stage=stage, detectors=det)
     return ExperimentConfig(raw=merged, context=ctx, seed=seed,
                             shots_per_setting=shots, exact_probabilities=exact,
                             budget=budget, calibration=calibration,

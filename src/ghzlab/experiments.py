@@ -1,10 +1,11 @@
 """Named experiments built on the simulator and analysis layers.
 
 Every run takes one `SimContext` (source, chip stage, detectors), imported
-here from the simulator; the context's input enumeration is built once and
-shared by all settings of the run.  All runs are deterministic given a
-master seed: a sampled run gives its i-th setting the i-th child of that
-seed, and an exact run needs none.
+here from the simulator.  The source owns its master fractions and input
+enumeration, so the settings of a run, and the points of a phase scan,
+share one enumeration.  All runs are deterministic given a master seed: a
+sampled run gives its i-th setting the i-th child of that seed, and an
+exact run needs none.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .chip import PreparationStage, setting_for_projector
 from .qmath import PauliLabel, fidelity_to_pure, ghz4, purity
 from .simulator import (DetectorModel, OutcomeDistribution, SimContext,
                         qubit_distribution, sample_counts)
-from .source import MasterFractions, SourceSpec, fit_master_fractions
+from .source import MEASURED_PAIRS, SourceSpec
 
 MEASURED_REFLECTIVITIES = (0.500, 0.505, 0.4905, 0.503)
 
@@ -142,7 +143,7 @@ def run_bell_sweep(ctx: SimContext, photon_index: int, scales) -> list:
         scale[photon_index] = float(s)
         spec = replace(ctx.spec, distinguishability_scale=tuple(scale))
         bell = run_bell(replace(ctx, spec=spec))
-        fr = ctx.fractions.x
+        fr = ctx.spec.fractions.x
         overlaps = [fr[photon_index] * s * fr[j] for j in range(4) if j != photon_index]
         rows.append({"scale": float(s),
                      "min_pairwise_overlap": float(min(overlaps)),
@@ -171,57 +172,48 @@ def measured_noise_context(include_multiphoton: bool = True,
                         include_distinguishability: bool = True,
                         include_couplers: bool = True,
                         detector_efficiencies=None) -> SimContext:
-    """Noise configuration built from the measured source and chip parameters."""
+    """Noise configuration built from the measured source and chip parameters.
+
+    Without distinguishability the source has unit overlaps, so its photons
+    are identical.
+    """
     base = SourceSpec()
     g2 = base.g2 if include_multiphoton else 0.0
-    overlaps = dict(base.measured_overlaps)
+    overlaps = (base.measured_overlaps if include_distinguishability
+                else {p: 1.0 for p in MEASURED_PAIRS})
     spec = SourceSpec(g2=g2, measured_overlaps=overlaps, eta=base.eta)
-    if include_distinguishability:
-        fractions = fit_master_fractions(overlaps)
-    else:
-        fractions = MasterFractions.perfect()
     stage = PreparationStage(
         reflectivities=MEASURED_REFLECTIVITIES if include_couplers else (0.5,) * 4)
     det = DetectorModel.ideal() if detector_efficiencies is None else \
         DetectorModel(efficiencies=tuple(detector_efficiencies))
-    return SimContext(spec=spec, fractions=fractions, stage=stage, detectors=det)
+    return SimContext(spec=spec, stage=stage, detectors=det)
 
 
+# (row, multiphoton, distinguishability, couplers, detectors); the rows with
+# detectors run only when a detector pattern is given.
 ABLATION_ROWS = (
-    ("couplers_only", dict(include_multiphoton=False,
-                           include_distinguishability=False,
-                           include_couplers=True)),
-    ("multiphoton_only", dict(include_multiphoton=True,
-                              include_distinguishability=False,
-                              include_couplers=False)),
-    ("distinguishability_only", dict(include_multiphoton=False,
-                                     include_distinguishability=True,
-                                     include_couplers=False)),
-    ("combined_no_detectors", dict(include_multiphoton=True,
-                                   include_distinguishability=True,
-                                   include_couplers=True)),
+    ("couplers_only", False, False, True, False),
+    ("multiphoton_only", True, False, False, False),
+    ("distinguishability_only", False, True, False, False),
+    ("combined_no_detectors", True, True, True, False),
+    ("detectors_only", False, False, False, True),
+    ("combined_all", True, True, True, True),
 )
 
 
 def run_ablation(detector_pattern=None, n_resamples: int = 0, seed=0) -> list:
     """Fidelity/purity grid with each noise source toggled, via exact tomography."""
     rows = []
-    for name, flags in ABLATION_ROWS:
-        ctx = measured_noise_context(**flags)
-        ts = run_tomography(ctx)
-        report, _ = tomography_report(ts, n_resamples=n_resamples, seed=seed)
+    for name, multiphoton, distinguishability, couplers, detectors in ABLATION_ROWS:
+        if detectors and detector_pattern is None:
+            continue
+        ctx = measured_noise_context(
+            include_multiphoton=multiphoton,
+            include_distinguishability=distinguishability,
+            include_couplers=couplers,
+            detector_efficiencies=detector_pattern if detectors else None)
+        report, _ = tomography_report(run_tomography(ctx), n_resamples=n_resamples,
+                                      seed=seed)
         rows.append({"row": name, "fidelity": report.fidelity,
                      "purity": report.purity})
-    if detector_pattern is not None:
-        for name, flags in (("detectors_only", dict(include_multiphoton=False,
-                                                    include_distinguishability=False,
-                                                    include_couplers=False)),
-                            ("combined_all", dict(include_multiphoton=True,
-                                                  include_distinguishability=True,
-                                                  include_couplers=True))):
-            ctx = measured_noise_context(**flags, detector_efficiencies=detector_pattern)
-            ts = run_tomography(ctx)
-            report, _ = tomography_report(ts, n_resamples=n_resamples, seed=seed)
-            rows.append({"row": name, "fidelity": report.fidelity,
-                         "purity": report.purity})
     return rows

@@ -118,9 +118,10 @@ def run_qss(ctx: SimContext, rounds: int, seed,
     """Run the protocol for ``rounds`` post-selected events.
 
     Each round waits for one valid four-fold coincidence (sampling from the
-    conditional outcome distribution of the chosen bases).  Per-round child
-    seeds make the transcript independent of execution order.  With
-    ``public_fraction`` > 0 the error rate is evaluated on that random
+    conditional outcome distribution of the chosen bases).  Round r draws
+    from child r of ``seed`` and the public subset from child ``rounds``;
+    each child is spawned when it is needed, not all of them up front.
+    With ``public_fraction`` > 0 the error rate is evaluated on that random
     subset of the sifted key instead of the whole key.
     """
     if rounds < 1:
@@ -131,12 +132,11 @@ def run_qss(ctx: SimContext, rounds: int, seed,
         conditionals[bases] = dist.conditional()
 
     master = np.random.SeedSequence(seed)
-    children = master.spawn(rounds + 1)
     transcript = []
     sifted = 0
     errors_all = []
     for r in range(rounds):
-        rng = np.random.default_rng(children[r])
+        rng = np.random.default_rng(master.spawn(1)[0])
         bases = tuple(BASIS_TOKENS[b] for b in rng.integers(0, 2, size=4))
         outcome_index = int(rng.choice(16, p=conditionals[bases]))
         outcomes = tuple((outcome_index >> (3 - i)) & 1 for i in range(4))
@@ -154,7 +154,7 @@ def run_qss(ctx: SimContext, rounds: int, seed,
         raise SolverError("no rounds survived sifting")
     errors = np.asarray(errors_all)
     if public_fraction > 0.0:
-        rng = np.random.default_rng(children[rounds])
+        rng = np.random.default_rng(master.spawn(1)[0])
         n_pub = max(1, int(round(public_fraction * sifted)))
         idx = rng.choice(sifted, size=n_pub, replace=False)
         qber = float(errors[idx].mean())

@@ -18,11 +18,10 @@ qubit pair, these values give each outcome's probability by
 inclusion-exclusion over the subsets of its four clicked detectors (Quesada
 et al., PRA 98, 062322, 2018); the discard mass is the rest.
 
-A `SimContext` is the simulator's one input: source, master fractions,
-chip stage and detectors.  The source expands into one weighted enumeration
-of labeled inputs, which depends on the source alone; the context builds it
-on first use and every setting simulated with that context scatters the
-same enumeration.
+A `SimContext` is the simulator's one input: source, chip stage and
+detectors.  The source owns its weighted enumeration of labeled inputs,
+built on first use, so every setting simulated with one source scatters the
+same enumeration, whatever the chip stage or detectors.
 
 `scatter_distribution` and `apply_detector_efficiency` remain as the
 occupation-level model: the full output histogram of one labeled input and
@@ -35,14 +34,12 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .chip import PreparationStage, full_unitary
 from .qmath import permanent
-from .source import (JointInputEnumeration, MasterFractions, SourceSpec,
-                     enumerate_joint_inputs)
+from .source import JointInputEnumeration, SourceSpec
 
 OUTCOME_LABELS = tuple(format(k, "04b") for k in range(16))
 
@@ -109,26 +106,17 @@ class SimContext:
     """One complete noise configuration: source, chip stage and detectors."""
 
     spec: SourceSpec
-    fractions: MasterFractions
     stage: PreparationStage
     detectors: DetectorModel
 
     @classmethod
     def ideal(cls) -> "SimContext":
-        return cls(spec=SourceSpec.ideal(), fractions=MasterFractions.perfect(),
-                   stage=PreparationStage(), detectors=DetectorModel.ideal())
+        return cls(spec=SourceSpec.ideal(), stage=PreparationStage(),
+                   detectors=DetectorModel.ideal())
 
     def with_state_phase(self, theta: float) -> "SimContext":
         stage = PreparationStage.with_state_phase(theta, self.stage.reflectivities)
         return replace(self, stage=stage)
-
-    @cached_property
-    def enumeration(self) -> JointInputEnumeration:
-        """The source's weighted labeled inputs, built on first use.
-
-        A context made with ``dataclasses.replace`` builds its own.
-        """
-        return enumerate_joint_inputs(self.spec, self.fractions)
 
 
 @dataclass(frozen=True)
@@ -329,7 +317,7 @@ def qubit_distribution(ctx: SimContext, settings) -> OutcomeDistribution:
     or negligible terms) is accounted to the discard mass, so the total
     probability including discards is one.
     """
-    return outcome_distribution(full_unitary(ctx.stage, settings), ctx.enumeration,
+    return outcome_distribution(full_unitary(ctx.stage, settings), ctx.spec.enumeration,
                                 ctx.detectors)
 
 

@@ -13,6 +13,11 @@ wavepacket overlaps (AB, AC, BD, CD).  Those four products leave one exact
 scaling freedom (scale x_A, x_D by t and x_B, x_C by 1/t): the fit pins it
 by the balanced-gauge convention x_A*x_D = x_B*x_C, and `overlap_bounds`
 reports the full range the unmeasured BC / AD overlaps can take.
+
+A `SourceSpec` owns what derives from it alone: its master fractions
+(perfect for four unit overlaps, otherwise fitted, once per overlap set per
+process) and, built on first use, its weighted enumeration of labeled
+inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,7 +53,9 @@ class SourceSpec:
 
     ``distinguishability_scale`` multiplies the master fraction of each
     photon before use; dialing one entry from 1 to 0 makes that photon
-    fully distinguishable from the others.
+    fully distinguishable from the others.  ``fractions`` are the master
+    fractions the overlaps give; a spec made with ``dataclasses.replace``
+    shares them but builds its own ``enumeration``.
     """
 
     g2: float = 0.005
@@ -56,6 +63,7 @@ class SourceSpec:
         "AB": 0.924, "AC": 0.915, "BD": 0.881, "CD": 0.921})
     eta: float = 0.039
     distinguishability_scale: tuple = (1.0, 1.0, 1.0, 1.0)
+    fractions: MasterFractions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.g2 < 0.5:
@@ -72,10 +80,17 @@ class SourceSpec:
         for s in self.distinguishability_scale:
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"distinguishability scale out of [0,1]: {s}")
+        object.__setattr__(self, "fractions", _master_fractions(
+            *(self.measured_overlaps[p] for p in MEASURED_PAIRS)))
 
     @classmethod
     def ideal(cls) -> "SourceSpec":
         return cls(g2=0.0, measured_overlaps={p: 1.0 for p in MEASURED_PAIRS}, eta=1.0)
+
+    @cached_property
+    def enumeration(self) -> JointInputEnumeration:
+        """The weighted labeled inputs of this source, built on first use."""
+        return enumerate_joint_inputs(self, self.fractions)
 
 
 @dataclass(frozen=True)
@@ -192,6 +207,14 @@ def fit_master_fractions(measured: dict) -> MasterFractions:
     if best_x is None:
         raise FitError("master-fraction fit failed to converge")
     return MasterFractions(x=tuple(_balance_gauge(best_x)))
+
+
+@cache
+def _master_fractions(ab: float, ac: float, bd: float, cd: float) -> MasterFractions:
+    """Perfect fractions for four unit overlaps, otherwise the least-squares fit."""
+    if ab == ac == bd == cd == 1.0:
+        return MasterFractions.perfect()
+    return fit_master_fractions(dict(zip(MEASURED_PAIRS, (ab, ac, bd, cd))))
 
 
 def overlap_bounds(measured: dict) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import ghzlab.simulator
+import ghzlab.source
 from ghzlab.experiments import SimContext, measured_noise_context
 from ghzlab.source import SourceSpec, fit_master_fractions
 
@@ -31,15 +31,27 @@ def noise_ctx():
     return measured_noise_context()
 
 
-@pytest.fixture()
-def enumeration_calls(monkeypatch):
-    """Counts the simulator's calls of ``enumerate_joint_inputs``."""
+def _count_calls(monkeypatch, name: str) -> list:
+    """Records the arguments of every call of ``ghzlab.source.<name>``."""
     calls = []
-    original = ghzlab.simulator.enumerate_joint_inputs
+    original = getattr(ghzlab.source, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ghzlab.simulator, "enumerate_joint_inputs", counted)
+    monkeypatch.setattr(ghzlab.source, name, counted)
     return calls
+
+
+@pytest.fixture()
+def enumeration_calls(monkeypatch):
+    """Counts the source's calls of ``enumerate_joint_inputs``."""
+    return _count_calls(monkeypatch, "enumerate_joint_inputs")
+
+
+@pytest.fixture()
+def fit_calls(monkeypatch):
+    """Counts the source's calls of ``fit_master_fractions``, memo cleared first."""
+    ghzlab.source._master_fractions.cache_clear()
+    return _count_calls(monkeypatch, "fit_master_fractions")

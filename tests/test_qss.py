@@ -1,12 +1,14 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ghzlab.qss import (classify_bases, combo_sign, expected_qber,
+from ghzlab.qss import (_basis_settings, classify_bases, combo_sign, expected_qber,
                         infer_dealer_bit, run_qss, transcript_to_csv)
+from ghzlab.simulator import qubit_distribution
 
 from oracles import born_probabilities, ghz_state
 
@@ -116,6 +118,29 @@ class TestRunQss:
     def test_public_fraction_subset(self, ideal_ctx):
         report, _ = run_qss(ideal_ctx, rounds=500, seed=3, public_fraction=0.2)
         assert report.qber == 0.0
+
+    def test_round_r_draws_from_child_r(self, ideal_ctx):
+        # photon A fully distinguishable, so the sifted key carries errors
+        spec = replace(ideal_ctx.spec, distinguishability_scale=(0.0, 1.0, 1.0, 1.0))
+        ctx = replace(ideal_ctx, spec=spec)
+        rounds, seed = 40, 11
+        report, transcript = run_qss(ctx, rounds=rounds, seed=seed, public_fraction=0.5)
+        children = np.random.SeedSequence(seed).spawn(rounds + 1)
+        errors = []
+        for r, rec in enumerate(transcript):
+            rng = np.random.default_rng(children[r])
+            bases = tuple("xy"[b] for b in rng.integers(0, 2, size=4))
+            p = qubit_distribution(ctx, _basis_settings(bases)).conditional()
+            index = int(rng.choice(16, p=p))
+            assert (rec.bases, rec.outcomes) == (
+                bases, tuple((index >> (3 - i)) & 1 for i in range(4)))
+            if rec.kept:
+                errors.append(rec.inferred != rec.dealer_bit)
+        assert 0 < sum(errors) < len(errors)
+        rng = np.random.default_rng(children[rounds])
+        public = rng.choice(len(errors), size=max(1, round(0.5 * len(errors))),
+                            replace=False)
+        assert report.qber == float(np.asarray(errors, dtype=float)[public].mean())
 
     def test_csv_export(self, ideal_ctx):
         _, transcript = run_qss(ideal_ctx, rounds=50, seed=4)

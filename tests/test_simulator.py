@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ghzlab.analysis import bell_settings, tomography_settings
 from ghzlab.chip import MziSetting, PreparationStage, full_unitary, setting_for_projector
 from ghzlab.experiments import (SimContext, measured_noise_context, run_bell,
-                                run_simulate, run_tomography, run_witness,
-                                settings_for_labels)
+                                run_phase_scan, run_simulate, run_tomography,
+                                run_witness, settings_for_labels)
 from ghzlab.qss import run_qss
 from ghzlab.qmath import PauliLabel
 from ghzlab.simulator import (DetectorModel, LossBudget, OutcomeDistribution,
@@ -218,7 +218,7 @@ class TestOracleAgreement:
 
     @pytest.fixture(scope="class")
     def noisy_enumeration(self, noise_ctx):
-        return noise_ctx.enumeration
+        return noise_ctx.spec.enumeration
 
     @pytest.mark.parametrize("labels", COMMAND_SETTINGS,
                              ids=["".join(lab.token for lab in s)
@@ -324,10 +324,19 @@ class TestSimContext:
         ctx = SimContext.ideal()
         spec = replace(ctx.spec, distinguishability_scale=(1.0, 1.0, 0.0, 1.0))
         other = replace(ctx, spec=spec)
-        assert other.enumeration is not ctx.enumeration
-        assert other.enumeration.terms != ctx.enumeration.terms
+        assert other.spec.enumeration is not ctx.spec.enumeration
+        assert other.spec.enumeration.terms != ctx.spec.enumeration.terms
         assert run_bell(other).value < run_bell(ctx).value
         assert len(enumeration_calls) == 2
+
+    def test_phase_scan_enumerates_once(self, enumeration_calls):
+        powers = np.linspace(28.0, 78.0, 13)
+        points, _ = run_phase_scan(measured_noise_context(), powers, 0.126264, -0.385)
+        assert len(points) == 13
+        assert len(enumeration_calls) == 1
+
+    def test_has_exactly_source_stage_detectors(self):
+        assert [f.name for f in fields(SimContext)] == ["spec", "stage", "detectors"]
 
 
 class TestCancellationGuard:

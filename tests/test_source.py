@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzlab.errors import FitError
+from ghzlab.experiments import measured_noise_context, run_ablation, run_bell_sweep
 from ghzlab.simulator import scatter_distribution
 from ghzlab.source import (MEASURED_PAIRS, MasterFractions, SourceSpec,
                            _grid_starts, _objective_and_gradient,
@@ -240,13 +242,13 @@ class TestEnumeration:
         assert enum.photon_filtered_count == 1041
 
     def test_retained_weight_matches_terms(self, noise_ctx):
-        enum = enumerate_joint_inputs(noise_ctx.spec, noise_ctx.fractions)
+        enum = enumerate_joint_inputs(noise_ctx.spec, noise_ctx.spec.fractions)
         assert enum.retained_weight == pytest.approx(
             sum(t.weight for t in enum.terms), abs=1e-15)
         assert enum.retained_weight < 1.0
 
     def test_label_groups_aggregate_terms(self, noise_ctx):
-        enum = enumerate_joint_inputs(noise_ctx.spec, noise_ctx.fractions)
+        enum = enumerate_joint_inputs(noise_ctx.spec, noise_ctx.spec.fractions)
         table = enum.label_groups
         assert enum.label_groups is table
         assert len(enum.terms) == 410 and len(table.weights) == 162
@@ -331,3 +333,39 @@ class TestHomConsistency:
         for (i, j) in ((0, 1), (1, 3)):  # pairs without photon C
             v = 1 - _hom_coincidence(spec, frac, i, j) / _hom_coincidence(blind, frac, i, j)
             assert v == pytest.approx(frac.x[i] * frac.x[j], abs=1e-9)
+
+
+class TestSpecOwnsFractions:
+    """The spec fits its master fractions once per overlap set and enumerates lazily."""
+
+    def test_bell_sweep_fits_once(self, fit_calls):
+        rows = run_bell_sweep(measured_noise_context(), 2, (1.0, 0.75, 0.5, 0.25, 0.0))
+        assert len(rows) == 5
+        assert len(fit_calls) == 1
+
+    def test_ablation_fits_once(self, fit_calls):
+        assert len(run_ablation()) == 4
+        assert len(fit_calls) == 1
+
+    def test_rows_without_distinguishability_are_perfect(self):
+        spec = measured_noise_context(include_distinguishability=False).spec
+        assert spec.measured_overlaps == {p: 1.0 for p in MEASURED_PAIRS}
+        assert spec.fractions == MasterFractions.perfect()
+
+    def test_unit_overlaps_skip_the_fit(self, fit_calls):
+        assert SourceSpec.ideal().fractions == MasterFractions.perfect()
+        assert fit_calls == []
+
+    def test_fractions_match_the_fit(self, fitted_fractions):
+        assert SourceSpec().fractions == fitted_fractions
+
+    def test_replace_keeps_fractions_and_builds_new_enumeration(self, fit_calls,
+                                                                enumeration_calls):
+        spec = SourceSpec()
+        other = replace(spec, distinguishability_scale=(1.0, 1.0, 0.5, 1.0))
+        assert other.fractions is spec.fractions
+        assert other.enumeration is not spec.enumeration
+        assert other.enumeration.terms != spec.enumeration.terms
+        assert other.enumeration is other.enumeration
+        assert len(fit_calls) == 1
+        assert len(enumeration_calls) == 2
