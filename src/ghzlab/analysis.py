@@ -241,35 +241,41 @@ def tomography_settings() -> list:
     return [tuple(combo) for combo in itertools.product(TOMOGRAPHY_BASES, repeat=4)]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TomographySet:
-    records: list
+    """Outcome counts of the 81-setting design, one row per setting.
+
+    ``counts`` is a read-only float array of shape (81, 16) whose row s holds
+    the 16 outcome counts of the s-th setting of `tomography_settings`, the
+    column order of `_projector_vectors`.
+    """
+
+    counts: np.ndarray
 
     def __post_init__(self):
-        settings = [tuple(r.settings) for r in self.records]
-        expected = tomography_settings()
-        if sorted(settings, key=str) != sorted(expected, key=str):
-            raise ValueError("tomography set must contain each of the 81 settings once")
-        self._by_setting = {tuple(r.settings): r for r in self.records}
-
-    def record(self, settings) -> MeasurementRecord:
-        return self._by_setting[tuple(settings)]
-
-    def map_counts(self, fn) -> "TomographySet":
-        return TomographySet([MeasurementRecord(r.settings, fn(r.counts))
-                              for r in self.records])
+        counts = np.array(self.counts, dtype=float)
+        if counts.shape != (81, 16):
+            raise ValueError(f"need (81, 16) counts, one row per tomography "
+                             f"setting, got shape {counts.shape}")
+        if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
+            raise ValueError("counts must be finite and nonnegative")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     def to_json_dict(self) -> dict:
-        return {"records": [{"settings": [s.token.lower() for s in r.settings],
-                             "counts": [float(c) for c in r.counts]}
-                            for r in self.records]}
+        return {"records": [{"settings": [s.token.lower() for s in setting],
+                             "counts": [float(c) for c in row]}
+                            for setting, row in zip(tomography_settings(), self.counts)]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TomographySet":
-        recs = [MeasurementRecord(tuple(PauliLabel.from_token(t) for t in item["settings"]),
-                                  np.asarray(item["counts"], dtype=float))
-                for item in data["records"]]
-        return cls(recs)
+        items = data["records"]
+        settings = [tuple(PauliLabel.from_token(t) for t in item["settings"])
+                    for item in items]
+        if settings != tomography_settings():
+            raise ValueError("records must list the 81 tomography settings "
+                             "in design order")
+        return cls([item["counts"] for item in items])
 
 
 # Per-party eigenbasis of each tomography label: column b is the ket of
@@ -287,31 +293,28 @@ _DUAL_FRAME = np.array([(np.outer(_EIG_BASIS[lab][:, b], _EIG_BASIS[lab][:, b].c
                         for lab in TOMOGRAPHY_BASES for b in (0, 1)])
 
 
-def _design_counts(ts: TomographySet) -> np.ndarray:
-    """Outcome counts (1296,), 16 per setting in `tomography_settings` order.
-
-    This is the column order of `_projector_vectors`, whatever the order of
-    the records in ``ts``.
-    """
-    return np.concatenate([ts.record(s).counts for s in tomography_settings()])
-
-
 def linear_inversion(ts: TomographySet) -> np.ndarray:
     """Linear-inversion estimate from the dual frame of the 81-setting design.
 
         rho = sum_k p_k  (x)_i (|e_(k,i)><e_(k,i)| - I/3),
 
     summed over all 1296 (setting, outcome) pairs k, where p_k is the
-    outcome's probability within its setting and |e_(k,i)> is party i's
+    outcome's count over its setting's total and |e_(k,i)> is party i's
     eigenket of its label at its outcome bit.  This equals the Pauli
     reconstruction (1/16) sum_P <P> P over all 256 strings, each string
-    with identities averaged over every compatible record.  It is one
+    with identities averaged over every compatible setting.  It is one
     contraction of p, as a (6, 6, 6, 6) tensor indexed by (label, bit) per
     party, with the 6 x 4 per-party frame.  The output is Hermitian with
-    unit trace but may have negative eigenvalues.
+    unit trace but may have negative eigenvalues.  A setting without events
+    has no probabilities and raises `FitError`.
     """
-    p = np.concatenate([ts.record(s).probabilities() for s in tomography_settings()])
-    p = p.reshape((3,) * 4 + (2,) * 4)
+    totals = ts.counts.sum(axis=1)
+    empty = np.flatnonzero(totals <= 0.0)
+    if empty.size:
+        setting = tomography_settings()[empty[0]]
+        raise FitError(f"tomography setting {''.join(s.token for s in setting)} "
+                       "has no events")
+    p = (ts.counts / totals[:, None]).reshape((3,) * 4 + (2,) * 4)
     t = p.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((6,) * 4)
     for _ in range(4):
         t = np.tensordot(t, _DUAL_FRAME, axes=([0], [0]))
@@ -325,7 +328,8 @@ def _projector_vectors() -> np.ndarray:
     Column 16*s + o is the ket of outcome o at the s-th setting of
     `tomography_settings`: the kron of the four parties' eigenbases gives a
     setting's 16 kets at once.  The design never changes, so the matrix is
-    built once; counts are gathered in the same order by `_design_counts`.
+    built once; the counts of a `TomographySet`, raveled, are in the same
+    order.
     """
     blocks = []
     for setting in tomography_settings():
@@ -373,7 +377,7 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
     below ``rel_tol``.  ``gradient_residual`` is the stationarity residual
     |grad|_F / |(N / S) T|_F at the returned T.
     """
-    counts = _design_counts(ts)
+    counts = ts.counts.ravel()
     n_total = counts.sum()
     if n_total <= 0.0:
         raise ValueError("tomography set has no counts")
@@ -439,32 +443,20 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
                      gradient_residual=residual)
 
 
-def mle_log_likelihood(ts: TomographySet, rho: np.ndarray) -> float:
-    """Multinomial log-likelihood of a density matrix for a tomography set."""
-    counts = _design_counts(ts)
-    active = counts > 0.0
-    v = _projector_vectors()[:, active]
-    p = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
-    if np.any(p <= 0.0):
-        return -np.inf
-    return float(counts[active] @ np.log(p))
-
-
 def monte_carlo_error(ts: TomographySet, statistic, n_resamples: int, seed):
     """Standard deviation of a statistic under Poisson count resampling.
 
-    A statistic that returns a tuple of floats gets a tuple of standard
-    deviations, one per component, each the same as a separate run with that
-    component alone would give.
+    Resample r is one Poisson draw on the whole (81, 16) count array from
+    child r of ``seed``.  A statistic that returns a tuple of floats gets a
+    tuple of standard deviations, one per component, each the same as a
+    separate run with that component alone would give.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
     values = []
-    for child in children:
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
         rng = np.random.default_rng(child)
-        resampled = ts.map_counts(lambda c: rng.poisson(c).astype(float))
-        values.append(statistic(resampled))
+        values.append(statistic(TomographySet(rng.poisson(ts.counts).astype(float))))
     if isinstance(values[0], tuple):
         return tuple(float(np.std([float(v) for v in column], ddof=1))
                      for column in zip(*values))

@@ -38,9 +38,6 @@ TWO_PI = 2.0 * math.pi
 # three waveguide crossings swap the inner mode pairs.
 CROSSING = (0, 2, 1, 4, 3, 6, 5, 7)
 
-# Photons are launched one per coupler into the upper input ports.
-INPUT_MODES = (0, 2, 4, 6)
-
 
 def coupler(reflectivity: float) -> np.ndarray:
     """2x2 directional coupler: BAR amplitude sqrt(R), CROSS amplitude i*sqrt(1-R)."""
@@ -211,6 +208,7 @@ class HeaterCalibration:
     mapping squared currents of resistors 1-8 (alpha phases) and 9-16 (phi
     phases); ``phi_offset`` is the zero-current phi vector in radians.
     Resistor numbering is 1-based; dead channels must carry no current.
+    Every entry of the four arrays must be finite.
     """
 
     alpha_matrix: np.ndarray = field(default_factory=lambda: _ALPHA_MATRIX_KRAD.copy())
@@ -222,18 +220,21 @@ class HeaterCalibration:
     def __post_init__(self):
         a = np.asarray(self.alpha_matrix, dtype=float)
         b = np.asarray(self.phi_matrix, dtype=float)
+        offset = np.asarray(self.phi_offset, dtype=float)
         r = np.asarray(self.resistances, dtype=float)
         if a.shape != (4, 8) or b.shape != (4, 8):
             raise ValueError("crosstalk matrices must be 4x8")
-        if np.asarray(self.phi_offset, dtype=float).shape != (4,):
+        if offset.shape != (4,):
             raise ValueError("phi offset must have 4 entries")
         if r.shape != (16,):
             raise ValueError("need 16 resistances")
+        if not all(np.all(np.isfinite(x)) for x in (a, b, offset, r)):
+            raise ValueError("calibration entries must be finite")
         if np.any(r < 400.0) or np.any(r > 440.0):
             raise ValueError("resistances out of the plausible 400-440 ohm range")
         object.__setattr__(self, "alpha_matrix", a)
         object.__setattr__(self, "phi_matrix", b)
-        object.__setattr__(self, "phi_offset", np.asarray(self.phi_offset, dtype=float))
+        object.__setattr__(self, "phi_offset", offset)
         object.__setattr__(self, "resistances", r)
         for ch in self.dead_channels:
             if not 1 <= ch <= 16:
@@ -344,10 +345,10 @@ def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
 
     One mixed-integer program over [u, k], with the per-target lifts k
     integer in [0, max_lift], minimizes sum(R_j * u_j) and picks the lifts.
-    The fixed-lift linear program at those lifts gives the vertex, which
-    least squares on its support polishes to machine-precision equality.
+    Least squares on the support of its u polishes the solution to
+    machine-precision equality at those lifts.
     """
-    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+    from scipy.optimize import Bounds, LinearConstraint, milp
 
     m = 1e3 * matrix_krad[:, usable]
     cost = resistances[usable]
@@ -363,10 +364,7 @@ def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
     if not mip.success:
         raise SolverError("no nonnegative heater solution reaches the target phases")
     b = base_rad + TWO_PI * np.round(mip.x[n:])
-    res = linprog(cost, A_eq=m, b_eq=b, bounds=[(0, None)] * n, method="highs")
-    if not res.success:
-        raise SolverError(f"fixed-lift heater LP failed: {res.message}")
-    u = np.clip(res.x, 0.0, None)
+    u = np.clip(mip.x[:n], 0.0, None)
     support = u > 1e-12
     if support.any():
         sol, *_ = np.linalg.lstsq(m[:, support], b, rcond=None)

@@ -74,9 +74,13 @@ def run_simulate(ctx: SimContext, labels) -> OutcomeDistribution:
 
 def run_tomography(ctx: SimContext, shots: int | None = None, seed=None,
                    effective_counts: float = 1e6) -> TomographySet:
-    """All 81 tomography records, exact or sampled with per-setting child seeds."""
-    return TomographySet(measurement_records(ctx, tomography_settings(), shots, seed,
-                                             effective_counts))
+    """Counts of the 81 tomography settings, rows in design order.
+
+    Exact, or sampled with per-setting child seeds.
+    """
+    records = measurement_records(ctx, tomography_settings(), shots, seed,
+                                  effective_counts)
+    return TomographySet(np.stack([r.counts for r in records]))
 
 
 @dataclass(frozen=True)

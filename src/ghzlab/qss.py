@@ -26,6 +26,12 @@ BASIS_TOKENS = ("x", "y")
 # same-basis pair is anti-correlated.
 _CORRELATED_PAIRS = ({0, 2}, {1, 3})
 
+# Basis choice and outcome bits of each 4-bit index, party 1 most significant;
+# every round shares these tuples instead of building its own.
+_BITS = tuple(tuple((k >> (3 - i)) & 1 for i in range(4)) for k in range(16))
+_BASES = tuple(tuple(BASIS_TOKENS[bit] for bit in bits) for bits in _BITS)
+_BIT_WEIGHTS = np.array([8, 4, 2, 1])
+
 
 def classify_bases(bases) -> str:
     """Protocol case for one basis choice: a, b, c, or d.
@@ -88,7 +94,7 @@ def infer_dealer_bit(bases, outcomes_234) -> int:
     return parity ^ (0 if sign > 0 else 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     index: int
     bases: tuple
@@ -137,9 +143,8 @@ def run_qss(ctx: SimContext, rounds: int, seed,
     errors_all = []
     for r in range(rounds):
         rng = np.random.default_rng(master.spawn(1)[0])
-        bases = tuple(BASIS_TOKENS[b] for b in rng.integers(0, 2, size=4))
-        outcome_index = int(rng.choice(16, p=conditionals[bases]))
-        outcomes = tuple((outcome_index >> (3 - i)) & 1 for i in range(4))
+        bases = _BASES[int(rng.integers(0, 2, size=4) @ _BIT_WEIGHTS)]
+        outcomes = _BITS[int(rng.choice(16, p=conditionals[bases]))]
         case = classify_bases(bases)
         kept = case != "b"
         inferred = None
@@ -175,8 +180,7 @@ def expected_qber(ctx: SimContext) -> float:
             continue
         p = simulator.qubit_distribution(ctx, _basis_settings(bases)).conditional()
         err = 0.0
-        for outcome_index in range(16):
-            outcomes = tuple((outcome_index >> (3 - i)) & 1 for i in range(4))
+        for outcome_index, outcomes in enumerate(_BITS):
             if infer_dealer_bit(bases, outcomes[1:]) != outcomes[0]:
                 err += p[outcome_index]
         total_weight += 1.0

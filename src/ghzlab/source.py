@@ -34,7 +34,6 @@ from .errors import FitError
 
 MEASURED_PAIRS = ("AB", "AC", "BD", "CD")
 _PAIR_INDEX = {"AB": (0, 1), "AC": (0, 2), "BD": (1, 3), "CD": (2, 3)}
-INPUT_NAMES = ("A", "B", "C", "D")
 
 MASTER_LABEL = 0
 

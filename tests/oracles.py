@@ -9,12 +9,12 @@ shares only the Ryser permanent with the click-mask path of
 `qubit_distribution`, and that is checked against explicit permutations.
 The heater oracle solves one linear program per 2*pi lift vector instead of
 the package's single mixed-integer program.  The tomography oracles build
-the projector kets one outcome at a time and invert by summing all 256 Pauli
-strings' averaged expectations, where the package contracts a fixed dual
-frame.  The master-fraction oracle sorts the grid point by point with a
-Python objective and refines with finite-difference gradients, where the
-package scores the grid as one array and refines with the analytic
-gradient.
+the projector kets one outcome at a time, sum the log-likelihood over them,
+and invert by summing all 256 Pauli strings' averaged expectations, where
+the package contracts a fixed dual frame.  The master-fraction oracle sorts
+the grid point by point with a Python objective and refines with
+finite-difference gradients, where the package scores the grid as one
+array and refines with the analytic gradient.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from collections import defaultdict
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from ghzlab.analysis import expectation
+from ghzlab.analysis import MeasurementRecord, expectation, tomography_settings
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
 from ghzlab.source import _PAIR_INDEX, MasterFractions, _balance_gauge
@@ -230,13 +230,15 @@ def oracle_linear_inversion(ts):
     """Pauli reconstruction rho = (1/16) sum <P> P over all 256 Pauli strings.
 
     Expectations of strings containing identities are averaged over every
-    compatible record with those parties masked.
+    compatible setting with those parties masked.
     """
     labels = (PauliLabel.I, PauliLabel.X, PauliLabel.Y, PauliLabel.Z)
+    records = [MeasurementRecord(setting, row)
+               for setting, row in zip(tomography_settings(), ts.counts)]
     rho = np.zeros((16, 16), dtype=complex)
     for string in itertools.product(labels, repeat=4):
         mask = tuple(lab is PauliLabel.I for lab in string)
-        compatible = [rec for rec in ts.records
+        compatible = [rec for rec in records
                       if all(m or rec.settings[i] is string[i]
                              for i, m in enumerate(mask))]
         ev = float(np.mean([expectation(rec, identity_mask=mask)
@@ -261,18 +263,35 @@ _ORACLE_EIG_MINUS = {
 
 
 def oracle_projector_vectors(ts):
-    """Projector kets (16 x 1296) and counts (1296,), outcome by outcome in record order."""
+    """Projector kets (16 x 1296) and counts (1296,), outcome by outcome in design order."""
     vecs = []
     counts = []
-    for rec in ts.records:
+    for setting, row in zip(tomography_settings(), ts.counts):
         for outcome in range(16):
             v = np.array([1.0], dtype=complex)
-            for i, lab in enumerate(rec.settings):
+            for i, lab in enumerate(setting):
                 bit = (outcome >> (3 - i)) & 1
                 v = np.kron(v, _ORACLE_EIG_MINUS[lab] if bit else _ORACLE_EIG_PLUS[lab])
             vecs.append(v)
-            counts.append(rec.counts[outcome])
+            counts.append(row[outcome])
     return np.array(vecs).T, np.array(counts)
+
+
+def mle_log_likelihood(ts, rho):
+    """Multinomial log-likelihood of a density matrix, summed outcome by outcome.
+
+    Outcomes without counts add nothing; -inf if an observed outcome has
+    zero or negative probability under ``rho``.
+    """
+    v, counts = oracle_projector_vectors(ts)
+    total = 0.0
+    for k in range(v.shape[1]):
+        if counts[k] > 0.0:
+            p = float(np.real(v[:, k].conj() @ rho @ v[:, k]))
+            if p <= 0.0:
+                return -np.inf
+            total += counts[k] * math.log(p)
+    return total
 
 
 def oracle_fit_objective(x, targets):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,17 +7,16 @@ import pytest
 from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
                              bell_value, expectation, fit_phase_scan,
                              linear_inversion, max_fidelity_over_phase,
-                             mle_log_likelihood, mle_reconstruct,
-                             monte_carlo_error, phase_witness,
+                             mle_reconstruct, monte_carlo_error, phase_witness,
                              stabilizer_witness, tomography_settings,
-                             _design_counts, _projector_vectors)
+                             _projector_vectors)
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_record, run_bell,
                                 run_tomography, run_witness, tomography_report)
 from ghzlab.qmath import PauliLabel, fidelity_to_pure, ghz4, purity
 
-from oracles import (born_probabilities, ghz_state, oracle_linear_inversion,
-                     oracle_projector_vectors)
+from oracles import (born_probabilities, ghz_state, mle_log_likelihood,
+                     oracle_linear_inversion, oracle_projector_vectors)
 
 SQRT2 = math.sqrt(2)
 
@@ -193,19 +193,52 @@ class TestTomographySettings:
         assert len(set(settings)) == 81
 
 
+class TestTomographySet:
+    @pytest.mark.parametrize("counts", [
+        np.ones((81, 15)),
+        np.ones(81 * 16),
+        np.where(np.arange(81 * 16).reshape(81, 16) == 7, np.nan, 1.0),
+        np.where(np.arange(81 * 16).reshape(81, 16) == 7, np.inf, 1.0),
+        np.where(np.arange(81 * 16).reshape(81, 16) == 7, -1.0, 1.0),
+    ], ids=["shape-81x15", "flat", "nan", "inf", "negative"])
+    def test_constructor_rejects(self, counts):
+        with pytest.raises(ValueError):
+            TomographySet(counts)
+
+    def test_counts_are_a_read_only_float_copy(self):
+        source = np.ones((81, 16), dtype=int)
+        ts = TomographySet(source)
+        assert ts.counts.dtype == float
+        with pytest.raises(ValueError):
+            ts.counts[0, 0] = 5.0
+        source[0, 0] = 5
+        assert ts.counts[0, 0] == 1.0
+
+    def test_has_exactly_one_field(self):
+        assert [f.name for f in fields(TomographySet)] == ["counts"]
+
+
 class TestTomographySetSerialization:
     def test_json_round_trip(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=30, seed=12)
-        back = TomographySet.from_json_dict(ts.to_json_dict())
-        for a, b in zip(ts.records, back.records):
-            assert a.settings == b.settings
-            assert np.array_equal(a.counts, b.counts)
+        data = ts.to_json_dict()
+        assert [tuple(PauliLabel.from_token(t) for t in item["settings"])
+                for item in data["records"]] == tomography_settings()
+        back = TomographySet.from_json_dict(data)
+        assert np.array_equal(ts.counts, back.counts)
 
+    def test_out_of_order_settings_rejected(self, ideal_ctx):
+        data = run_tomography(ideal_ctx, shots=30, seed=12).to_json_dict()
+        records = data["records"]
+        records[0], records[1] = records[1], records[0]
+        with pytest.raises(ValueError, match="design order"):
+            TomographySet.from_json_dict(data)
 
-def shuffled(ts, seed):
-    records = list(ts.records)
-    np.random.default_rng(seed).shuffle(records)
-    return TomographySet(records)
+    def test_missing_setting_rejected(self, ideal_ctx):
+        data = run_tomography(ideal_ctx, shots=30, seed=12).to_json_dict()
+        del data["records"][40]
+        with pytest.raises(ValueError, match="design order"):
+            TomographySet.from_json_dict(data)
 
 
 class TestTomographyDesign:
@@ -213,7 +246,7 @@ class TestTomographyDesign:
         ts = run_tomography(ideal_ctx, shots=50, seed=1)
         v, counts = oracle_projector_vectors(ts)
         assert np.array_equal(_projector_vectors(), v)
-        assert np.array_equal(_design_counts(ts), counts)
+        assert np.array_equal(ts.counts.ravel(), counts)
 
     def test_cached_kets_are_read_only(self):
         v = _projector_vectors()
@@ -227,16 +260,9 @@ class TestLinearInversion:
     def test_matches_oracle_on_random_counts(self):
         rng = np.random.default_rng(11)
         for _ in range(3):
-            records = [MeasurementRecord(s, rng.uniform(0, 50, 16))
-                       for s in tomography_settings()]
-            ts = TomographySet(records)
+            ts = TomographySet(rng.uniform(0, 50, (81, 16)))
             assert np.max(np.abs(linear_inversion(ts)
                                  - oracle_linear_inversion(ts))) <= 1e-12
-
-    def test_matches_oracle_on_shuffled_records(self, ideal_ctx):
-        ts = shuffled(run_tomography(ideal_ctx, shots=100, seed=6), 3)
-        assert np.max(np.abs(linear_inversion(ts)
-                             - oracle_linear_inversion(ts))) <= 1e-12
 
     def test_exact_ideal_probabilities(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, effective_counts=1.0)
@@ -245,23 +271,24 @@ class TestLinearInversion:
         assert np.max(np.abs(rho - target)) < 1e-10
 
     def test_uniform_counts_give_identity(self):
-        records = [MeasurementRecord(s, np.full(16, 10.0))
-                   for s in tomography_settings()]
-        rho = linear_inversion(TomographySet(records))
+        rho = linear_inversion(TomographySet(np.full((81, 16), 10.0)))
         assert np.max(np.abs(rho - np.eye(16) / 16)) < 1e-12
 
     def test_trace_one_for_arbitrary_counts(self):
         rng = np.random.default_rng(5)
-        records = [MeasurementRecord(s, rng.uniform(0, 50, 16))
-                   for s in tomography_settings()]
-        rho = linear_inversion(TomographySet(records))
+        rho = linear_inversion(TomographySet(rng.uniform(0, 50, (81, 16))))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_incomplete_set_rejected(self):
-        records = [MeasurementRecord(s, np.ones(16))
-                   for s in tomography_settings()[:80]]
         with pytest.raises(ValueError):
-            TomographySet(records)
+            TomographySet(np.ones((80, 16)))
+
+    def test_setting_without_events_is_a_fit_error(self):
+        counts = np.ones((81, 16))
+        counts[tomography_settings().index(
+            (PauliLabel.X, PauliLabel.Y, PauliLabel.Z, PauliLabel.X))] = 0.0
+        with pytest.raises(FitError, match="XYZX"):
+            linear_inversion(TomographySet(counts))
 
 
 class TestMle:
@@ -273,9 +300,7 @@ class TestMle:
         assert purity(res.rho) >= 0.9999
 
     def test_uniform_counts_give_near_identity(self):
-        records = [MeasurementRecord(s, np.full(16, 1000.0))
-                   for s in tomography_settings()]
-        res = mle_reconstruct(TomographySet(records))
+        res = mle_reconstruct(TomographySet(np.full((81, 16), 1000.0)))
         dist = 0.5 * np.abs(np.linalg.eigvalsh(res.rho - np.eye(16) / 16)).sum()
         assert dist < 1e-3
 
@@ -292,7 +317,7 @@ class TestMle:
 
     def test_analytic_gradient_matches_finite_difference(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=100, seed=9)
-        v, counts = _projector_vectors(), _design_counts(ts)
+        v, counts = _projector_vectors(), ts.counts.ravel()
         rng = np.random.default_rng(2)
         t = np.tril(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
         t += 4 * np.eye(16)
@@ -330,14 +355,6 @@ class TestMle:
         assert res.iterations == 2
         assert not res.converged
 
-    def test_record_order_does_not_change_result(self, ideal_ctx):
-        ts = run_tomography(ideal_ctx, shots=450, seed=8)
-        assert [tuple(r.settings) for r in shuffled(ts, 4).records] != \
-            tomography_settings()
-        a, b = mle_reconstruct(ts), mle_reconstruct(shuffled(ts, 4))
-        assert np.max(np.abs(a.rho - b.rho)) <= 1e-12
-        assert a.iterations == b.iterations
-
     def test_gradient_residual_small_at_convergence(self, ideal_ctx):
         res = mle_reconstruct(run_tomography(ideal_ctx, effective_counts=1e6))
         assert res.converged
@@ -356,40 +373,51 @@ class TestMonteCarloError:
         assert monte_carlo_error(ts, lambda _: 3.14, 10, seed=1) == 0.0
 
     def test_sqrt_n_law(self):
-        counts = np.zeros(16)
-        counts[0] = 1e4
-        records = []
-        for s in tomography_settings():
-            records.append(MeasurementRecord(s, counts))
-        ts = TomographySet(records)
-        err = monte_carlo_error(ts, lambda t: t.records[0].counts[0], 200, seed=2)
+        counts = np.zeros((81, 16))
+        counts[:, 0] = 1e4
+        ts = TomographySet(counts)
+        err = monte_carlo_error(ts, lambda t: t.counts[0][0], 200, seed=2)
         assert err == pytest.approx(100.0, rel=0.10)
 
     def test_error_scales_with_counts(self):
         def build(scale):
-            counts = np.zeros(16)
-            counts[0] = 100.0 * scale
-            return TomographySet([MeasurementRecord(s, counts)
-                                  for s in tomography_settings()])
+            counts = np.zeros((81, 16))
+            counts[:, 0] = 100.0 * scale
+            return TomographySet(counts)
 
-        stat = lambda t: t.records[0].counts[0]
+        stat = lambda t: t.counts[0][0]
         e1 = monte_carlo_error(build(1), stat, 300, seed=5)
         e100 = monte_carlo_error(build(100), stat, 300, seed=5)
         assert e100 / e1 == pytest.approx(10.0, rel=0.15)
 
     def test_deterministic_given_seed(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=50, seed=0)
-        stat = lambda t: float(t.records[0].counts.sum())
+        stat = lambda t: float(t.counts[0].sum())
         assert monte_carlo_error(ts, stat, 20, seed=7) == \
             monte_carlo_error(ts, stat, 20, seed=7)
 
     def test_tuple_statistic_matches_separate_runs(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=50, seed=0)
-        first = lambda t: float(t.records[0].counts[0])
-        total = lambda t: float(t.records[5].counts.sum()) / 3.0
+        first = lambda t: float(t.counts[0][0])
+        total = lambda t: float(t.counts[5].sum()) / 3.0
         both = monte_carlo_error(ts, lambda t: (first(t), total(t)), 20, seed=7)
         assert both == (monte_carlo_error(ts, first, 20, seed=7),
                         monte_carlo_error(ts, total, 20, seed=7))
+
+    def test_resample_r_is_one_draw_from_child_r(self, ideal_ctx):
+        ts = run_tomography(ideal_ctx, shots=50, seed=0)
+        drawn = []
+
+        def record(t):
+            drawn.append(t.counts)
+            return 0.0
+
+        monte_carlo_error(ts, record, 4, seed=7)
+        children = np.random.SeedSequence(7).spawn(4)
+        assert len(drawn) == 4
+        for r, counts in enumerate(drawn):
+            expected = np.random.default_rng(children[r]).poisson(ts.counts)
+            assert np.array_equal(counts, expected)
 
     def test_report_errors_match_two_pass_computation(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=450, seed=3)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ghzlab
+from ghzlab.chip import HeaterCalibration
 from ghzlab.cli import COMMANDS, main
 from ghzlab.config import (MAX_COUNT, PhaseScanSpec, default_config, dump_config,
                            load_config, parse_config)
@@ -317,6 +318,21 @@ class TestDeterminismAndExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("key", ["alpha_row", "resistances"])
+    def test_non_finite_calibration_file_exit_2(self, ideal_config, tmp_path, capsys,
+                                                key):
+        lines = HeaterCalibration().to_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith(key + " "))
+        lines[i] = " ".join([key, "nan"] + lines[i].split()[2:])
+        calibration = tmp_path / "calibration.txt"
+        calibration.write_text("\n".join(lines) + "\n")
+        cfg = json.loads(ideal_config.read_text())
+        cfg["heater_calibration_file"] = str(calibration)
+        ideal_config.write_text(dump_config(cfg))
+        assert main(["calibrate", "--config", str(ideal_config),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("command, update", [
         ("tomography", {"tomography": {"resamples": "many"}}),
         ("qss", {"qss": {"rounds": 0}}),
@@ -362,8 +378,9 @@ class TestDeterminismAndExitCodes:
         ("tomography", {"shots_per_setting": 10 ** 400}),
         ("bell", {"detectors": {"efficiencies": [1e-4] * 8}}),
         ("simulate", {"detectors": {"efficiencies": [1e-4] * 8}}),
+        ("tomography", {"exact_probabilities": False, "shots_per_setting": 1}),
     ], ids=["qss-nothing-sifted", "no-post-selected-mass", "shots-overflow",
-            "bell-cancellation", "simulate-cancellation"])
+            "bell-cancellation", "simulate-cancellation", "tomography-one-shot"])
     def test_degenerate_run_exit_3(self, ideal_config, tmp_path, capsys, command, update):
         cfg = json.loads(ideal_config.read_text())
         for key, value in update.items():
