@@ -14,7 +14,7 @@ from .simulator import (DetectorModel, LossBudget, OutcomeDistribution,
                         scatter_distribution)
 from .source import (EmissionProbabilities, JointInputTerm, MasterFractions,
                      SourceSpec, enumerate_joint_inputs, fit_master_fractions,
-                     input_mixture, overlap_bounds, solve_pair_probabilities)
+                     input_mixture, solve_pair_probabilities)
 from .analysis import (BellResult, MeasurementRecord, TomographySet,
                        WitnessResult, bell_settings, bell_value, expectation,
                        fit_phase_scan, linear_inversion, max_fidelity_over_phase,

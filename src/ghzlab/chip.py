@@ -18,11 +18,8 @@ module also provides the forward map and its power-minimizing inverse.
 
 from __future__ import annotations
 
-import ctypes
+import itertools
 import math
-import os
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -318,53 +315,36 @@ def heater_forward(cal: HeaterCalibration, currents: Sequence[float]
     return alpha, phi
 
 
-@contextmanager
-def _silenced_stdout():
-    """Send file descriptor 1 to the null device for the duration.
-
-    HiGHS's MIP solver prints progress lines through C stdio even with
-    ``disp=False``; C stdio is flushed before fd 1 comes back so that the
-    buffered lines land in the null device rather than at process exit.
-    """
-    sys.stdout.flush()
-    saved = os.dup(1)
-    try:
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), 1)
-        yield
-    finally:
-        ctypes.CDLL(None).fflush(None)
-        os.dup2(saved, 1)
-        os.close(saved)
-
-
 def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
                  resistances: np.ndarray, usable: np.ndarray,
                  max_lift: int = 4) -> np.ndarray:
     """Power-minimal squared currents with M @ u = base + 2*pi*k, u >= 0.
 
-    One mixed-integer program over [u, k], with the per-target lifts k
-    integer in [0, max_lift], minimizes sum(R_j * u_j) and picks the lifts.
-    Least squares on the support of its u polishes the solution to
-    machine-precision equality at those lifts.
+    Over the lifts k in {0..max_lift}^4, the linear program min R.u has an
+    optimal basic feasible solution, so every nonsingular choice of four
+    columns of M is solved for every lift at once, and the cheapest
+    solution with u >= -1e-12 wins, the first lift in lexicographic order
+    on ties.  Least squares on the support of its u polishes the solution
+    to machine-precision equality at that lift.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     m = 1e3 * matrix_krad[:, usable]
     cost = resistances[usable]
     n = m.shape[1]
-    lifted = LinearConstraint(np.hstack([m, -TWO_PI * np.eye(4)]), base_rad, base_rad)
-    with _silenced_stdout():
-        mip = milp(np.concatenate([cost, np.zeros(4)]),
-                   integrality=np.r_[np.zeros(n), np.ones(4)],
-                   bounds=Bounds(np.zeros(n + 4), np.r_[np.full(n, np.inf),
-                                                        np.full(4, max_lift)]),
-                   constraints=lifted,
-                   options={"disp": False, "mip_rel_gap": 0.0})
-    if not mip.success:
+    bases = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    columns = m[:, bases].transpose(1, 0, 2)
+    keep = np.linalg.matrix_rank(columns) == 4
+    bases = bases[keep]
+    lifts = np.array(list(itertools.product(range(max_lift + 1), repeat=4)))
+    targets = base_rad[:, None] + TWO_PI * lifts.T
+    vertices = np.einsum("bij,jk->kbi", np.linalg.inv(columns[keep]), targets)
+    feasible = np.all(vertices >= -1e-12, axis=2)
+    if not feasible.any():
         raise SolverError("no nonnegative heater solution reaches the target phases")
-    b = base_rad + TWO_PI * np.round(mip.x[n:])
-    u = np.clip(mip.x[:n], 0.0, None)
+    power = np.where(feasible, np.einsum("bi,kbi->kb", cost[bases], vertices), np.inf)
+    k, basis = np.unravel_index(np.argmin(power), power.shape)
+    b = targets[:, k]
+    u = np.zeros(n)
+    u[bases[basis]] = np.clip(vertices[k, basis], 0.0, None)
     support = u > 1e-12
     if support.any():
         sol, *_ = np.linalg.lstsq(m[:, support], b, rcond=None)
@@ -383,10 +363,9 @@ def heater_solve(cal: HeaterCalibration, alpha_target: Sequence[float],
                  phi_target: Sequence[float]) -> np.ndarray:
     """Currents (16-vector, A) realizing the target phases modulo 2*pi.
 
-    The alpha and phi blocks are solved independently, each as one
-    mixed-integer program over the squared currents and the 2*pi lifts of
-    its four targets that minimizes the total dissipated power; dead
-    channels stay at zero.
+    The alpha and phi blocks are solved independently, each for the squared
+    currents and the 2*pi lifts of its four targets that minimize the total
+    dissipated power; dead channels stay at zero.
     """
     at = np.asarray(alpha_target, dtype=float)
     pt = np.asarray(phi_target, dtype=float)

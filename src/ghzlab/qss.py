@@ -132,10 +132,12 @@ def run_qss(ctx: SimContext, rounds: int, seed,
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    conditionals: dict = {}
+    # Outcomes are drawn by inverse CDF, the algorithm of ``Generator.choice``
+    # with ``p``, so a seed gives the same transcript as a draw by ``choice``.
+    cdfs: dict = {}
     for bases in itertools.product(BASIS_TOKENS, repeat=4):
-        dist = simulator.qubit_distribution(ctx, _basis_settings(bases))
-        conditionals[bases] = dist.conditional()
+        cdf = simulator.qubit_distribution(ctx, _basis_settings(bases)).conditional().cumsum()
+        cdfs[bases] = cdf / cdf[-1]
 
     master = np.random.SeedSequence(seed)
     transcript = []
@@ -144,7 +146,7 @@ def run_qss(ctx: SimContext, rounds: int, seed,
     for r in range(rounds):
         rng = np.random.default_rng(master.spawn(1)[0])
         bases = _BASES[int(rng.integers(0, 2, size=4) @ _BIT_WEIGHTS)]
-        outcomes = _BITS[int(rng.choice(16, p=conditionals[bases]))]
+        outcomes = _BITS[int(cdfs[bases].searchsorted(rng.random(), side="right"))]
         case = classify_bases(bases)
         kept = case != "b"
         inferred = None

@@ -287,10 +287,7 @@ def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
     d = np.where(_MASK_MODES, 1.0, 1.0 - np.asarray(det.efficiencies, dtype=float))
     gram = (u.conj().T * d[:, None, :]) @ u
     values = np.ones((len(table.groups) + 1, len(_MASK_MODES)))
-    sizes = np.array([len(g) for g in table.groups])
-    for k in np.unique(sizes):
-        rows = np.flatnonzero(sizes == k)
-        modes = np.array([table.groups[r] for r in rows])
+    for rows, modes in table.by_size:
         values[rows] = permanent(gram[:, modes[:, :, None], modes[:, None, :]]).real.T
     masks = table.weights @ values[table.index].prod(axis=1)
     probs = _INCLUSION_EXCLUSION @ masks

@@ -11,8 +11,7 @@ carries its own label, orthogonal to all the others.
 The master fractions are fitted from the four measurable pairwise mean
 wavepacket overlaps (AB, AC, BD, CD).  Those four products leave one exact
 scaling freedom (scale x_A, x_D by t and x_B, x_C by 1/t): the fit pins it
-by the balanced-gauge convention x_A*x_D = x_B*x_C, and `overlap_bounds`
-reports the full range the unmeasured BC / AD overlaps can take.
+by the balanced-gauge convention x_A*x_D = x_B*x_C.
 
 A `SourceSpec` owns what derives from it alone: its master fractions
 (perfect for four unit overlaps, otherwise fitted, once per overlap set per
@@ -131,35 +130,6 @@ def solve_pair_probabilities(g2: float) -> EmissionProbabilities:
     return EmissionProbabilities(0.0, 1.0 - p2, p2)
 
 
-def _objective_and_gradient(x: np.ndarray, targets: dict) -> tuple[float, np.ndarray]:
-    """Sum of squared pair residuals and its gradient, for the refinements."""
-    a, b, c, d = x.tolist()
-    r_ab = a * b - targets["AB"]
-    r_ac = a * c - targets["AC"]
-    r_bd = b * d - targets["BD"]
-    r_cd = c * d - targets["CD"]
-    f = r_ab * r_ab + r_ac * r_ac + r_bd * r_bd + r_cd * r_cd
-    grad = np.array([b * r_ab + c * r_ac, a * r_ab + d * r_bd,
-                     a * r_ac + d * r_cd, b * r_bd + c * r_cd])
-    return f, 2.0 * grad
-
-
-def _grid_starts(measured: dict) -> np.ndarray:
-    """The 32 best points of the 11^4 grid, as rows (x_A, x_B, x_C, x_D).
-
-    The objective is scored over the whole grid in one array pass, adding
-    the squared residuals in AB, AC, BD, CD order; ties break on the
-    coordinates, lexicographically.
-    """
-    grid = np.linspace(0.0, 1.0, 11)
-    xa, xb, xc, xd = (g.ravel() for g in np.meshgrid(grid, grid, grid, grid,
-                                                       indexing="ij"))
-    f = ((xa * xb - measured["AB"]) ** 2 + (xa * xc - measured["AC"]) ** 2
-         + (xb * xd - measured["BD"]) ** 2 + (xc * xd - measured["CD"]) ** 2)
-    best = np.lexsort((xd, xc, xb, xa, f))[:32]
-    return np.stack((xa[best], xb[best], xc[best], xd[best]), axis=1)
-
-
 def _balance_gauge(x: np.ndarray) -> np.ndarray:
     """Slide along the exact scaling freedom to the point with x_A*x_D = x_B*x_C.
 
@@ -179,32 +149,61 @@ def _balance_gauge(x: np.ndarray) -> np.ndarray:
     return np.array([a * t, b / t, c / t, d * t])
 
 
+def _fit_objective(x: np.ndarray, measured: dict) -> float:
+    """Sum of squared pair residuals, added in AB, AC, BD, CD order."""
+    return sum((x[i] * x[j] - measured[p]) ** 2 for p, (i, j) in _PAIR_INDEX.items())
+
+
+def _box_bound_candidates(m: np.ndarray):
+    """Points with a unit row and a unit column fraction that may fit ``m`` best.
+
+    Rows are (x_A, x_D) and columns (x_B, x_C).  With row i and column j at
+    1, the free row value p and column value q minimize
+    (q - a1)^2 + (p - a2)^2 + (pq - a3)^2.  Its stationary points in the
+    interior solve a quintic in p with q = (a1 + a3 p) / (1 + p^2); on each
+    edge of [0, 1]^2 the objective is a convex quadratic in the free value.
+    """
+    for i, j in itertools.product(range(2), repeat=2):
+        a1, a2, a3 = m[i, 1 - j], m[1 - i, j], m[1 - i, 1 - j]
+        roots = np.roots([1.0, -a2, 2.0, a1 * a3 - 2.0 * a2,
+                          1.0 + a1 * a1 - a3 * a3, -a2 - a1 * a3])
+        ps = [r.real for r in roots if abs(r.imag) <= 1e-9 and 0.0 <= r.real <= 1.0]
+        pairs = [(p, min(max((a1 + a3 * p) / (1.0 + p * p), 0.0), 1.0))
+                 for p in ps + [0.0, 1.0]]
+        pairs += [(min(max((a2 + a3 * q) / (1.0 + q * q), 0.0), 1.0), q)
+                  for q in (0.0, 1.0)]
+        for p, q in pairs:
+            rows, cols = [1.0, 1.0], [1.0, 1.0]
+            rows[1 - i], cols[1 - j] = p, q
+            yield np.array([rows[0], cols[0], cols[1], rows[1]])
+
+
 def fit_master_fractions(measured: dict) -> MasterFractions:
     """Least-squares fit of the four master fractions to the measured overlaps.
 
-    Deterministic: the objective is scored over a fixed 11^4 grid in one
-    array pass, its 32 best points seed L-BFGS-B refinements with the
-    analytic gradient, and the scaling freedom left by the four products is
-    resolved to the balanced gauge.
+    The measured products are the entries of the outer product of the rows
+    (x_A, x_D) and the columns (x_B, x_C), so the fit is the best rank-1
+    approximation s u v^T of M = [[AB, AC], [BD, CD]] (Eckart-Young), whose
+    singular vectors are nonnegative.  It lies in [0, 1]^4 whenever
+    s max(u) max(v) <= 1; otherwise the box binds with one row and one
+    column fraction at 1, and the fit is the best of `_box_bound_candidates`.
+    The scaling freedom left by the four products is resolved to the
+    balanced gauge.
     """
-    from scipy.optimize import minimize
-
     if set(measured) != set(MEASURED_PAIRS):
         raise FitError(f"overlaps must cover exactly pairs {MEASURED_PAIRS}")
     for k, v in measured.items():
         if not 0.0 <= v <= 1.0:
             raise FitError(f"overlap {k} out of [0,1]: {v}")
-    best_x = None
-    best_f = np.inf
-    for start in _grid_starts(measured):
-        res = minimize(_objective_and_gradient, start, args=(measured,), jac=True,
-                       method="L-BFGS-B", bounds=[(0.0, 1.0)] * 4,
-                       options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
-        if res.fun < best_f - 1e-15:
-            best_f = res.fun
-            best_x = res.x
-    if best_x is None:
-        raise FitError("master-fraction fit failed to converge")
+    m = np.array([[measured["AB"], measured["AC"]], [measured["BD"], measured["CD"]]])
+    u, s, vt = np.linalg.svd(m)
+    rows = np.sqrt(s[0]) * np.abs(u[:, 0])
+    cols = np.sqrt(s[0]) * np.abs(vt[0])
+    if rows.max() * cols.max() <= 1.0:
+        t = min(max(1.0, cols.max()), 1.0 / rows.max()) if rows.max() > 0.0 else 1.0
+        best_x = np.array([rows[0] * t, cols[0] / t, cols[1] / t, rows[1] * t])
+    else:
+        best_x = min(_box_bound_candidates(m), key=lambda x: _fit_objective(x, measured))
     return MasterFractions(x=tuple(_balance_gauge(best_x)))
 
 
@@ -214,70 +213,6 @@ def _master_fractions(ab: float, ac: float, bd: float, cd: float) -> MasterFract
     if ab == ac == bd == cd == 1.0:
         return MasterFractions.perfect()
     return fit_master_fractions(dict(zip(MEASURED_PAIRS, (ab, ac, bd, cd))))
-
-
-def overlap_bounds(measured: dict) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Feasible ranges of the unmeasured overlaps BC and AD.
-
-    Ranges of x_B*x_C and x_A*x_D over every x in [0,1]^4 that reproduces
-    each measured product no worse than the best fit does, plus a 1e-6
-    slack.  Along the exact scaling freedom the residuals are constant, so
-    the ranges follow from the slide's box limits, refined by constrained
-    optimization.
-    """
-    from scipy.optimize import minimize
-
-    frac = fit_master_fractions(measured)
-    x = np.array(frac.x)
-    tol = 1e-6
-    dev_star = max(abs(x[i] * x[j] - measured[p]) for p, (i, j) in _PAIR_INDEX.items())
-
-    if min(x) <= 1e-9:
-        return ((0.0, 1.0), (0.0, 1.0))
-
-    t_min = max(x[1], x[2])
-    t_max = min(1.0 / x[0], 1.0 / x[3])
-    bc = x[1] * x[2]
-    ad = x[0] * x[3]
-    bc_lo, bc_hi = bc / t_max ** 2, bc / t_min ** 2
-    ad_lo, ad_hi = ad * t_min ** 2, ad * t_max ** 2
-
-    def max_dev(y):
-        return max(abs(y[i] * y[j] - measured[p]) for p, (i, j) in _PAIR_INDEX.items())
-
-    def refine(product_fn, start, sign):
-        cons = []
-        for p, (i, j) in _PAIR_INDEX.items():
-            m, lim = measured[p], dev_star + tol
-            cons.append({"type": "ineq",
-                         "fun": lambda y, i=i, j=j, m=m, lim=lim: lim - (y[i] * y[j] - m)})
-            cons.append({"type": "ineq",
-                         "fun": lambda y, i=i, j=j, m=m, lim=lim: lim + (y[i] * y[j] - m)})
-        res = minimize(lambda y: sign * product_fn(y), start, method="SLSQP",
-                       bounds=[(0.0, 1.0)] * 4, constraints=cons,
-                       options={"ftol": 1e-12, "maxiter": 300})
-        if res.success and max_dev(res.x) <= dev_star + tol * 1.01:
-            return sign * res.fun
-        return None
-
-    starts = {
-        "bc_lo": np.array([x[0] * t_max, x[1] / t_max, x[2] / t_max, x[3] * t_max]),
-        "bc_hi": np.array([x[0] * t_min, x[1] / t_min, x[2] / t_min, x[3] * t_min]),
-    }
-    val = refine(lambda y: y[1] * y[2], starts["bc_lo"], +1)
-    if val is not None:
-        bc_lo = min(bc_lo, val)
-    val = refine(lambda y: y[1] * y[2], starts["bc_hi"], -1)
-    if val is not None:
-        bc_hi = max(bc_hi, val)
-    val = refine(lambda y: y[0] * y[3], starts["bc_hi"], +1)
-    if val is not None:
-        ad_lo = min(ad_lo, val)
-    val = refine(lambda y: y[0] * y[3], starts["bc_lo"], -1)
-    if val is not None:
-        ad_hi = max(ad_hi, val)
-    clip = lambda v: float(min(max(v, 0.0), 1.0))
-    return ((clip(bc_lo), clip(bc_hi)), (clip(ad_lo), clip(ad_hi)))
 
 
 # Mixture entries: (photon labels in the input's spatial mode) keyed by name.
@@ -333,11 +268,14 @@ class LabelGroups:
     modes of one group are distinct.  Row ``t`` of ``index`` lists the
     groups of multiset ``t`` as positions in ``groups``, padded with
     ``len(groups)``; ``weights[t]`` is the summed weight of its terms.
+    ``by_size`` holds, for each group size in ascending order, the
+    positions of the groups of that size and their modes as one array.
     """
 
     groups: tuple
     weights: np.ndarray
     index: np.ndarray
+    by_size: tuple
 
 
 @dataclass(frozen=True)
@@ -363,8 +301,13 @@ class JointInputEnumeration:
         index = np.full((len(multisets), width), len(positions), dtype=np.intp)
         for row, key in enumerate(multisets):
             index[row, :len(key)] = key
-        return LabelGroups(tuple(positions),
-                           np.array(list(multisets.values()), dtype=float), index)
+        groups = tuple(positions)
+        by_size = []
+        for size in sorted({len(g) for g in groups}):
+            rows = [r for r, g in enumerate(groups) if len(g) == size]
+            by_size.append((np.array(rows), np.array([groups[r] for r in rows])))
+        return LabelGroups(groups, np.array(list(multisets.values()), dtype=float),
+                           index, tuple(by_size))
 
 
 def enumerate_joint_inputs(spec: SourceSpec, fractions: MasterFractions,

@@ -7,14 +7,14 @@ vectors.  The occupation-histogram oracle scatters each term into its full
 output histogram, thins it binomially and thresholds every occupation; it
 shares only the Ryser permanent with the click-mask path of
 `qubit_distribution`, and that is checked against explicit permutations.
-The heater oracle solves one linear program per 2*pi lift vector instead of
-the package's single mixed-integer program.  The tomography oracles build
-the projector kets one outcome at a time, sum the log-likelihood over them,
-and invert by summing all 256 Pauli strings' averaged expectations, where
-the package contracts a fixed dual frame.  The master-fraction oracle sorts
-the grid point by point with a Python objective and refines with
-finite-difference gradients, where the package scores the grid as one
-array and refines with the analytic gradient.
+The heater oracle solves one linear program per 2*pi lift vector with
+HiGHS, where the package enumerates the vertices of every lift's program
+at once.  The tomography oracles build the projector kets one outcome at a
+time, sum the log-likelihood over them, and invert by summing all 256 Pauli
+strings' averaged expectations, where the package contracts a fixed dual
+frame.  The master-fraction oracle sorts an 11^4 grid point by point with
+a Python objective and refines its best points with finite-difference
+L-BFGS-B, where the package solves the fit in closed form.
 """
 
 import itertools

@@ -214,6 +214,12 @@ class TestHeaterSolve:
             heater_solve(cal, [0.1, math.pi, 0.0, 0.0], cal.phi_offset)
 
 
+    def test_fewer_live_channels_than_targets_raises(self):
+        cal = HeaterCalibration(dead_channels=frozenset({1, 2, 3, 4, 5, 15}))
+        with pytest.raises(SolverError):
+            heater_solve(cal, [1.0, 2.0, 3.0, 4.0], cal.phi_offset)
+
+
 def _heater_blocks(cal, alpha_target, phi_target):
     """(matrix, base, resistances, usable) of the alpha and phi blocks."""
     dead = cal.dead_mask()
@@ -224,7 +230,7 @@ def _heater_blocks(cal, alpha_target, phi_target):
 
 
 class TestHeaterSolveOracle:
-    """The single mixed-integer program against one LP per lift vector."""
+    """Vertex enumeration over all lifts against one LP per lift vector."""
 
     def test_matches_oracle_small_lifts(self):
         cal = HeaterCalibration()
@@ -256,6 +262,19 @@ class TestHeaterSolveOracle:
         alpha, phi = heater_forward(cal, currents)
         assert np.abs(np.angle(np.exp(1j * (alpha - alpha_t)))).max() < 1e-6
         assert np.abs(np.angle(np.exp(1j * (phi - phi_t)))).max() < 1e-6
+
+    def test_dead_channels_reachable_targets_match_oracle(self):
+        # every lift's LP reaches these targets, but a branch-and-bound
+        # over u and the lifts together can stop at a point that misses them
+        cal = HeaterCalibration(dead_channels=frozenset({3, 15}))
+        alpha_t = np.array([3.6940040976435435, 4.652319908239959,
+                            0.9384200757462816, 0.36140040109333854])
+        phi_t = np.array([2.8989276862255293, 1.946945875016669,
+                          0.5280263919227022, 1.093640597805258])
+        for max_lift in (4, 2):
+            for block in _heater_blocks(cal, alpha_t, phi_t):
+                assert np.array_equal(_solve_block(*block, max_lift=max_lift),
+                                      oracle_heater_block(*block, max_lift=max_lift))
 
 
 class TestHeaterCalibrationType:

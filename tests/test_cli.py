@@ -183,9 +183,29 @@ class TestCommands:
         target = np.asarray(payload["target_phi_rad"])
         assert np.abs(np.angle(np.exp(1j * (achieved - target)))).max() < 1e-6
 
+    def test_calibrate_dead_channels_reachable_targets(self, ideal_config, tmp_path):
+        calibration = tmp_path / "calibration.txt"
+        calibration.write_text(HeaterCalibration(dead_channels=frozenset({3, 15})).to_text())
+        cfg = json.loads(ideal_config.read_text())
+        cfg["heater_calibration_file"] = str(calibration)
+        cfg["calibrate"] = {
+            "alpha_targets_rad": [3.6940040976435435, 4.652319908239959,
+                                  0.9384200757462816, 0.36140040109333854],
+            "phi_targets_rad": [2.8989276862255293, 1.946945875016669,
+                                0.5280263919227022, 1.093640597805258],
+        }
+        ideal_config.write_text(dump_config(cfg))
+        out = tmp_path / "cal"
+        assert main(["calibrate", "--config", str(ideal_config), "--out", str(out)]) == 0
+        payload = read_json(out / "calibrate.json")
+        for key in ("alpha", "phi"):
+            miss = (np.asarray(payload[f"achieved_{key}_rad"])
+                    - np.asarray(payload[f"target_{key}_rad"]))
+            assert np.abs(np.angle(np.exp(1j * miss))).max() < 1e-6
+
     def test_calibrate_writes_nothing_to_stdout(self, ideal_config, tmp_path):
-        # HiGHS prints from C code through stdio's buffer, so only a separate
-        # process with stdout on a pipe sees whether anything escapes.
+        # output from C code goes through stdio's own buffer, so only a
+        # separate process with stdout on a pipe sees whether anything escapes
         cfg = json.loads(ideal_config.read_text())
         rng = np.random.default_rng(41)
         src = str(Path(ghzlab.__file__).resolve().parents[1])
@@ -401,6 +421,29 @@ def test_context_only_commands_never_enumerate(tmp_path, enumeration_calls):
     for command in ("calibrate", "rate"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
     assert enumeration_calls == []
+
+
+def test_pipeline_commands_never_import_scipy_optimize(tmp_path):
+    """Only the phase scan's cosine fit needs ``scipy.optimize``."""
+    script = """
+import sys
+from ghzlab.cli import main
+from ghzlab.config import load_config
+out = sys.argv[1]
+config = out + "/config.json"
+assert main(["config-init", "--out", config]) == 0
+load_config(config)
+for command in ("bell", "witness", "qss", "calibrate", "rate"):
+    assert main([command, "--config", config, "--out", out + "/" + command]) == 0
+sys.exit("scipy.optimize imported" if "scipy.optimize" in sys.modules else 0)
+"""
+    src = str(Path(ghzlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 _ODD_VALUES = st.one_of(
