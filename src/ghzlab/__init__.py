@@ -20,4 +20,4 @@ from .analysis import (BellResult, MeasurementRecord, TomographySet,
                        fit_phase_scan, linear_inversion, max_fidelity_over_phase,
                        mle_reconstruct, monte_carlo_error, phase_witness,
                        stabilizer_witness, tomography_settings)
-from .qss import QssReport, classify_bases, combo_sign, infer_dealer_bit, run_qss
+from .qss import QssReport, classify_bases, run_qss

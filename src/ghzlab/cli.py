@@ -172,7 +172,7 @@ def cmd_qss(cfg: ExperimentConfig, outdir: Path) -> list:
     report, transcript = qss.run_qss(cfg.context, rounds=cfg.qss_rounds, seed=cfg.seed,
                                      public_fraction=cfg.qss_public_fraction)
     csv_path = outdir / "transcript.csv"
-    csv_path.write_text(qss.transcript_to_csv(transcript))
+    qss.write_transcript_csv(transcript, csv_path)
     json_path = outdir / "qss.json"
     _write_json(json_path, {
         "raw_length": report.raw_length,
@@ -181,6 +181,7 @@ def cmd_qss(cfg: ExperimentConfig, outdir: Path) -> list:
         "qber": report.qber,
         "secure": report.secure,
         "qber_threshold": 0.11,
+        "expected_qber": report.expected_qber,
     })
     return [csv_path, json_path]
 

@@ -5,12 +5,18 @@ party measures in X or Y chosen uniformly at random; a round is kept when
 the four-fold product operator has the shared state as an eigenstate, in
 which case parties 2-4 can reconstruct the dealer's bit from the parity of
 their outcomes and the eigenvalue of the basis combination.
+
+A round is two 4-bit indices, party 1 most significant: the basis choice
+``b`` (bit 1 = Y) and the outcome ``o``.  Every rule of the protocol is a
+table over them, built once at import: the eigenvalue ``_SIGN[b]``, the
+case ``_CASE[b]``, the inferred dealer bit ``_INFERRED[b, o]`` (-1 when
+discarded) and the error flag ``_ERROR[b, o]``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -26,11 +32,15 @@ BASIS_TOKENS = ("x", "y")
 # same-basis pair is anti-correlated.
 _CORRELATED_PAIRS = ({0, 2}, {1, 3})
 
-# Basis choice and outcome bits of each 4-bit index, party 1 most significant;
-# every round shares these tuples instead of building its own.
-_BITS = tuple(tuple((k >> (3 - i)) & 1 for i in range(4)) for k in range(16))
-_BASES = tuple(tuple(BASIS_TOKENS[bit] for bit in bits) for bits in _BITS)
 _BIT_WEIGHTS = np.array([8, 4, 2, 1])
+_BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+_BASES = tuple("".join(BASIS_TOKENS[bit] for bit in bits) for bits in _BITS)
+
+# Rounds per write of ``transcript.csv``; memory holds one chunk of text.
+CSV_CHUNK_ROUNDS = 1 << 14
+_CSV_HEADER = "round,bases,outcomes,case,kept,inferred,dealer_bit\n"
+
+_ROUND_DTYPE = np.dtype([("basis", np.uint8), ("outcome", np.uint8), ("case", "U1")])
 
 
 def classify_bases(bases) -> str:
@@ -51,58 +61,28 @@ def classify_bases(bases) -> str:
     return "c" if x_set in _CORRELATED_PAIRS else "d"
 
 
-def _build_sign_table() -> dict:
-    """Eigenvalue of the four-fold basis operator on the shared state.
-
-    Generated from the 16-dimensional state vector and cross-checked
-    against the case classification: +1 for cases a and d, -1 for case c,
-    0 for case b.
-    """
-    state = ghz4()
-    table = {}
-    for bases in itertools.product(BASIS_TOKENS, repeat=4):
-        labels = [PauliLabel.X if v == "x" else PauliLabel.Y for v in bases]
-        op = pauli_operator(labels)
-        val = complex(np.vdot(state, op @ state))
-        if abs(val.imag) > 1e-12:
-            raise AssertionError("basis operator expectation is not real")
-        sign = int(round(val.real))
-        if abs(val.real - sign) > 1e-12 or sign not in (-1, 0, 1):
-            raise AssertionError(f"unexpected eigenvalue {val.real} for {bases}")
-        case = classify_bases(bases)
-        expected = {"a": 1, "c": -1, "d": 1, "b": 0}[case]
-        if sign != expected:
-            raise AssertionError(f"sign {sign} contradicts case {case} for {bases}")
-        table[bases] = sign
-    return table
+def _labels(bases) -> list:
+    return [PauliLabel.X if v == "x" else PauliLabel.Y for v in bases]
 
 
-_SIGN_TABLE = _build_sign_table()
+def _basis_settings(bases):
+    return tuple(setting_for_projector(label) for label in _labels(bases))
 
 
-def combo_sign(bases) -> int:
-    """+1 or -1 for kept basis choices, 0 for the discarded case."""
-    return _SIGN_TABLE[tuple(bases)]
-
-
-def infer_dealer_bit(bases, outcomes_234) -> int:
-    """Dealer's bit from the outcomes of parties 2-4 (bit 1 = -1 eigenstate)."""
-    sign = combo_sign(bases)
-    if sign == 0:
-        raise ValueError("cannot infer the dealer's bit for a discarded basis choice")
-    parity = (int(outcomes_234[0]) + int(outcomes_234[1]) + int(outcomes_234[2])) % 2
-    return parity ^ (0 if sign > 0 else 1)
-
-
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    index: int
-    bases: tuple
-    outcomes: tuple
-    case: str
-    kept: bool
-    inferred: int | None
-    dealer_bit: int
+# Eigenvalue of the four-fold basis operator on the shared state: +1 for
+# cases a and d, -1 for case c, 0 for case b.
+_SIGN = np.array([np.vdot(ghz4(), pauli_operator(_labels(bases)) @ ghz4()).real
+                  for bases in _BASES]).round().astype(np.int8)
+_CASE = np.array([classify_bases(bases) for bases in _BASES])
+# The dealer's bit is the parity of parties 2-4, flipped on a -1 eigenvalue.
+_INFERRED = np.where(_SIGN[:, None] == 0, -1,
+                     (_BITS[:, 1:].sum(axis=1) + (_SIGN[:, None] < 0)) % 2).astype(np.int8)
+_ERROR = (_INFERRED >= 0) & (_INFERRED != _BITS[:, 0])
+# Row text after the round number, indexed by 16 * b + o.
+_CSV_SUFFIX = tuple(
+    f"{_BASES[b]},{''.join(map(str, _BITS[o]))},{_CASE[b]},{int(_SIGN[b] != 0)},"
+    f"{'' if _INFERRED[b, o] < 0 else _INFERRED[b, o]},{_BITS[o, 0]}\n"
+    for b in range(16) for o in range(16))
 
 
 @dataclass(frozen=True)
@@ -112,15 +92,26 @@ class QssReport:
     sift_rate: float
     qber: float
     secure: bool
+    expected_qber: float
 
 
-def _basis_settings(bases):
-    return tuple(setting_for_projector(
-        PauliLabel.X if v == "x" else PauliLabel.Y) for v in bases)
+def _conditionals(ctx: SimContext) -> np.ndarray:
+    """Conditional outcome distribution of each basis choice, one row per ``b``."""
+    return np.array([simulator.qubit_distribution(ctx, _basis_settings(bases)).conditional()
+                     for bases in _BASES])
+
+
+def _error_rate(conditionals: np.ndarray) -> float:
+    return float(np.vdot(conditionals, _ERROR)) / int(np.count_nonzero(_SIGN))
+
+
+def expected_qber(ctx: SimContext) -> float:
+    """Exact error probability of the sifted key, averaged over kept bases."""
+    return _error_rate(_conditionals(ctx))
 
 
 def run_qss(ctx: SimContext, rounds: int, seed,
-            public_fraction: float = 0.0) -> tuple[QssReport, list]:
+            public_fraction: float = 0.0) -> tuple[QssReport, np.recarray]:
     """Run the protocol for ``rounds`` post-selected events.
 
     Each round waits for one valid four-fold coincidence (sampling from the
@@ -129,77 +120,48 @@ def run_qss(ctx: SimContext, rounds: int, seed,
     each child is spawned when it is needed, not all of them up front.
     With ``public_fraction`` > 0 the error rate is evaluated on that random
     subset of the sifted key instead of the whole key.
+
+    The transcript is a record array with one row per round: ``basis`` and
+    ``outcome`` indices (``uint8``) and the protocol ``case``.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
+    conditionals = _conditionals(ctx)
     # Outcomes are drawn by inverse CDF, the algorithm of ``Generator.choice``
     # with ``p``, so a seed gives the same transcript as a draw by ``choice``.
-    cdfs: dict = {}
-    for bases in itertools.product(BASIS_TOKENS, repeat=4):
-        cdf = simulator.qubit_distribution(ctx, _basis_settings(bases)).conditional().cumsum()
-        cdfs[bases] = cdf / cdf[-1]
+    cdfs = conditionals.cumsum(axis=1)
+    cdfs = list(cdfs / cdfs[:, -1:])
 
     master = np.random.SeedSequence(seed)
-    transcript = []
-    sifted = 0
-    errors_all = []
+    transcript = np.empty(rounds, dtype=_ROUND_DTYPE).view(np.recarray)
+    basis, outcome = transcript.basis, transcript.outcome
     for r in range(rounds):
         rng = np.random.default_rng(master.spawn(1)[0])
-        bases = _BASES[int(rng.integers(0, 2, size=4) @ _BIT_WEIGHTS)]
-        outcomes = _BITS[int(cdfs[bases].searchsorted(rng.random(), side="right"))]
-        case = classify_bases(bases)
-        kept = case != "b"
-        inferred = None
-        if kept:
-            inferred = infer_dealer_bit(bases, outcomes[1:])
-            sifted += 1
-            errors_all.append(1 if inferred != outcomes[0] else 0)
-        transcript.append(RoundRecord(index=r, bases=bases, outcomes=outcomes,
-                                      case=case, kept=kept, inferred=inferred,
-                                      dealer_bit=outcomes[0]))
+        b = rng.integers(0, 2, size=4) @ _BIT_WEIGHTS
+        basis[r] = b
+        outcome[r] = cdfs[b].searchsorted(rng.random(), side="right")
+    transcript.case = _CASE[basis]
+    kept = _SIGN[basis] != 0
+    sifted = int(np.count_nonzero(kept))
     if sifted == 0:
         raise SolverError("no rounds survived sifting")
-    errors = np.asarray(errors_all)
+    errors = _ERROR[basis[kept], outcome[kept]]
     if public_fraction > 0.0:
         rng = np.random.default_rng(master.spawn(1)[0])
         n_pub = max(1, int(round(public_fraction * sifted)))
-        idx = rng.choice(sifted, size=n_pub, replace=False)
-        qber = float(errors[idx].mean())
-    else:
-        qber = float(errors.mean())
+        errors = errors[rng.choice(sifted, size=n_pub, replace=False)]
+    qber = float(errors.mean())
     report = QssReport(raw_length=rounds, sifted_length=sifted,
-                       sift_rate=sifted / rounds, qber=qber,
-                       secure=qber <= 0.11)
+                       sift_rate=sifted / rounds, qber=qber, secure=qber <= 0.11,
+                       expected_qber=_error_rate(conditionals))
     return report, transcript
 
 
-def expected_qber(ctx: SimContext) -> float:
-    """Exact error probability of the sifted key, averaged over kept bases."""
-    total_weight = 0.0
-    total_error = 0.0
-    for bases in itertools.product(BASIS_TOKENS, repeat=4):
-        if classify_bases(bases) == "b":
-            continue
-        p = simulator.qubit_distribution(ctx, _basis_settings(bases)).conditional()
-        err = 0.0
-        for outcome_index, outcomes in enumerate(_BITS):
-            if infer_dealer_bit(bases, outcomes[1:]) != outcomes[0]:
-                err += p[outcome_index]
-        total_weight += 1.0
-        total_error += err
-    return total_error / total_weight
-
-
-def transcript_to_csv(transcript) -> str:
-    lines = ["round,bases,outcomes,case,kept,inferred,dealer_bit"]
-    for rec in transcript:
-        lines.append(",".join([
-            str(rec.index),
-            "".join(rec.bases),
-            "".join(str(o) for o in rec.outcomes),
-            rec.case,
-            "1" if rec.kept else "0",
-            "" if rec.inferred is None else str(rec.inferred),
-            str(rec.dealer_bit),
-        ]))
-    return "\n".join(lines) + "\n"
+def write_transcript_csv(transcript: np.recarray, path: Path) -> None:
+    """Write one CSV row per round, ``CSV_CHUNK_ROUNDS`` rows at a time."""
+    with path.open("w") as f:
+        f.write(_CSV_HEADER)
+        for start in range(0, len(transcript), CSV_CHUNK_ROUNDS):
+            chunk = transcript[start:start + CSV_CHUNK_ROUNDS]
+            keys = (16 * chunk.basis.astype(np.intp) + chunk.outcome).tolist()
+            f.write("".join([f"{r},{_CSV_SUFFIX[k]}" for r, k in enumerate(keys, start)]))

@@ -14,12 +14,17 @@ time, sum the log-likelihood over them, and invert by summing all 256 Pauli
 strings' averaged expectations, where the package contracts a fixed dual
 frame.  The master-fraction oracle sorts an 11^4 grid point by point with
 a Python objective and refines its best points with finite-difference
-L-BFGS-B, where the package solves the fit in closed form.
+L-BFGS-B, where the package solves the fit in closed form.  The secret
+sharing oracle runs the protocol one round at a time: it classifies each
+basis choice, takes its eigenvalue from Born probabilities of the state
+vector and infers the dealer's bit from the parity, where the package looks
+every rule up in tables indexed by the basis and outcome indices.
 """
 
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -27,9 +32,10 @@ from scipy.optimize import linprog, minimize
 from ghzlab.analysis import MeasurementRecord, expectation, tomography_settings
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
+from ghzlab.qss import QssReport, _basis_settings, classify_bases
 from ghzlab.source import _PAIR_INDEX, MasterFractions, _balance_gauge
 from ghzlab.simulator import (OutcomeDistribution, apply_detector_efficiency,
-                              scatter_distribution)
+                              qubit_distribution, scatter_distribution)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -323,3 +329,103 @@ def oracle_fit_master_fractions(measured):
             best_f = res.fun
             best_x = res.x
     return MasterFractions(x=tuple(_balance_gauge(best_x))), starts
+
+
+def combo_sign(bases) -> int:
+    """Eigenvalue of the four-fold X/Y operator on the shared state (0 if none)."""
+    probs = born_probabilities(ghz_state(), list(bases))
+    return int(round(sum(p * (-1) ** bin(o).count("1") for o, p in enumerate(probs))))
+
+
+def infer_dealer_bit(bases, outcomes_234) -> int:
+    """Dealer's bit from the outcomes of parties 2-4 (bit 1 = -1 eigenstate)."""
+    sign = combo_sign(bases)
+    if sign == 0:
+        raise ValueError("cannot infer the dealer's bit for a discarded basis choice")
+    parity = (int(outcomes_234[0]) + int(outcomes_234[1]) + int(outcomes_234[2])) % 2
+    return parity ^ (0 if sign > 0 else 1)
+
+
+@dataclass(frozen=True, slots=True)
+class RoundRecord:
+    index: int
+    bases: tuple
+    outcomes: tuple
+    case: str
+    kept: bool
+    inferred: int | None
+    dealer_bit: int
+
+
+def oracle_expected_qber(ctx) -> float:
+    """Error probability of the sifted key, summed outcome by outcome."""
+    total_weight = 0.0
+    total_error = 0.0
+    for bases in itertools.product("xy", repeat=4):
+        if classify_bases(bases) == "b":
+            continue
+        p = qubit_distribution(ctx, _basis_settings(bases)).conditional()
+        err = 0.0
+        for outcome in range(16):
+            bits = [(outcome >> (3 - i)) & 1 for i in range(4)]
+            if infer_dealer_bit(bases, bits[1:]) != bits[0]:
+                err += p[outcome]
+        total_weight += 1.0
+        total_error += err
+    return total_error / total_weight
+
+
+def oracle_run_qss(ctx, rounds, seed, public_fraction=0.0):
+    """The protocol one round at a time, with a `RoundRecord` per round.
+
+    Same seed rule as `run_qss`: round r draws from child r of ``seed``, the
+    public subset from child ``rounds``.
+    """
+    cdfs = {}
+    for bases in itertools.product("xy", repeat=4):
+        cdf = qubit_distribution(ctx, _basis_settings(bases)).conditional().cumsum()
+        cdfs[bases] = cdf / cdf[-1]
+    master = np.random.SeedSequence(seed)
+    transcript = []
+    errors = []
+    for r in range(rounds):
+        rng = np.random.default_rng(master.spawn(1)[0])
+        bases = tuple("xy"[bit] for bit in rng.integers(0, 2, size=4))
+        index = int(cdfs[bases].searchsorted(rng.random(), side="right"))
+        outcomes = tuple((index >> (3 - i)) & 1 for i in range(4))
+        case = classify_bases(bases)
+        kept = case != "b"
+        inferred = None
+        if kept:
+            inferred = infer_dealer_bit(bases, outcomes[1:])
+            errors.append(1 if inferred != outcomes[0] else 0)
+        transcript.append(RoundRecord(index=r, bases=bases, outcomes=outcomes, case=case,
+                                      kept=kept, inferred=inferred, dealer_bit=outcomes[0]))
+    sifted = len(errors)
+    if sifted == 0:
+        raise SolverError("no rounds survived sifting")
+    errors = np.asarray(errors)
+    if public_fraction > 0.0:
+        rng = np.random.default_rng(master.spawn(1)[0])
+        n_pub = max(1, int(round(public_fraction * sifted)))
+        errors = errors[rng.choice(sifted, size=n_pub, replace=False)]
+    qber = float(errors.mean())
+    report = QssReport(raw_length=rounds, sifted_length=sifted, sift_rate=sifted / rounds,
+                       qber=qber, secure=qber <= 0.11,
+                       expected_qber=oracle_expected_qber(ctx))
+    return report, transcript
+
+
+def oracle_transcript_to_csv(transcript) -> str:
+    lines = ["round,bases,outcomes,case,kept,inferred,dealer_bit"]
+    for rec in transcript:
+        lines.append(",".join([
+            str(rec.index),
+            "".join(rec.bases),
+            "".join(str(o) for o in rec.outcomes),
+            rec.case,
+            "1" if rec.kept else "0",
+            "" if rec.inferred is None else str(rec.inferred),
+            str(rec.dealer_bit),
+        ]))
+    return "\n".join(lines) + "\n"

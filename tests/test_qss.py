@@ -6,11 +6,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ghzlab.qss import (_basis_settings, classify_bases, combo_sign, expected_qber,
-                        infer_dealer_bit, run_qss, transcript_to_csv)
-from ghzlab.simulator import qubit_distribution
+from ghzlab import qss
+from ghzlab.config import default_config, parse_config
+from ghzlab.errors import SolverError
+from ghzlab.qss import (_CASE, _ERROR, _INFERRED, _SIGN, _basis_settings, classify_bases,
+                        expected_qber, run_qss, write_transcript_csv)
+from ghzlab.simulator import SimContext, qubit_distribution
 
-from oracles import born_probabilities, ghz_state
+from oracles import (born_probabilities, combo_sign, ghz_state, infer_dealer_bit,
+                     oracle_run_qss, oracle_transcript_to_csv)
+
+
+def basis_index(bases) -> int:
+    """Index b of a basis choice, party 1 most significant, y = 1."""
+    return sum("xy".index(v) << (3 - i) for i, v in enumerate(bases))
+
+
+def bits(index) -> tuple:
+    return tuple((int(index) >> (3 - i)) & 1 for i in range(4))
 
 
 class TestClassification:
@@ -35,25 +48,46 @@ class TestClassification:
 
 class TestComboSign:
     def test_case_values(self):
-        assert combo_sign(("x", "x", "x", "x")) == 1
-        assert combo_sign(("x", "y", "x", "y")) == -1
-        assert combo_sign(("x", "y", "y", "y")) == 0
+        for bases, sign in ((("x", "x", "x", "x"), 1), (("x", "y", "x", "y"), -1),
+                            (("x", "y", "y", "y"), 0)):
+            assert combo_sign(bases) == sign
+            assert _SIGN[basis_index(bases)] == sign
 
     def test_matches_case_rule_everywhere(self):
-        for bases in itertools.product("xy", repeat=4):
+        for b, bases in enumerate(itertools.product("xy", repeat=4)):
             case = classify_bases(bases)
-            assert combo_sign(bases) == {"a": 1, "c": -1, "d": 1, "b": 0}[case]
+            assert _CASE[b] == case
+            assert _SIGN[b] == {"a": 1, "c": -1, "d": 1, "b": 0}[case]
+            assert combo_sign(bases) == _SIGN[b]
 
 
 class TestInference:
     def test_examples(self):
-        assert infer_dealer_bit(("x", "x", "x", "x"), (0, 0, 0)) == 0
-        assert infer_dealer_bit(("x", "y", "x", "y"), (0, 0, 0)) == 1
-        assert infer_dealer_bit(("x", "x", "y", "y"), (1, 0, 1)) == 0
+        for bases, outcomes_234, dealer_bit in ((("x", "x", "x", "x"), (0, 0, 0), 0),
+                                                (("x", "y", "x", "y"), (0, 0, 0), 1),
+                                                (("x", "x", "y", "y"), (1, 0, 1), 0)):
+            assert infer_dealer_bit(bases, outcomes_234) == dealer_bit
+            for first in (0, 1):
+                o = int("".join(map(str, (first, *outcomes_234))), 2)
+                assert _INFERRED[basis_index(bases), o] == dealer_bit
+                assert _ERROR[basis_index(bases), o] == (first != dealer_bit)
 
     def test_discarded_case_rejected(self):
         with pytest.raises(ValueError):
             infer_dealer_bit(("x", "y", "y", "y"), (0, 0, 0))
+        for b, bases in enumerate(itertools.product("xy", repeat=4)):
+            if classify_bases(bases) == "b":
+                assert (_INFERRED[b] == -1).all()
+                assert not _ERROR[b].any()
+
+    def test_tables_match_oracle_everywhere(self):
+        for b, bases in enumerate(itertools.product("xy", repeat=4)):
+            if classify_bases(bases) == "b":
+                continue
+            for o in range(16):
+                inferred = infer_dealer_bit(bases, bits(o)[1:])
+                assert _INFERRED[b, o] == inferred
+                assert _ERROR[b, o] == (inferred != bits(o)[0])
 
     def test_perfect_inference_on_ideal_state(self):
         state = ghz_state()
@@ -66,6 +100,7 @@ class TestInference:
                     continue
                 bits = [(outcome >> (3 - i)) & 1 for i in range(4)]
                 assert infer_dealer_bit(bases, bits[1:]) == bits[0]
+                assert not _ERROR[basis_index(bases), outcome]
 
     def test_case_b_gives_no_information(self):
         # dealer outcome statistically independent of the others' joint outcome
@@ -94,26 +129,36 @@ class TestRunQss:
         # sift rate within 5 sigma of 1/2
         sigma = math.sqrt(0.25 / 10000)
         assert abs(report.sift_rate - 0.5) < 5 * sigma
-        assert report.sifted_length == sum(1 for r in transcript if r.kept)
+        assert report.sifted_length == sum(1 for r in transcript if r.case != "b")
 
-    def test_transcript_consistency(self, ideal_ctx):
+    def test_transcript_consistency(self, ideal_ctx, tmp_path):
         report, transcript = run_qss(ideal_ctx, rounds=200, seed=2)
-        for rec in transcript:
-            assert rec.kept == (rec.case != "b")
-            if rec.kept:
-                assert rec.inferred in (0, 1)
-                assert rec.inferred == infer_dealer_bit(rec.bases, rec.outcomes[1:])
+        assert transcript.dtype.names == ("basis", "outcome", "case")
+        assert transcript.basis.dtype == transcript.outcome.dtype == np.uint8
+        write_transcript_csv(transcript, tmp_path / "t.csv")
+        rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(transcript) == 200
+        for r, (rec, row) in enumerate(zip(transcript, rows)):
+            index, bases, outcomes, case, kept, inferred, dealer_bit = row.split(",")
+            assert int(index) == r
+            assert bases == "".join("xy"[bit] for bit in bits(rec.basis))
+            assert outcomes == "".join(map(str, bits(rec.outcome)))
+            assert case == rec.case == classify_bases(bases)
+            assert kept == ("1" if rec.case != "b" else "0")
+            if rec.case != "b":
+                assert inferred in ("0", "1")
+                assert int(inferred) == infer_dealer_bit(bases, bits(rec.outcome)[1:])
             else:
-                assert rec.inferred is None
-            assert rec.dealer_bit == rec.outcomes[0]
+                assert inferred == ""
+            assert dealer_bit == outcomes[0]
 
     def test_deterministic_given_seed(self, ideal_ctx):
         r1, t1 = run_qss(ideal_ctx, rounds=300, seed=5)
         r2, t2 = run_qss(ideal_ctx, rounds=300, seed=5)
         assert r1 == r2
-        assert t1 == t2
+        assert np.array_equal(t1, t2)
         r3, t3 = run_qss(ideal_ctx, rounds=300, seed=6)
-        assert t3 != t1
+        assert not np.array_equal(t3, t1)
 
     def test_public_fraction_subset(self, ideal_ctx):
         report, _ = run_qss(ideal_ctx, rounds=500, seed=3, public_fraction=0.2)
@@ -132,22 +177,55 @@ class TestRunQss:
             bases = tuple("xy"[b] for b in rng.integers(0, 2, size=4))
             p = qubit_distribution(ctx, _basis_settings(bases)).conditional()
             index = int(rng.choice(16, p=p))
-            assert (rec.bases, rec.outcomes) == (
-                bases, tuple((index >> (3 - i)) & 1 for i in range(4)))
-            if rec.kept:
-                errors.append(rec.inferred != rec.dealer_bit)
+            assert (rec.basis, rec.outcome) == (basis_index(bases), index)
+            if rec.case != "b":
+                errors.append(infer_dealer_bit(bases, bits(index)[1:]) != bits(index)[0])
         assert 0 < sum(errors) < len(errors)
         rng = np.random.default_rng(children[rounds])
         public = rng.choice(len(errors), size=max(1, round(0.5 * len(errors))),
                             replace=False)
         assert report.qber == float(np.asarray(errors, dtype=float)[public].mean())
 
-    def test_csv_export(self, ideal_ctx):
+    def test_csv_export(self, ideal_ctx, tmp_path):
         _, transcript = run_qss(ideal_ctx, rounds=50, seed=4)
-        csv = transcript_to_csv(transcript)
-        lines = csv.strip().splitlines()
+        write_transcript_csv(transcript, tmp_path / "t.csv")
+        lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         assert lines[0] == "round,bases,outcomes,case,kept,inferred,dealer_bit"
         assert len(lines) == 51
+
+
+def _photon_a_distinguishable():
+    ctx = SimContext.ideal()
+    return replace(ctx, spec=replace(ctx.spec, distinguishability_scale=(0.0, 1.0, 1.0, 1.0)))
+
+
+@pytest.mark.parametrize("make_ctx, rounds, seed, public_fraction, chunk", [
+    (lambda: parse_config(default_config()).context, 2000, 20220901, 0.0, None),
+    (_photon_a_distinguishable, 3000, 7, 0.3, None),
+    (SimContext.ideal, 500, 3, 0.5, None),
+    (SimContext.ideal, 1, 2, 0.0, None),
+    (SimContext.ideal, 1000, 1, 0.0, 96),
+], ids=["default-config", "photon-a-distinguishable", "ideal", "nothing-sifted",
+        "several-csv-chunks"])
+def test_matches_round_by_round_oracle(monkeypatch, tmp_path, make_ctx, rounds, seed,
+                                       public_fraction, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(qss, "CSV_CHUNK_ROUNDS", chunk)
+        assert rounds > 2 * chunk
+    ctx = make_ctx()
+    try:
+        expected, records = oracle_run_qss(ctx, rounds, seed, public_fraction)
+    except SolverError:
+        with pytest.raises(SolverError):
+            run_qss(ctx, rounds, seed, public_fraction)
+        return
+    report, transcript = run_qss(ctx, rounds, seed, public_fraction)
+    # The table sums the error probabilities in another order.
+    assert report.expected_qber == pytest.approx(expected.expected_qber, rel=0, abs=1e-14)
+    assert replace(report, expected_qber=0.0) == replace(expected, expected_qber=0.0)
+    assert transcript.case.tolist() == [rec.case for rec in records]
+    write_transcript_csv(transcript, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == oracle_transcript_to_csv(records).encode()
 
 
 class TestQberMonotonicity:
