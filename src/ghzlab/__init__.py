@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .chip import (HeaterCalibration, MziSetting, PreparationStage,
-                   compensate_setting, full_unitary, heater_forward,
-                   heater_solve, measurement_unitary, preparation_unitary,
+                   full_unitary, heater_forward, heater_solve,
+                   measurement_unitary, preparation_unitary,
                    setting_for_projector)
 from .qmath import (PauliLabel, fidelity_to_pure, ghz4, pauli_operator,
                     permanent, project_to_physical, purity)

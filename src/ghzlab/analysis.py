@@ -110,51 +110,127 @@ class PhaseScanFit:
     power_at_max: float
 
 
+# Grid frequencies per gap between distinct powers in the global search of
+# the phase-scan fit; the best one is refined by golden-section search.
+PHASE_SCAN_GRID_PER_POINT = 64
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _projected_fit(x: np.ndarray, w: np.ndarray, freqs: np.ndarray):
+    """Least-squares (c, s) of w ~ c*cos(a*x) + s*sin(a*x) for each a, and residuals.
+
+    The pseudo-inverse drops a column that vanishes on the grid (the sine or
+    the cosine at a = pi/spacing on a uniform scan) instead of raising.
+    """
+    ax = np.multiply.outer(freqs, x)
+    basis = np.stack([np.cos(ax), np.sin(ax)], axis=-1)
+    coef = np.linalg.pinv(basis) @ w
+    resid = w - np.einsum("kij,kj->ki", basis, coef)
+    return coef, np.einsum("ki,ki->k", resid, resid)
+
+
+def _search_bracket(x: np.ndarray, w: np.ndarray, m: int) -> tuple[float, float]:
+    """(a - step, a + step) around the grid frequency a that explains most of w.
+
+    The grid spans (0, pi*(m - 1)/span] for m distinct powers.  The explained
+    sum of squares, which does not depend on the origin of x, solves the 2x2
+    normal equations in z1 = sum(w*exp(-i*a*x)) and z2 = sum(exp(-2i*a*x)),
+    or uses the longer column alone where their determinant vanishes.  When
+    the powers lie on the even grid of m nodes (to 1e-6 of a gap), both sums
+    are FFTs of the node-binned data, zero-padded to a power of two
+    M >= 2(m - 1), one per residue of the grid index: O(M log M) time and
+    O(M) memory each.  Otherwise they are summed directly, about 2**18 terms
+    at a time: O(n) time per grid frequency.
+    """
+    per, n, lo = PHASE_SCAN_GRID_PER_POINT, len(x), float(x.min())
+    span = float(x.max()) - lo
+    pos = (x - lo) * ((m - 1) / span)
+    node = np.rint(pos).astype(np.intp)
+    if np.all(np.abs(pos - node) <= 1e-6):
+        size = 1 << (2 * m - 3).bit_length()
+        step, n_grid = 2.0 * math.pi * (m - 1) / (per * size * span), per * size // 2
+        binned = np.stack([np.bincount(node, w, m), np.bincount(node, None, m)])
+        half = np.arange(size // 2 + 1)
+
+        def sums(q):
+            mod = np.exp(-2j * math.pi * q / (per * size) * np.arange(m))
+            f1, f2 = np.fft.fft(binned * np.stack([mod, mod * mod]), size)
+            return per * half + q, f1[half], f2[2 * half % size]
+        blocks = map(sums, range(per))
+    else:
+        step, n_grid = math.pi / (per * span), per * (m - 1)
+        rows = max(1, (1 << 18) // n)
+
+        def sums(k0):
+            k = np.arange(k0, min(k0 + rows, n_grid + 1))
+            e = np.exp(-1j * np.multiply.outer(step * k, x))
+            return k, e @ w, (e * e).sum(axis=1)
+        blocks = map(sums, range(1, n_grid + 1, rows))
+    k_best, best = 0, -math.inf
+    for k, z1, z2 in blocks:
+        wc, ws = z1.real, -z1.imag
+        cc, ss, cs = (n + z2.real) / 2.0, (n - z2.real) / 2.0, -z2.imag / 2.0
+        det = cc * ss - cs * cs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.where(det > 1e-12 * n * n,
+                             (ss * wc * wc - 2.0 * cs * wc * ws + cc * ws * ws) / det,
+                             np.where(cc >= ss, wc * wc / cc, ws * ws / ss))
+        i = int(np.argmax(np.where((k >= 1) & (k <= n_grid), score, -math.inf)))
+        if score[i] > best:
+            k_best, best = int(k[i]), float(score[i])
+    return (k_best - 1) * step, min(k_best + 1, n_grid) * step
+
+
 def fit_phase_scan(points) -> PhaseScanFit:
-    """Fit witness-vs-power data with A*cos(a*P + b).
+    """Fit witness-vs-power data with A*cos(a*P + b) by variable projection.
 
     The heater phase is linear in electrical power, so a cosine in power
-    captures the scan; the returned ``power_at_max`` is the fitted-cosine
-    argmax closest to the middle of the scanned range.
+    captures the scan.  On the centred powers x = P - mean(P) the model is
+    c*cos(a*x) + s*sin(a*x), linear in (c, s) for a fixed frequency a, so
+    the fit is a search over a alone (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
+    a grid of spacing pi/(`PHASE_SCAN_GRID_PER_POINT`*span) or finer over
+    (0, pi*(m - 1)/span], then a golden-section refinement of the best grid
+    cell.  m counts the distinct powers, and powers closer than 1e-9*span
+    count as one.  On an evenly spaced scan the band ends at pi/spacing, and
+    higher frequencies alias onto it.  A >= 0, a > 0, b lies in (-pi, pi],
+    and ``power_at_max`` is the fitted-cosine argmax closest to the mean
+    scanned power.
     """
-    from scipy.optimize import curve_fit
-
-    pts = [(float(p), float(w)) for p, w in points]
+    pts = np.array([(float(p), float(w)) for p, w in points])
     if len(pts) < 5:
         raise FitError("need at least 5 scan points")
-    power = np.array([p for p, _ in pts])
-    wit = np.array([w for _, w in pts])
+    if not np.all(np.isfinite(pts)):
+        raise FitError("scan points must be finite")
+    power, wit = pts.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid, span = float(power.mean()), float(np.ptp(power))
+        x = power - mid
+    if not (np.all(np.isfinite(x)) and math.isfinite(span)):
+        raise FitError("scan powers too large to centre")
+    m = 1 + int(np.count_nonzero(np.diff(np.unique(power)) > 1e-9 * span))
+    if m < 3:
+        raise FitError("need at least 3 distinct scan powers")
+    if not math.isfinite(math.pi * m / span):
+        raise FitError("scan powers too close together")
     if np.ptp(wit) < 1e-12:
         raise FitError("degenerate scan: witness does not vary")
 
-    def model(p, amp, a, b):
-        return amp * np.cos(a * p + b)
-
-    span = np.ptp(power)
-    amp0 = max(np.ptp(wit) / 2.0, 1e-6)
-    best = None
-    for periods in (0.5, 1.0, 1.5, 2.0, 3.0):
-        a0 = 2.0 * math.pi * periods / span
-        for b0 in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
-            try:
-                popt, _ = curve_fit(model, power, wit, p0=[amp0, a0, b0], maxfev=5000)
-            except RuntimeError:
-                continue
-            resid = float(np.sum((model(power, *popt) - wit) ** 2))
-            if best is None or resid < best[0] - 1e-15:
-                best = (resid, popt)
-    if best is None:
-        raise FitError("cosine fit did not converge")
-    amp, a, b = best[1]
-    if amp < 0.0:
-        amp, b = -amp, b + math.pi
-    if a < 0.0:
-        a, b = -a, -b
-    mid = float(power.mean())
-    k = round((a * mid + b) / (2.0 * math.pi))
-    p_max = (2.0 * math.pi * k - b) / a
-    return PhaseScanFit(amplitude=float(amp), rad_per_unit=float(a),
-                        phase_offset=float(b), power_at_max=float(p_max))
+    lo, hi = _search_bracket(x, wit, m)
+    while hi - lo > 4.0 * math.ulp(hi):
+        gap = _INV_GOLDEN * (hi - lo)
+        r1, r2 = _projected_fit(x, wit, np.array([hi - gap, lo + gap]))[1]
+        lo, hi = (lo, lo + gap) if r1 <= r2 else (hi - gap, hi)
+    a = (lo + hi) / 2.0
+    c, s = _projected_fit(x, wit, np.array([a]))[0][0]
+    shift = math.atan2(s, c)
+    b = math.remainder(-a * mid - shift, 2.0 * math.pi)
+    if b <= -math.pi:
+        b += 2.0 * math.pi
+    fit = PhaseScanFit(amplitude=math.hypot(c, s), rad_per_unit=a, phase_offset=b,
+                       power_at_max=mid + shift / a)
+    if not all(map(math.isfinite, (fit.amplitude, a, b, fit.power_at_max))):
+        raise FitError("cosine fit is not finite")
+    return fit
 
 
 @dataclass(frozen=True)

@@ -137,17 +137,6 @@ _PROJECTOR_TABLE = {
     PauliLabel.XMZ: (0.0, math.pi / 4),
 }
 
-# +1 eigenstates as (chi, psi) for the same rows.
-PROJECTOR_EIGENSTATE = {
-    PauliLabel.X: (math.pi / 4, 0.0),
-    PauliLabel.MINUS_X: (-math.pi / 4, 0.0),
-    PauliLabel.Y: (math.pi / 4, math.pi / 2),
-    PauliLabel.Z: (0.0, 0.0),
-    PauliLabel.MINUS_Z: (math.pi / 2, 0.0),
-    PauliLabel.XPZ: (math.pi / 8, 0.0),
-    PauliLabel.XMZ: (3 * math.pi / 8, 0.0),
-}
-
 
 def setting_for_projector(label: PauliLabel) -> MziSetting:
     if label not in _PROJECTOR_TABLE:
@@ -381,33 +370,3 @@ def heater_solve(cal: HeaterCalibration, alpha_target: Sequence[float],
     u_alpha = _solve_block(cal.alpha_matrix, base_a, cal.resistances[:8], usable_a)
     u_phi = _solve_block(cal.phi_matrix, base_p, cal.resistances[8:], usable_p)
     return np.sqrt(np.concatenate([u_alpha, u_phi]))
-
-
-def compensate_setting(setting: MziSetting,
-                       pair_efficiencies: tuple[float, float]) -> MziSetting:
-    """Adjust phi so the efficiency-weighted detector balance matches the ideal one.
-
-    The balance is probed the way the hardware is calibrated: classical
-    light into the upper MZI input, whose upper-output fraction is
-    sin^2(phi/2) and is insensitive to alpha.  With unequal detector
-    efficiencies the observed balance is biased; the returned setting
-    restores the original ideal balance exactly.
-    """
-    eta_up, eta_down = (float(e) for e in pair_efficiencies)
-    if not (0.0 < eta_up <= 1.0 and 0.0 < eta_down <= 1.0):
-        raise ValueError("efficiencies must lie in (0, 1]")
-    if eta_up == eta_down:
-        return setting
-    s0 = math.sin(setting.phi / 2.0) ** 2
-    s_adj = s0 * eta_down / (eta_up * (1.0 - s0) + eta_down * s0)
-    phi_adj = 2.0 * math.asin(math.sqrt(min(max(s_adj, 0.0), 1.0)))
-    if setting.phi > math.pi:
-        phi_adj = TWO_PI - phi_adj
-    return MziSetting(alpha=setting.alpha, phi=phi_adj, pauli=None)
-
-
-def upper_click_probability(setting: MziSetting, state2: np.ndarray) -> float:
-    """Probability that a single photon in ``state2`` exits on the upper output."""
-    v = np.asarray(state2, dtype=complex).ravel()
-    out = mzi_block(setting) @ v
-    return float(abs(out[0]) ** 2)

@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, experiments, qss
 from .chip import heater_forward, heater_solve
@@ -41,8 +40,7 @@ def _write_manifest(outdir: Path, command: str, cfg_path: str, cfg: ExperimentCo
         "config": str(cfg_path),
         "seed": cfg.seed,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "versions": {"ghzlab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"ghzlab": __version__, "numpy": np.__version__},
         "results": sorted(str(r.name) for r in results),
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2,

@@ -231,6 +231,13 @@ def parse_config(data: dict) -> ExperimentConfig:
             points=_integer(scan["points"], "phase_scan.points", 5, MAX_COUNT),
             rad_per_mw=_number(scan["rad_per_mw"], "phase_scan.rad_per_mw"),
             offset_rad=_number(scan["offset_rad"], "phase_scan.offset_rad"))
+        ends = (phase_scan.power_min_mw, phase_scan.power_max_mw)
+        _require(math.isfinite(ends[1] - ends[0]),
+                 "phase_scan.power_max_mw - phase_scan.power_min_mw must be finite")
+        _require(all(math.isfinite(phase_scan.rad_per_mw * p + phase_scan.offset_rad)
+                     for p in ends),
+                 "phase_scan.rad_per_mw * power + phase_scan.offset_rad must be "
+                 "finite at phase_scan.power_min_mw and phase_scan.power_max_mw")
         photon = merged["bell_sweep"]["photon"]
         _require(isinstance(photon, str) and photon.upper() in ("A", "B", "C", "D"),
                  f"bell_sweep.photon must be one of A, B, C, D, got {photon!r}")

@@ -18,7 +18,10 @@ L-BFGS-B, where the package solves the fit in closed form.  The secret
 sharing oracle runs the protocol one round at a time: it classifies each
 basis choice, takes its eigenvalue from Born probabilities of the state
 vector and infers the dealer's bit from the parity, where the package looks
-every rule up in tables indexed by the basis and outcome indices.
+every rule up in tables indexed by the basis and outcome indices.  The
+phase-scan oracle runs nonlinear least squares on A*cos(a*P + b) from a
+5 x 8 grid of starts, where the package projects out the linear
+parameters and searches the frequency alone.
 """
 
 import itertools
@@ -27,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import curve_fit, linprog, minimize
 
 from ghzlab.analysis import MeasurementRecord, expectation, tomography_settings
 from ghzlab.errors import SolverError
@@ -329,6 +332,35 @@ def oracle_fit_master_fractions(measured):
             best_f = res.fun
             best_x = res.x
     return MasterFractions(x=tuple(_balance_gauge(best_x))), starts
+
+
+def oracle_fit_phase_scan(points):
+    """(amplitude, rad_per_unit, phase_offset) of the best of 40 ``curve_fit`` runs.
+
+    Raises `RuntimeError` when no start converges.
+    """
+    power = np.array([float(p) for p, _ in points])
+    wit = np.array([float(w) for _, w in points])
+
+    def model(p, amp, a, b):
+        return amp * np.cos(a * p + b)
+
+    span = np.ptp(power)
+    amp0 = max(np.ptp(wit) / 2.0, 1e-6)
+    best = None
+    for periods in (0.5, 1.0, 1.5, 2.0, 3.0):
+        a0 = 2.0 * math.pi * periods / span
+        for b0 in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            try:
+                popt, _ = curve_fit(model, power, wit, p0=[amp0, a0, b0], maxfev=5000)
+            except RuntimeError:
+                continue
+            resid = float(np.sum((model(power, *popt) - wit) ** 2))
+            if best is None or resid < best[0] - 1e-15:
+                best = (resid, popt)
+    if best is None:
+        raise RuntimeError("cosine fit did not converge")
+    return tuple(float(v) for v in best[1])
 
 
 def combo_sign(bases) -> int:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
                              bell_value, expectation, fit_phase_scan,
@@ -10,13 +12,16 @@ from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
                              mle_reconstruct, monte_carlo_error, phase_witness,
                              stabilizer_witness, tomography_settings,
                              _projector_vectors)
+from ghzlab.config import default_config, parse_config
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_record, run_bell,
-                                run_tomography, run_witness, tomography_report)
+                                run_phase_scan, run_tomography, run_witness,
+                                tomography_report)
 from ghzlab.qmath import PauliLabel, fidelity_to_pure, ghz4, purity
 
 from oracles import (born_probabilities, ghz_state, mle_log_likelihood,
-                     oracle_linear_inversion, oracle_projector_vectors)
+                     oracle_fit_phase_scan, oracle_linear_inversion,
+                     oracle_projector_vectors)
 
 SQRT2 = math.sqrt(2)
 
@@ -96,6 +101,124 @@ class TestPhaseScanFit:
     def test_too_few_points(self):
         with pytest.raises(FitError):
             fit_phase_scan([(0, 0.1), (1, 0.2), (2, 0.3)])
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0.1), (0, 0.2), (1, 0.3), (1, 0.1), (0, 0.4)],
+        [(float("nan"), 0.1)] + [(p, 0.1 * p) for p in range(1, 6)],
+        [(p, 0.1 * p) for p in range(5)] + [(5, float("inf"))],
+        [(float("inf"), 0.1)] + [(p, 0.1 * p) for p in range(1, 6)],
+        [(-1e308, 0.1), (-1.5e308, 0.2), (-1.7e308, 0.3), (-1.6e308, 0.1), (-1.4e308, 0.2)],
+        [(-1e308, 0.1), (0.0, 0.2), (1e308, 0.3), (0.0, 0.1), (1e308, 0.2)],
+        [(k * 1e-320, 0.1 * k) for k in range(5)],
+        [(0, 0.1), (1e-12, 0.2), (1, 0.3), (1, 0.1), (0, 0.4)],
+    ], ids=["two-distinct-powers", "nan-power", "inf-witness", "inf-power",
+            "mean-overflows", "span-overflows", "subnormal-span", "near-two-powers"])
+    def test_degenerate_scan_rejected(self, points):
+        with pytest.raises(FitError):
+            fit_phase_scan(points)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_frequency_band_edge(self, n):
+        # At pi/spacing the sine column vanishes on an odd-length uniform scan
+        # and the cosine column on an even-length one; there the residual is
+        # flat to high order in the frequency.
+        points = [(2.0 * k, 0.5 * (-1) ** k) for k in range(n)]
+        fit = fit_phase_scan(points)
+        assert fit.amplitude == pytest.approx(0.5, rel=1e-12)
+        assert fit.rad_per_unit == pytest.approx(math.pi / 2.0, rel=1e-6)
+        assert -math.pi < fit.phase_offset <= math.pi
+        for p, w in points:
+            assert fit.amplitude * math.cos(fit.rad_per_unit * p + fit.phase_offset) == \
+                pytest.approx(w, abs=1e-9)
+
+    def test_near_duplicate_power(self):
+        # The smallest gap does not set the band or the grid spacing.
+        powers = [0.0, 1e-9, 10.0, 20.0, 30.0, 40.0]
+        fit = fit_phase_scan([(p, 0.8 * math.cos(0.1 * p + 0.3)) for p in powers])
+        assert fit.amplitude == pytest.approx(0.8, rel=1e-9)
+        assert fit.rad_per_unit == pytest.approx(0.1, rel=1e-9)
+        assert fit.phase_offset == pytest.approx(0.3, abs=1e-9)
+
+    @pytest.mark.parametrize("n, uneven, limit_mib", [(5000, False, 4.0), (300, True, 16.0)],
+                             ids=["even-5000", "uneven-300"])
+    def test_large_scan_memory(self, n, uneven, limit_mib):
+        """The search holds O(n) values at a time (a fixed block on an uneven scan), not
+        one per grid frequency and point."""
+        rng = np.random.default_rng(3)
+        powers = np.sort(rng.uniform(28.0, 78.0, n)) if uneven else np.linspace(28.0, 78.0, n)
+        wit = 0.56 * np.cos(0.126 * powers - 0.38) + 0.05 * rng.standard_normal(n)
+        points = list(zip(powers.tolist(), wit.tolist()))
+        tracemalloc.start()
+        try:
+            fit = fit_phase_scan(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2 ** 20
+
+        def residual(amp, a, b):
+            return float(np.sum((amp * np.cos(a * powers + b) - wit) ** 2))
+        assert residual(fit.amplitude, fit.rad_per_unit, fit.phase_offset) <= \
+            residual(*oracle_fit_phase_scan(points)) * (1.0 + 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(5, 40), spacing=st.floats(0.1, 10.0),
+           start=st.floats(-100.0, 100.0), amp=st.floats(0.05, 2.0),
+           band_fraction=st.floats(0.01, 0.95), offset=st.floats(-math.pi, math.pi),
+           layout=st.sampled_from(["even", "repeated", "near-repeated", "jittered"]))
+    def test_noise_free_recovery(self, n, spacing, start, amp, band_fraction, offset, layout):
+        # Repeated powers, and powers within 1e-9 of the span of each other,
+        # are binned on the even grid; a jitter of 1e-4 of a gap takes the
+        # scan off that grid, to the direct sums.
+        a = band_fraction * math.pi / spacing
+        rng = np.random.default_rng(n)
+        powers = start + spacing * np.arange(n)
+        if layout != "even":
+            jitter = 1e-4 if layout == "jittered" else 1e-11 if layout == "near-repeated" else 0.0
+            powers = np.repeat(powers, 1 if layout == "jittered" else 2)
+            powers += jitter * spacing * rng.uniform(-1.0, 1.0, len(powers))
+        fit = fit_phase_scan([(p, amp * math.cos(a * p + offset)) for p in powers])
+        assert fit.amplitude == pytest.approx(amp, rel=1e-9)
+        assert fit.rad_per_unit == pytest.approx(a, rel=1e-9)
+        assert math.cos(a * fit.power_at_max + offset) == pytest.approx(1.0, abs=1e-9)
+        assert -math.pi < fit.phase_offset <= math.pi
+
+    @pytest.mark.parametrize("case", (
+        [(ctx, seed) for ctx in ("ideal", "default") for seed in (None, 1, 2, 3, 4, 5)]
+        + [("synthetic", seed) for seed in range(30)]
+        + [("uneven", seed) for seed in range(10)]),
+        ids=lambda case: f"{case[0]}-{'exact' if case[1] is None else case[1]}")
+    def test_residual_not_above_oracle(self, case):
+        """Never a worse least-squares residual than the 40-start ``curve_fit``."""
+        kind, seed = case
+        if kind in ("synthetic", "uneven"):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 40))
+            span = rng.uniform(10.0, 80.0)
+            powers = (np.sort(rng.uniform(0.0, span, n)) if kind == "uneven"
+                      else np.linspace(0.0, span, n)) + rng.uniform(0.0, 60.0)
+            a = 2.0 * math.pi * rng.uniform(0.5, 2.5) / span
+            wit = (rng.uniform(0.2, 1.0) * np.cos(a * powers + rng.uniform(-math.pi, math.pi))
+                   + rng.uniform(0.0, 0.2) * rng.standard_normal(n))
+            points = list(zip(powers, wit))
+        else:
+            cfg = parse_config(default_config())
+            scan = cfg.phase_scan
+            ctx = SimContext.ideal() if kind == "ideal" else cfg.context
+            powers = np.linspace(scan.power_min_mw, scan.power_max_mw, scan.points)
+            points, _ = run_phase_scan(ctx, powers, scan.rad_per_mw, scan.offset_rad,
+                                       shots=None if seed is None else 450, seed=seed)
+        power = np.array([p for p, _ in points])
+        wit = np.array([w for _, w in points])
+
+        def residual(amp, a, b):
+            return float(np.sum((amp * np.cos(a * power + b) - wit) ** 2))
+
+        fit = fit_phase_scan(points)
+        r_new = residual(fit.amplitude, fit.rad_per_unit, fit.phase_offset)
+        r_oracle = residual(*oracle_fit_phase_scan(points))
+        assert r_new <= r_oracle * (1.0 + 1e-9) + 1e-24
+        assert -math.pi < fit.phase_offset <= math.pi
 
 
 class TestStabilizerWitness:

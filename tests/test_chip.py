@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ghzlab.chip import (HeaterCalibration, MziSetting, PreparationStage,
-                         compensate_setting, full_unitary, heater_forward,
-                         heater_solve, measurement_unitary, mzi_block,
-                         preparation_unitary, setting_for_projector,
-                         upper_click_probability, PROJECTOR_EIGENSTATE, _solve_block)
+                         full_unitary, heater_forward, heater_solve,
+                         measurement_unitary, mzi_block, preparation_unitary,
+                         setting_for_projector, _solve_block)
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
 
@@ -15,6 +14,25 @@ from oracles import (assignment_distribution, mzi_reference, oracle_heater_block
                      preparation_matrix_reference)
 
 TWO_PI = 2 * math.pi
+
+# +1 eigenstates cos(chi)|0> + e^{i*psi} sin(chi)|1> as (chi, psi), one per
+# label that has an MZI setting.
+PROJECTOR_EIGENSTATE = {
+    PauliLabel.X: (math.pi / 4, 0.0),
+    PauliLabel.MINUS_X: (-math.pi / 4, 0.0),
+    PauliLabel.Y: (math.pi / 4, math.pi / 2),
+    PauliLabel.Z: (0.0, 0.0),
+    PauliLabel.MINUS_Z: (math.pi / 2, 0.0),
+    PauliLabel.XPZ: (math.pi / 8, 0.0),
+    PauliLabel.XMZ: (3 * math.pi / 8, 0.0),
+}
+
+
+def upper_click_probability(setting: MziSetting, state2: np.ndarray) -> float:
+    """Probability that a single photon in ``state2`` exits on the upper output."""
+    v = np.asarray(state2, dtype=complex).ravel()
+    out = mzi_block(setting) @ v
+    return float(abs(out[0]) ** 2)
 
 
 class TestPreparationUnitary:
@@ -299,45 +317,3 @@ class TestHeaterCalibrationType:
         bad[0, 4] = 60.0
         with pytest.raises(ValueError):
             HeaterCalibration(alpha_matrix=bad)
-
-
-class TestCompensation:
-    def test_equal_efficiencies_unchanged(self):
-        s = setting_for_projector(PauliLabel.X)
-        assert compensate_setting(s, (0.8, 0.8)) == s
-
-    def test_z_setting_unchanged(self):
-        s = setting_for_projector(PauliLabel.Z)
-        out = compensate_setting(s, (0.9, 1.0))
-        assert out.phi == pytest.approx(s.phi, abs=1e-12)
-
-    def test_x_setting_balance_restored(self):
-        s = setting_for_projector(PauliLabel.X)
-        out = compensate_setting(s, (0.9, 1.0))
-        su = math.sin(out.phi / 2) ** 2
-        weighted = 0.9 * su / (0.9 * su + 1.0 * (1 - su))
-        assert weighted == pytest.approx(0.5, abs=1e-6)
-
-    def test_deviation_never_increases(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            s = MziSetting(rng.uniform(0, TWO_PI), rng.uniform(0, TWO_PI))
-            eta = (rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
-            target = math.sin(s.phi / 2) ** 2
-
-            def weighted_balance(setting):
-                su = math.sin(setting.phi / 2) ** 2
-                return eta[0] * su / (eta[0] * su + eta[1] * (1 - su))
-
-            before = abs(weighted_balance(s) - target)
-            after = abs(weighted_balance(compensate_setting(s, eta)) - target)
-            assert after <= before + 1e-12
-
-    def test_branch_preserved(self):
-        s = setting_for_projector(PauliLabel.MINUS_X)  # phi = 3*pi/2
-        out = compensate_setting(s, (0.9, 1.0))
-        assert out.phi > math.pi
-
-    def test_zero_efficiency_rejected(self):
-        with pytest.raises(ValueError):
-            compensate_setting(setting_for_projector(PauliLabel.X), (0.0, 1.0))

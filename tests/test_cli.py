@@ -82,6 +82,7 @@ class TestConfig:
         ("ablation", "detector_pattern", [1.0] * 9),
         ("phase_scan", "points", MAX_COUNT + 1),
         ("qss", "rounds", 2 ** 70),
+        ("phase_scan", "rad_per_mw", 1e307),
     ])
     def test_command_blocks_validated(self, block, key, value):
         cfg = default_config()
@@ -366,11 +367,12 @@ class TestDeterminismAndExitCodes:
         ("ablation", {"ablation": {"detector_pattern": [1, 2]}}),
         ("phase-scan", {"phase_scan": {"points": 2 ** 70}}),
         ("qss", {"qss": {"rounds": 2 ** 70}}),
+        ("phase-scan", {"phase_scan": {"power_min_mw": -1e308, "power_max_mw": 1e308}}),
     ], ids=["tomography-resamples", "qss-rounds", "bell-sweep-photon",
             "simulate-label", "phase-scan-points", "phase-scan-rad-per-mw",
             "qss-public-fraction-high", "qss-public-fraction-negative",
             "bell-sweep-scales", "ablation-detector-pattern",
-            "phase-scan-points-huge", "qss-rounds-huge"])
+            "phase-scan-points-huge", "qss-rounds-huge", "phase-scan-span-overflow"])
     def test_bad_command_block_exit_2(self, ideal_config, tmp_path, capsys,
                                       command, update):
         cfg = json.loads(ideal_config.read_text())
@@ -399,8 +401,11 @@ class TestDeterminismAndExitCodes:
         ("bell", {"detectors": {"efficiencies": [1e-4] * 8}}),
         ("simulate", {"detectors": {"efficiencies": [1e-4] * 8}}),
         ("tomography", {"exact_probabilities": False, "shots_per_setting": 1}),
+        ("phase-scan", {"phase_scan": {"power_min_mw": 28.0, "power_max_mw": 28.0},
+                        "exact_probabilities": False}),
     ], ids=["qss-nothing-sifted", "no-post-selected-mass", "shots-overflow",
-            "bell-cancellation", "simulate-cancellation", "tomography-one-shot"])
+            "bell-cancellation", "simulate-cancellation", "tomography-one-shot",
+            "phase-scan-one-power"])
     def test_degenerate_run_exit_3(self, ideal_config, tmp_path, capsys, command, update):
         cfg = json.loads(ideal_config.read_text())
         for key, value in update.items():
@@ -423,19 +428,30 @@ def test_context_only_commands_never_enumerate(tmp_path, enumeration_calls):
     assert enumeration_calls == []
 
 
-def test_pipeline_commands_never_import_scipy_optimize(tmp_path):
-    """Only the phase scan's cosine fit needs ``scipy.optimize``."""
+def test_commands_run_without_scipy(tmp_path):
+    """Every command runs with ``import scipy`` failing; numpy is the only dependency."""
     script = """
-import sys
-from ghzlab.cli import main
-from ghzlab.config import load_config
+import importlib.abc, json, sys
+from pathlib import Path
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from ghzlab.cli import COMMANDS, main
 out = sys.argv[1]
 config = out + "/config.json"
 assert main(["config-init", "--out", config]) == 0
-load_config(config)
-for command in ("bell", "witness", "qss", "calibrate", "rate"):
-    assert main([command, "--config", config, "--out", out + "/" + command]) == 0
-sys.exit("scipy.optimize imported" if "scipy.optimize" in sys.modules else 0)
+cfg = json.loads(Path(config).read_text())
+cfg["tomography"]["resamples"] = 2
+Path(config).write_text(json.dumps(cfg))
+for command in COMMANDS:
+    assert main([command, "--config", config, "--out", out + "/" + command]) == 0, command
+    versions = json.loads(Path(out, command, "manifest.json").read_text())["versions"]
+    assert sorted(versions) == ["ghzlab", "numpy"], versions
 """
     src = str(Path(ghzlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
