@@ -11,7 +11,6 @@ their definitions need them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -322,8 +321,9 @@ class TomographySet:
     """Outcome counts of the 81-setting design, one row per setting.
 
     ``counts`` is a read-only float array of shape (81, 16) whose row s holds
-    the 16 outcome counts of the s-th setting of `tomography_settings`, the
-    column order of `_projector_vectors`.
+    the 16 outcome counts of the s-th setting of `tomography_settings`.  Party
+    i's frame row at (s, o) is 2*l + ((o >> (3 - i)) & 1), l the index of its
+    label in `TOMOGRAPHY_BASES`: the (label, bit) row order of `_FRAME`.
     """
 
     counts: np.ndarray
@@ -362,11 +362,39 @@ _EIG_BASIS = {
     PauliLabel.Z: np.eye(2, dtype=complex),
 }
 
-# Per-party dual frame: row 2*l + b is |e_b><e_b| - I/3 for the l-th
-# tomography label, flattened row-major (6 x 4).
-_DUAL_FRAME = np.array([(np.outer(_EIG_BASIS[lab][:, b], _EIG_BASIS[lab][:, b].conj())
-                         - np.eye(2) / 3.0).ravel()
-                        for lab in TOMOGRAPHY_BASES for b in (0, 1)])
+# Per-party projector frame: row 2*l + b is |e_b><e_b| for the l-th
+# tomography label, flattened row-major (6 x 4); each projector of the design
+# is a product of four rows, one per party.  The dual frame subtracts I/3.
+_FRAME = np.array([np.outer(_EIG_BASIS[lab][:, b], _EIG_BASIS[lab][:, b].conj()).ravel()
+                   for lab in TOMOGRAPHY_BASES for b in (0, 1)])
+_DUAL_FRAME = _FRAME - np.eye(2).ravel() / 3.0
+
+
+def _frame_sum(weights: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The 16 x 16 operator sum_k w_k (x)_i frame[(label, bit) of party i in k].
+
+    ``weights`` is an (81, 16) array in design order.  It is reshaped to a
+    (6, 6, 6, 6) tensor indexed by (label, bit) per party and contracted
+    once per party with the 6 x 4 frame.
+    """
+    t = weights.reshape((3,) * 4 + (2,) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7)
+    t = t.reshape((6,) * 4)
+    for _ in range(4):
+        t = np.tensordot(t, frame, axes=([0], [0]))
+    return t.reshape((2,) * 8).transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(16, 16)
+
+
+def _frame_adjoint(rho: np.ndarray) -> np.ndarray:
+    """The (81, 16) array Tr(Pi_k rho) of the design's projectors, the adjoint
+    of `_frame_sum` with `_FRAME`: rho per party's (row, column) pair,
+    contracted once per party with the conjugate frame.  ``rho`` must be
+    Hermitian; the real part is returned.
+    """
+    t = rho.reshape((2,) * 8).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((4,) * 4)
+    for _ in range(4):
+        t = np.tensordot(t, _FRAME.conj(), axes=([0], [1]))
+    t = t.real.reshape((3, 2) * 4).transpose(0, 2, 4, 6, 1, 3, 5, 7)
+    return t.reshape(81, 16)
 
 
 def linear_inversion(ts: TomographySet) -> np.ndarray:
@@ -390,32 +418,7 @@ def linear_inversion(ts: TomographySet) -> np.ndarray:
         setting = tomography_settings()[empty[0]]
         raise FitError(f"tomography setting {''.join(s.token for s in setting)} "
                        "has no events")
-    p = (ts.counts / totals[:, None]).reshape((3,) * 4 + (2,) * 4)
-    t = p.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((6,) * 4)
-    for _ in range(4):
-        t = np.tensordot(t, _DUAL_FRAME, axes=([0], [0]))
-    return t.reshape((2,) * 8).transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(16, 16)
-
-
-@functools.cache
-def _projector_vectors() -> np.ndarray:
-    """Projector kets of the 81-setting design as a read-only 16 x 1296 matrix.
-
-    Column 16*s + o is the ket of outcome o at the s-th setting of
-    `tomography_settings`: the kron of the four parties' eigenbases gives a
-    setting's 16 kets at once.  The design never changes, so the matrix is
-    built once; the counts of a `TomographySet`, raveled, are in the same
-    order.
-    """
-    blocks = []
-    for setting in tomography_settings():
-        block = np.ones((1, 1), dtype=complex)
-        for lab in setting:
-            block = np.kron(block, _EIG_BASIS[lab])
-        blocks.append(block)
-    v = np.concatenate(blocks, axis=1)
-    v.flags.writeable = False
-    return v
+    return _frame_sum(ts.counts / totals[:, None], _DUAL_FRAME)
 
 
 @dataclass
@@ -429,9 +432,11 @@ class MleResult:
 
 def _log_likelihood(counts: np.ndarray, q: np.ndarray, s: float, n_total: float) -> float:
     """Likelihood over outcomes with counts > 0 only; -inf if any has q <= 0."""
+    observed = counts > 0.0
+    q = q[observed]
     if np.any(q <= 0.0):
         return -np.inf
-    return float(counts @ np.log(q)) - n_total * math.log(s)
+    return float(counts[observed] @ np.log(q)) - n_total * math.log(s)
 
 
 def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
@@ -443,23 +448,20 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
     The multinomial log-likelihood is maximized by gradient ascent with a
     backtracking line search; the gradient with respect to conj(T) is
 
-        sum_k (n_k / q_k) v_k (v_k^dag T)  -  (N / S) T,
+        sum_k (n_k / q_k) Pi_k T  -  (N / S) T,
 
-    masked to the lower triangle, where q_k = |T^dag v_k|^2 are
+    masked to the lower triangle, where q_k = Tr(Pi_k T T^dag) are
     unnormalized outcome weights and S = Tr(T T^dag).  Outcomes with
-    n_k = 0 add nothing to either the likelihood or the gradient, so both
-    run on the columns of the fixed design `_projector_vectors` with
-    n_k > 0.  Iteration stops when the relative likelihood gain drops
-    below ``rel_tol``.  ``gradient_residual`` is the stationarity residual
-    |grad|_F / |(N / S) T|_F at the returned T.
+    n_k = 0 add nothing to either the likelihood or the gradient.  The q_k
+    and the operator sum both come from the per-party frame, by
+    `_frame_adjoint` and `_frame_sum`.  Iteration stops when the relative
+    likelihood gain drops below ``rel_tol``.  ``gradient_residual`` is the
+    stationarity residual |grad|_F / |(N / S) T|_F at the returned T.
     """
-    counts = ts.counts.ravel()
+    counts = ts.counts
     n_total = counts.sum()
     if n_total <= 0.0:
         raise ValueError("tomography set has no counts")
-    active = counts > 0.0
-    v = _projector_vectors()[:, active]
-    counts = counts[active]
 
     rho0 = project_to_physical(linear_inversion(ts))
     w, vec = np.linalg.eigh(rho0)
@@ -469,23 +471,20 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
     t = np.linalg.cholesky(rho0)
 
     def stats(tmat):
-        wv = tmat.conj().T @ v
-        q = np.einsum("ij,ij->j", wv.conj(), wv).real
-        s = float(np.einsum("ij,ij->", tmat.conj(), tmat).real)
-        return wv, q, s
+        unnormalized = tmat @ tmat.conj().T
+        return _frame_adjoint(unnormalized), float(np.trace(unnormalized).real)
 
-    def gradient(tmat, wv, q, s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(q > 0.0, counts / q, 0.0)
-        return np.tril((v * ratio[None, :]) @ wv.conj().T - (n_total / s) * tmat)
+    def gradient(tmat, q, s):
+        ratio = np.divide(counts, q, out=np.zeros_like(q), where=q > 0.0)
+        return np.tril(_frame_sum(ratio, _FRAME) @ tmat - (n_total / s) * tmat)
 
-    wv, q, s = stats(t)
+    q, s = stats(t)
     ll = _log_likelihood(counts, q, s, n_total)
     step = 1.0
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        grad = gradient(t, wv, q, s)
+        grad = gradient(t, q, s)
         gnorm = np.linalg.norm(grad)
         if gnorm == 0.0:
             converged = True
@@ -494,7 +493,7 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
         improved = False
         for _ in range(60):
             t_new = t + step * scale * grad
-            wv_new, q_new, s_new = stats(t_new)
+            q_new, s_new = stats(t_new)
             ll_new = _log_likelihood(counts, q_new, s_new, n_total)
             if ll_new > ll:
                 improved = True
@@ -504,12 +503,12 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
             converged = True
             break
         gain = ll_new - ll
-        t, wv, q, s, ll = t_new, wv_new, q_new, s_new, ll_new
+        t, q, s, ll = t_new, q_new, s_new, ll_new
         step = min(step * 1.3, 16.0)
         if gain <= rel_tol * abs(ll):
             converged = True
             break
-    residual = float(np.linalg.norm(gradient(t, wv, q, s))
+    residual = float(np.linalg.norm(gradient(t, q, s))
                      / np.linalg.norm((n_total / s) * t))
     rho = t @ t.conj().T
     rho /= np.trace(rho).real

@@ -264,7 +264,8 @@ def main(argv=None) -> int:
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        results = COMMANDS[args.command](cfg, outdir)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            results = COMMANDS[args.command](cfg, outdir)
     except (SolverError, FitError, FloatingPointError, OverflowError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

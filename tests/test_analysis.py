@@ -11,7 +11,7 @@ from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
                              linear_inversion, max_fidelity_over_phase,
                              mle_reconstruct, monte_carlo_error, phase_witness,
                              stabilizer_witness, tomography_settings,
-                             _projector_vectors)
+                             _FRAME, _frame_adjoint, _frame_sum, _log_likelihood)
 from ghzlab.config import default_config, parse_config
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_record, run_bell,
@@ -365,18 +365,24 @@ class TestTomographySetSerialization:
 
 
 class TestTomographyDesign:
-    def test_kets_equal_oracle_bit_for_bit(self, ideal_ctx):
-        ts = run_tomography(ideal_ctx, shots=50, seed=1)
-        v, counts = oracle_projector_vectors(ts)
-        assert np.array_equal(_projector_vectors(), v)
-        assert np.array_equal(ts.counts.ravel(), counts)
+    """The per-party frame helpers against the design's kets, built outcome by outcome."""
 
-    def test_cached_kets_are_read_only(self):
-        v = _projector_vectors()
-        assert v is _projector_vectors()
-        assert v.shape == (16, 1296)
-        with pytest.raises(ValueError):
-            v[0, 0] = 0.0
+    def test_adjoint_matches_oracle_kets(self):
+        v, _ = oracle_projector_vectors(TomographySet(np.ones((81, 16))))
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+            rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            expected = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
+            assert np.max(np.abs(_frame_adjoint(rho).ravel() - expected)) <= 1e-14
+
+    def test_frame_sum_matches_oracle_kets(self):
+        v, _ = oracle_projector_vectors(TomographySet(np.ones((81, 16))))
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            w = rng.uniform(0.0, 1.0, (81, 16))
+            expected = (v * w.ravel()) @ v.conj().T
+            assert np.max(np.abs(_frame_sum(w, _FRAME) - expected)) <= 1e-13
 
 
 class TestLinearInversion:
@@ -440,22 +446,19 @@ class TestMle:
 
     def test_analytic_gradient_matches_finite_difference(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=100, seed=9)
-        v, counts = _projector_vectors(), ts.counts.ravel()
+        counts, n_total = ts.counts, ts.counts.sum()
         rng = np.random.default_rng(2)
         t = np.tril(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
         t += 4 * np.eye(16)
 
         def loglik(tmat):
-            wv = tmat.conj().T @ v
-            q = np.einsum("ij,ij->j", wv.conj(), wv).real
-            s = float(np.einsum("ij,ij->", tmat.conj(), tmat).real)
-            return float(counts @ np.log(q)) - counts.sum() * math.log(s)
+            unnormalized = tmat @ tmat.conj().T
+            return _log_likelihood(counts, _frame_adjoint(unnormalized),
+                                   np.trace(unnormalized).real, n_total)
 
-        wv = t.conj().T @ v
-        q = np.einsum("ij,ij->j", wv.conj(), wv).real
-        s = float(np.einsum("ij,ij->", t.conj(), t).real)
-        grad = (v * (counts / q)[None, :]) @ wv.conj().T - (counts.sum() / s) * t
-        grad = np.tril(grad)
+        s = np.trace(t @ t.conj().T).real
+        ratio = counts / _frame_adjoint(t @ t.conj().T)
+        grad = np.tril(_frame_sum(ratio, _FRAME) @ t - (n_total / s) * t)
 
         eps = 1e-7
         rng2 = np.random.default_rng(3)
@@ -471,6 +474,18 @@ class TestMle:
                 # conj moves along +1, for imaginary along -1j
                 analytic = 2 * (grad[i, j].real if part == "re" else grad[i, j].imag)
                 assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-4)
+
+    def test_one_fit_allocates_little(self, ideal_ctx):
+        """The design is never expanded: one fit peaks below 256 KiB of temporaries."""
+        ts = run_tomography(ideal_ctx, shots=450, seed=1013818839)
+        mle_reconstruct(ts)
+        tracemalloc.start()
+        try:
+            mle_reconstruct(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2 ** 10
 
     def test_iteration_cap_reports_nonconvergence(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=300, seed=4)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -403,9 +404,11 @@ class TestDeterminismAndExitCodes:
         ("tomography", {"exact_probabilities": False, "shots_per_setting": 1}),
         ("phase-scan", {"phase_scan": {"power_min_mw": 28.0, "power_max_mw": 28.0},
                         "exact_probabilities": False}),
+        ("phase-scan", {"phase_scan": {"power_min_mw": 28.0,
+                                       "power_max_mw": 1.7976931348623157e308}}),
     ], ids=["qss-nothing-sifted", "no-post-selected-mass", "shots-overflow",
             "bell-cancellation", "simulate-cancellation", "tomography-one-shot",
-            "phase-scan-one-power"])
+            "phase-scan-one-power", "phase-scan-linspace-overflow"])
     def test_degenerate_run_exit_3(self, ideal_config, tmp_path, capsys, command, update):
         cfg = json.loads(ideal_config.read_text())
         for key, value in update.items():
@@ -414,9 +417,14 @@ class TestDeterminismAndExitCodes:
             else:
                 cfg[key] = value
         ideal_config.write_text(dump_config(cfg))
-        assert main([command, "--config", str(ideal_config),
-                     "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(ideal_config),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert len(err.splitlines()) == 1
 
 
 def test_context_only_commands_never_enumerate(tmp_path, enumeration_calls):
