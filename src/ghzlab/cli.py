@@ -77,6 +77,11 @@ def cmd_phase_scan(cfg: ExperimentConfig, outdir: Path) -> list:
     return [csv_path, json_path]
 
 
+def _entry_text(v: float) -> str:
+    """``v`` to four decimals, with a negative zero printed as 0.0000."""
+    return f"{v:8.4f}".replace("-0.0000", " 0.0000")
+
+
 def _density_matrix_text(rho: np.ndarray) -> str:
     lines = []
     for part, mat in (("real", rho.real), ("imag", rho.imag)):
@@ -84,7 +89,7 @@ def _density_matrix_text(rho: np.ndarray) -> str:
                      f"{OUTCOME_LABELS[-1]}")
         lines.append("      " + " ".join(f"{lab:>8}" for lab in OUTCOME_LABELS))
         for lab, row in zip(OUTCOME_LABELS, mat):
-            lines.append(f"{lab}  " + " ".join(f"{v:8.4f}" for v in row))
+            lines.append(f"{lab}  " + " ".join(map(_entry_text, row)))
         lines.append("")
     return "\n".join(lines)
 
@@ -111,7 +116,7 @@ def cmd_tomography(cfg: ExperimentConfig, outdir: Path) -> list:
         "fidelity_at_theta_star": report.fidelity_at_theta_star,
         "mle_iterations": report.mle_iterations,
         "mle_converged": report.mle_converged,
-        "mle_gradient_residual": report.mle_gradient_residual,
+        "mle_certificate": report.mle_certificate,
     })
     return [counts_path, rho_path, text_path, report_path]
 

@@ -186,23 +186,30 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(r @ r).real)
 
 
-def project_to_physical(h: np.ndarray, herm_tol: float = 1e-8) -> np.ndarray:
-    """Density matrix from a Hermitian estimate by clamping its spectrum.
+def project_to_physical(h: np.ndarray, herm_tol: float = 1e-8,
+                        min_eigenvalue: float = 0.0) -> np.ndarray:
+    """The Frobenius-nearest density matrix to a Hermitian matrix.
 
-    Eigendecomposes, clamps negative eigenvalues to zero and renormalizes
-    the trace to one.  Raises if nothing positive survives the clamp.  This
-    is not the Frobenius-nearest density matrix, which projects the
-    eigenvalues onto the probability simplex instead (Smolin, Gambetta and
-    Smith, PRL 108, 070502, 2012).
+    Keeps the eigenvectors and projects the eigenvalues onto the probability
+    simplex (Smolin, Gambetta and Smith, PRL 108, 070502, 2012): each is
+    shifted by one common amount and clamped at zero, the shift chosen so
+    the trace is one.  With ``min_eigenvalue`` > 0 the eigenvalues are
+    projected onto the simplex shifted by that floor instead, which gives
+    the nearest density matrix with no eigenvalue below it.  Any Hermitian
+    input has a projection.
     """
     a = check_square(h)
-    if np.linalg.norm(a - a.conj().T) > herm_tol:
-        raise ValueError("input is not Hermitian")
-    a = (a + a.conj().T) / 2.0
-    w, v = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    tr = float(w.sum())
-    if tr <= 1e-14:
-        raise ValueError("degenerate input: no positive weight after clamping")
-    w /= tr
+    if not np.all(np.isfinite(a)) or np.linalg.norm(a - a.conj().T) > herm_tol:
+        raise ValueError("input is not a finite Hermitian matrix")
+    n = a.shape[0]
+    if not 0.0 <= min_eigenvalue * n < 1.0:
+        raise ValueError(f"eigenvalue floor {min_eigenvalue} leaves no trace to share")
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    # u: floor-shifted eigenvalues, largest first.  The shift is
+    # excess[k] / (k + 1) for the largest k whose u[k] stays positive under
+    # its own shift excess[k] / (k + 1), i.e. (k + 1) * u[k] > excess[k].
+    u = w[::-1] - min_eigenvalue
+    excess = np.cumsum(u) - (1.0 - n * min_eigenvalue)
+    k = np.flatnonzero(u * np.arange(1, n + 1) > excess)[-1]
+    w = np.maximum(w - min_eigenvalue - excess[k] / (k + 1), 0.0) + min_eigenvalue
     return (v * w) @ v.conj().T

@@ -11,16 +11,20 @@ from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
                              linear_inversion, max_fidelity_over_phase,
                              mle_reconstruct, monte_carlo_error, phase_witness,
                              stabilizer_witness, tomography_settings,
-                             _FRAME, _frame_adjoint, _frame_sum, _log_likelihood)
+                             MLE_CERTIFICATE_TOL, MLE_START_FLOOR, _FRAME,
+                             _frame_adjoint, _frame_sum, _likelihood_terms)
 from ghzlab.config import default_config, parse_config
+from ghzlab import experiments
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_record, run_bell,
                                 run_phase_scan, run_tomography, run_witness,
                                 tomography_report)
-from ghzlab.qmath import PauliLabel, fidelity_to_pure, ghz4, purity
+from ghzlab.qmath import (PauliLabel, fidelity_to_pure, ghz4, project_to_physical,
+                          purity)
 
 from oracles import (born_probabilities, ghz_state, mle_log_likelihood,
                      oracle_fit_phase_scan, oracle_linear_inversion,
+                     oracle_mle_certificate, oracle_mle_cholesky,
                      oracle_projector_vectors)
 
 SQRT2 = math.sqrt(2)
@@ -435,45 +439,29 @@ class TestMle:
 
     def test_likelihood_not_below_initializer(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=200, seed=3)
-        from ghzlab.qmath import project_to_physical
-        rho_init = project_to_physical(linear_inversion(ts))
-        w, v = np.linalg.eigh(rho_init)
-        w = np.clip(w, 1e-8, None)
-        w /= w.sum()
-        rho_init = (v * w) @ v.conj().T
+        rho_init = project_to_physical(linear_inversion(ts),
+                                       min_eigenvalue=MLE_START_FLOOR)
         res = mle_reconstruct(ts)
         assert res.log_likelihood >= mle_log_likelihood(ts, rho_init) - 1e-6
 
     def test_analytic_gradient_matches_finite_difference(self, ideal_ctx):
+        """d/de ln L(rho + e*D) = N Tr(R(rho) D) for Hermitian D."""
         ts = run_tomography(ideal_ctx, shots=100, seed=9)
-        counts, n_total = ts.counts, ts.counts.sum()
+        n_total = ts.counts.sum()
         rng = np.random.default_rng(2)
-        t = np.tril(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
-        t += 4 * np.eye(16)
-
-        def loglik(tmat):
-            unnormalized = tmat @ tmat.conj().T
-            return _log_likelihood(counts, _frame_adjoint(unnormalized),
-                                   np.trace(unnormalized).real, n_total)
-
-        s = np.trace(t @ t.conj().T).real
-        ratio = counts / _frame_adjoint(t @ t.conj().T)
-        grad = np.tril(_frame_sum(ratio, _FRAME) @ t - (n_total / s) * t)
-
-        eps = 1e-7
-        rng2 = np.random.default_rng(3)
-        for _ in range(6):
-            i, j = rng2.integers(0, 16, 2)
-            if i < j:
-                i, j = j, i
-            for direction, part in ((1.0, "re"), (1j, "im")):
-                dt = np.zeros((16, 16), dtype=complex)
-                dt[i, j] = direction * eps
-                fd = (loglik(t + dt) - loglik(t - dt)) / (2 * eps)
-                # d/dx f = 2*Re(grad * d(conj T)/dx): for real perturbation
-                # conj moves along +1, for imaginary along -1j
-                analytic = 2 * (grad[i, j].real if part == "re" else grad[i, j].imag)
-                assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-4)
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        rho = a @ a.conj().T + 4.0 * np.eye(16)
+        rho /= np.trace(rho).real
+        _, ratio = _likelihood_terms(ts.counts, rho)
+        r = _frame_sum(ratio / n_total, _FRAME)
+        eps = 1e-6
+        for _ in range(4):
+            d = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+            d = (d + d.conj().T) / 2.0
+            d /= np.linalg.norm(d)
+            fd = (mle_log_likelihood(ts, rho + eps * d)
+                  - mle_log_likelihood(ts, rho - eps * d)) / (2 * eps)
+            assert fd == pytest.approx(n_total * np.vdot(r, d).real, rel=1e-6)
 
     def test_one_fit_allocates_little(self, ideal_ctx):
         """The design is never expanded: one fit peaks below 256 KiB of temporaries."""
@@ -493,16 +481,76 @@ class TestMle:
         assert res.iterations == 2
         assert not res.converged
 
-    def test_gradient_residual_small_at_convergence(self, ideal_ctx):
+    def test_certificate_small_at_convergence(self, ideal_ctx):
         res = mle_reconstruct(run_tomography(ideal_ctx, effective_counts=1e6))
         assert res.converged
-        assert 0.0 <= res.gradient_residual < 1e-4
+        assert -1e-12 <= res.certificate <= MLE_CERTIFICATE_TOL
 
-    def test_gradient_residual_larger_when_capped(self, ideal_ctx):
+    def test_certificate_larger_when_capped(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=300, seed=4)
         capped = mle_reconstruct(ts, max_iterations=2)
         full = mle_reconstruct(ts)
-        assert capped.gradient_residual > 10.0 * full.gradient_residual
+        assert capped.certificate > 10.0 * full.certificate
+        assert capped.certificate > MLE_CERTIFICATE_TOL
+
+    def test_start_point_used(self, ideal_ctx):
+        ts = run_tomography(ideal_ctx, shots=300, seed=4)
+        central = mle_reconstruct(ts)
+        warm = mle_reconstruct(ts, start=central.rho)
+        assert warm.iterations == 0
+        assert np.array_equal(warm.rho, central.rho)
+        with pytest.raises(ValueError, match="zero probability"):
+            mle_reconstruct(ts, start=np.diag(np.eye(16)[0]).astype(complex))
+
+
+def _config_init_tomography(shots=None, seed=None):
+    cfg = parse_config(default_config())
+    return run_tomography(cfg.context, shots=shots, seed=seed,
+                          effective_counts=cfg.shots_per_setting)
+
+
+# The datasets checked against the Cholesky oracle, built on demand.
+_MLE_DATASETS = {
+    "ideal-450": lambda: run_tomography(SimContext.ideal(), shots=450, seed=3),
+    "config-init-exact": _config_init_tomography,
+    "config-init-450": lambda: _config_init_tomography(shots=450, seed=20220901),
+    "ideal-10": lambda: run_tomography(SimContext.ideal(), shots=10, seed=10),
+}
+
+
+@pytest.mark.parametrize("name", list(_MLE_DATASETS))
+def test_mle_meets_certificate_and_beats_cholesky_oracle(name):
+    """The certificate, recomputed over the oracle kets, is met; the fit is at
+    least as likely as the Cholesky ascent's; a rerun gives the same bytes."""
+    ts = _MLE_DATASETS[name]()
+    res = mle_reconstruct(ts)
+    assert res.converged
+    assert oracle_mle_certificate(ts, res.rho) <= MLE_CERTIFICATE_TOL
+    oracle = oracle_mle_cholesky(ts)
+    assert mle_log_likelihood(ts, res.rho) >= mle_log_likelihood(ts, oracle.rho)
+    again = mle_reconstruct(ts)
+    assert again.rho.tobytes() == res.rho.tobytes()
+    assert (again.log_likelihood, again.iterations, again.certificate) == \
+        (res.log_likelihood, res.iterations, res.certificate)
+
+
+def test_resample_that_empties_a_setting_still_fits(monkeypatch):
+    """Ideal source, 10 shots per setting, seed 10: a Poisson resample empties
+    a setting, and every resample's warm-started fit still converges."""
+    ts = run_tomography(SimContext.ideal(), shots=10, seed=10)
+    fits, emptied = [], []
+
+    def recorded(t, **kwargs):
+        emptied.append(bool(np.any(t.counts.sum(axis=1) == 0.0)))
+        fits.append(mle_reconstruct(t, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(experiments, "mle_reconstruct", recorded)
+    report, _ = tomography_report(ts, n_resamples=25, seed=11)
+    assert len(fits) == 26 and any(emptied)
+    assert all(fit.converged for fit in fits)
+    assert report.mle_converged
+    assert 0.0 < report.fidelity_error < 0.1 and 0.0 < report.purity_error < 0.1
 
 
 class TestMonteCarloError:
@@ -559,10 +607,13 @@ class TestMonteCarloError:
 
     def test_report_errors_match_two_pass_computation(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=450, seed=3)
-        report, _ = tomography_report(ts, n_resamples=3, seed=11)
+        report, mle = tomography_report(ts, n_resamples=3, seed=11)
+        start = 0.98 * mle.rho + 0.02 * np.eye(16) / 16
         fid = monte_carlo_error(
-            ts, lambda t: fidelity_to_pure(mle_reconstruct(t).rho, ghz4()), 3, 11)
-        pur = monte_carlo_error(ts, lambda t: purity(mle_reconstruct(t).rho), 3, 11)
+            ts, lambda t: fidelity_to_pure(mle_reconstruct(t, start=start).rho, ghz4()),
+            3, 11)
+        pur = monte_carlo_error(
+            ts, lambda t: purity(mle_reconstruct(t, start=start).rho), 3, 11)
         assert report.fidelity_error == fid
         assert report.purity_error == pur
 
@@ -586,3 +637,8 @@ class TestMaxFidelityOverPhase:
         theta, f = max_fidelity_over_phase(np.outer(v, v.conj()))
         assert theta == pytest.approx(0.0, abs=1e-12)
         assert f == pytest.approx(1.0, abs=1e-12)
+
+    def test_real_coherence_gives_positive_zero(self):
+        v = ghz4()
+        theta, _ = max_fidelity_over_phase(np.outer(v, v.conj()))
+        assert math.copysign(1.0, theta) == 1.0 and theta == 0.0

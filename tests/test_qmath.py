@@ -4,7 +4,7 @@ import pytest
 from ghzlab.qmath import (PauliLabel, fidelity_to_pure, ghz4, pauli_operator,
                           permanent, project_to_physical, purity)
 
-from oracles import ghz_state, permanent_by_permutations
+from oracles import ghz_state, oracle_clamp_projection, permanent_by_permutations
 
 
 class TestPermanent:
@@ -122,6 +122,35 @@ class TestProjectToPhysical:
         out = project_to_physical(np.diag([1.5, -0.5]))
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
 
+    def test_eigenvalues_shift_before_clamp(self):
+        # simplex projection of (0.7, 0.5, -0.2): shift by 0.1, clamp the last
+        out = project_to_physical(np.diag([0.7, 0.5, -0.2]))
+        assert np.allclose(out, np.diag([0.6, 0.4, 0.0]), atol=1e-14)
+
+    def test_no_farther_than_the_clamp(self):
+        """The simplex projection is the Frobenius-nearest density matrix, so it
+        is never farther from the input than clamping and renormalizing."""
+        rng = np.random.default_rng(11)
+        for scale in (0.02, 0.1, 0.5):
+            for _ in range(20):
+                a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+                h = np.eye(16) / 16 + scale * (a + a.conj().T) / 8
+                h -= np.eye(16) * (np.trace(h).real - 1.0) / 16
+                out = project_to_physical(h)
+                assert np.linalg.eigvalsh(out).min() >= -1e-15
+                assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+                assert (np.linalg.norm(out - h)
+                        <= np.linalg.norm(oracle_clamp_projection(h) - h) + 1e-14)
+
+    def test_eigenvalue_floor(self):
+        v = ghz_state()
+        out = project_to_physical(np.outer(v, v.conj()), min_eigenvalue=1e-8)
+        w = np.linalg.eigvalsh(out)
+        assert w.min() == pytest.approx(1e-8, rel=1e-6)
+        assert w.max() == pytest.approx(1.0 - 15e-8, abs=1e-14)
+        with pytest.raises(ValueError):
+            project_to_physical(np.eye(4) / 4, min_eigenvalue=0.25)
+
     def test_small_perturbation_stays_close(self):
         rng = np.random.default_rng(3)
         v = ghz_state()
@@ -143,6 +172,13 @@ class TestProjectToPhysical:
         assert np.max(np.abs(once - twice)) < 1e-12
         assert np.trace(once).real == pytest.approx(1.0)
 
-    def test_degenerate_input_rejected(self):
-        with pytest.raises(ValueError):
-            project_to_physical(-np.eye(4))
+    def test_negative_input_gives_maximally_mixed(self):
+        out = project_to_physical(-np.eye(4))
+        assert np.allclose(out, np.eye(4) / 4, atol=1e-15)
+
+    @pytest.mark.parametrize("h", [[[0.5, 1.0], [0.0, 0.5]], [[np.nan, 0.0], [0.0, 1.0]],
+                                   [[np.inf, 0.0], [0.0, 1.0]]],
+                             ids=["non-hermitian", "nan", "inf"])
+    def test_invalid_input_rejected(self, h):
+        with pytest.raises(ValueError, match="not a finite Hermitian matrix"):
+            project_to_physical(np.array(h))
