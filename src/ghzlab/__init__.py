@@ -15,9 +15,9 @@ from .simulator import (DetectorModel, LossBudget, OutcomeDistribution,
 from .source import (EmissionProbabilities, JointInputTerm, MasterFractions,
                      SourceSpec, enumerate_joint_inputs, fit_master_fractions,
                      input_mixture, solve_pair_probabilities)
-from .analysis import (BellResult, MeasurementRecord, TomographySet,
-                       WitnessResult, bell_settings, bell_value, expectation,
-                       fit_phase_scan, linear_inversion, max_fidelity_over_phase,
-                       mle_reconstruct, monte_carlo_error, phase_witness,
-                       stabilizer_witness, tomography_settings)
+from .analysis import (BellResult, CountTable, WitnessResult, bell_settings,
+                       bell_value, correlators, fit_phase_scan, linear_inversion,
+                       max_fidelity_over_phase, mle_reconstruct,
+                       monte_carlo_error, phase_witness, stabilizer_witness,
+                       tomography_settings)
 from .qss import QssReport, classify_bases, run_qss

@@ -1,12 +1,12 @@
-"""State characterization from measured (or simulated) count records.
+"""State characterization from measured (or simulated) count tables.
 
-Conventions: outcome bit 0 means the upper detector clicked, which is the
-+1 eigenstate of the labeled operator at that party's MZI setting.  The
-raw product expectation therefore refers to the *labeled* operators; the
-`expectation` function flips the contribution of negated labels (-X, -Z)
-so that it always returns the expectation of the unsigned Pauli product,
-and the witness / inequality evaluators reapply the operator signs where
-their definitions need them.
+Conventions: every experiment's counts are one `CountTable`, a row of 16
+outcome counts per measurement setting.  Outcome bit 0 means the upper
+detector clicked, which is the +1 eigenstate of the labeled operator at
+that party's MZI setting, so a setting's parity correlator (`correlators`)
+is the expectation of the product of its labeled operators, the signs of
+-X and -Z included.  The witnesses and the inequality are defined on those
+labeled products and read them as they are.
 """
 
 from __future__ import annotations
@@ -32,73 +32,76 @@ M1 = (PauliLabel.XMZ, PauliLabel.MINUS_Z, PauliLabel.Z, PauliLabel.MINUS_Z)
 PHASE_WITNESS_SETTINGS = M0
 
 
-@dataclass
-class MeasurementRecord:
-    """Counts (or exact probabilities) of the 16 outcomes at one setting."""
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Outcome counts of S measurement settings, one row per setting.
+
+    ``settings`` is a tuple of S four-label tuples, and ``counts`` a
+    read-only float array of shape (S, 16) whose row s holds the counts (or
+    scaled exact probabilities) of the 16 outcomes of setting s; party i's
+    bit of outcome o is (o >> (3 - i)) & 1.  Counts are finite and
+    nonnegative.
+    """
 
     settings: tuple
     counts: np.ndarray
 
     def __post_init__(self):
-        self.settings = tuple(self.settings)
-        if len(self.settings) != 4:
-            raise ValueError("need one label per party")
-        self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (16,):
-            raise ValueError("need 16 outcome counts")
-        if np.any(self.counts < 0.0):
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
+        settings = tuple(map(tuple, self.settings))
+        if not settings or not all(
+                len(s) == 4 and all(isinstance(lab, PauliLabel) for lab in s)
+                for s in settings):
+            raise ValueError("need at least one setting, each one label per party")
+        counts = np.array(self.counts, dtype=float)
+        if counts.shape != (len(settings), 16):
+            raise ValueError(f"need ({len(settings)}, 16) counts, one row per "
+                             f"setting, got shape {counts.shape}")
+        if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
+            raise ValueError("counts must be finite and nonnegative")
+        counts.flags.writeable = False
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "counts", counts)
 
     def probabilities(self) -> np.ndarray:
-        t = self.total
-        if t <= 0.0:
-            raise ValueError("record has zero total counts")
-        return self.counts / t
+        """Each row over its total; a row without counts raises ValueError."""
+        totals = self.counts.sum(axis=1)
+        if np.any(totals <= 0.0):
+            raise ValueError("a setting has zero total counts")
+        return self.counts / totals[:, None]
+
+    def to_json_dict(self) -> dict:
+        return {"records": [{"settings": [s.token.lower() for s in setting],
+                             "counts": [float(c) for c in row]}
+                            for setting, row in zip(self.settings, self.counts)]}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "CountTable":
+        items = data["records"]
+        return cls([[PauliLabel.from_token(t) for t in item["settings"]] for item in items],
+                   [item["counts"] for item in items])
 
 
-_BITS = np.array([[(k >> (3 - i)) & 1 for i in range(4)] for k in range(16)])
+def correlators(table: CountTable) -> np.ndarray:
+    """The S parity correlators: each setting's product of labeled operators.
 
-
-def expectation(record: MeasurementRecord, identity_mask=None) -> float:
-    """Product expectation over the non-masked parties.
-
-    Outcome 0 contributes +1 and outcome 1 contributes -1 per party;
-    negated labels flip their party's contribution, so the result is the
-    expectation of the product of unsigned operators.  Masked parties (and
-    parties labeled I) contribute +1 regardless, which traces them out.
+    Row s of the row-normalised counts times row s of a +-1 table, the
+    product of party i's column 1 - 2*bit_i over the parties not labeled I.
+    Bit 0 is the +1 eigenstate of the label, so a negated label's sign is
+    already in its counts.  A row without counts raises ValueError.
     """
-    p = record.probabilities()
-    if identity_mask is None:
-        identity_mask = tuple(lab is PauliLabel.I for lab in record.settings)
-    signs = np.ones(16)
-    for i, (lab, masked) in enumerate(zip(record.settings, identity_mask)):
-        if masked or lab is PauliLabel.I:
-            continue
-        contrib = 1.0 - 2.0 * _BITS[:, i]
-        if lab.sign < 0:
-            contrib = -contrib
-        signs = signs * contrib
-    return float(p @ signs)
+    p = table.probabilities()
+    bits = (np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1
+    measured = np.array([[lab is not PauliLabel.I for lab in s] for s in table.settings])
+    parity = np.where(measured[:, :, None], 1.0 - 2.0 * bits, 1.0).prod(axis=1)
+    # One dot product per row, summed in the order of a lone `p[s] @ parity[s]`.
+    return (p[:, None, :] @ parity[:, :, None])[:, 0, 0]
 
 
-def _signed_expectation(record: MeasurementRecord) -> float:
-    """Expectation of the product of the labeled operators, signs included."""
-    sign = 1
-    for lab in record.settings:
-        if lab is not PauliLabel.I:
-            sign *= lab.sign
-    return sign * expectation(record)
-
-
-def phase_witness(record: MeasurementRecord) -> float:
+def phase_witness(table: CountTable) -> float:
     """Four-party phase witness <M0 M0 M0 M0>; equals cos(theta)/sqrt(2) ideally."""
-    if record.settings != PHASE_WITNESS_SETTINGS:
-        raise ValueError("phase witness requires the M0 projector settings")
-    return _signed_expectation(record)
+    if table.settings != (PHASE_WITNESS_SETTINGS,):
+        raise ValueError("phase witness requires the one M0 projector setting")
+    return float(correlators(table)[0])
 
 
 @dataclass(frozen=True)
@@ -240,20 +243,17 @@ class WitnessResult:
     stabilizer_indicator: float
 
 
-def stabilizer_witness(record_x: MeasurementRecord,
-                       record_z: MeasurementRecord) -> WitnessResult:
-    """Stabilizer witness from the two records X^4 and Z^4.
+def stabilizer_witness(table: CountTable) -> WitnessResult:
+    """Stabilizer witness from the two settings X^4 and Z^4, in that order.
 
     W = 3 - 2*[ (<XXXX>+1)/2 + P(alternating Z outcomes) ]; a negative
     value certifies entanglement and bounds the fidelity from below by
-    (1 - W)/2.
+    (1 - W)/2 (Toth and Guhne, PRL 94, 060501, 2005).
     """
-    if record_x.settings != (PauliLabel.X,) * 4:
-        raise ValueError("first record must be measured at X on all parties")
-    if record_z.settings != (PauliLabel.Z,) * 4:
-        raise ValueError("second record must be measured at Z on all parties")
-    g1 = expectation(record_x)
-    pz = record_z.probabilities()
+    if table.settings != ((PauliLabel.X,) * 4, (PauliLabel.Z,) * 4):
+        raise ValueError("stabilizer witness requires the settings X^4 and Z^4")
+    g1 = float(correlators(table)[0])
+    pz = table.probabilities()[1]
     indicator = float(pz[0b0101] + pz[0b1010])
     w = 3.0 - 2.0 * ((g1 + 1.0) / 2.0 + indicator)
     return WitnessResult(value=w, fidelity_lower_bound=(1.0 - w) / 2.0,
@@ -282,76 +282,42 @@ class BellResult:
     standard_error: float
 
 
-def bell_value(records, exact: bool = False) -> BellResult:
+def bell_value(table: CountTable, exact: bool = False) -> BellResult:
     """Bell-like inequality value from the eight settings of `bell_settings`.
 
     I^2 = sum_i <M0(1) M1(i)> - sum_i <M1(1) M1(i)>
           + 3 <M0 M0 M0 M0> + 3 <M1 M0 M0 M0>,  classically bounded by 6.
-    The standard error propagates per-record multinomial shot noise, each
-    record's total being its number of events; with ``exact`` the records
-    hold exact probabilities and the standard error is 0.
+    The standard error propagates per-setting multinomial shot noise, each
+    row's total being its number of events; with ``exact`` the rows hold
+    exact probabilities and the standard error is 0.
     """
-    records = list(records)
-    expected = bell_settings()
-    if len(records) != 8:
-        raise ValueError("need 8 records")
-    for rec, setting in zip(records, expected):
-        if tuple(rec.settings) != setting:
-            raise ValueError(
-                f"record settings {tuple(s.token for s in rec.settings)} do not match "
-                f"required {tuple(s.token for s in setting)}")
-    e = [_signed_expectation(rec) for rec in records]
+    if table.settings != bell_settings():
+        raise ValueError("need the eight settings of bell_settings, in order")
+    e = correlators(table)
     coeff = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 3.0, 3.0])
-    value = float(coeff @ np.array(e))
-    var = 0.0
-    if not exact:
-        for c, rec, ev in zip(coeff, records, e):
-            var += c ** 2 * max(1.0 - ev ** 2, 0.0) / rec.total
-    return BellResult(value=value, expectations=tuple(e),
+    var = 0.0 if exact else float(np.sum(
+        coeff ** 2 * np.maximum(1.0 - e ** 2, 0.0) / table.counts.sum(axis=1)))
+    return BellResult(value=float(coeff @ e), expectations=tuple(e.tolist()),
                       standard_error=math.sqrt(var))
 
 
+_DESIGN = tuple(itertools.product(TOMOGRAPHY_BASES, repeat=4))
+
+
 def tomography_settings() -> list:
-    """All 81 basis tuples (X,Y,Z per party), lexicographic with x < y < z."""
-    return [tuple(combo) for combo in itertools.product(TOMOGRAPHY_BASES, repeat=4)]
+    """All 81 basis tuples (X,Y,Z per party), lexicographic with x < y < z.
 
-
-@dataclass(frozen=True, eq=False)
-class TomographySet:
-    """Outcome counts of the 81-setting design, one row per setting.
-
-    ``counts`` is a read-only float array of shape (81, 16) whose row s holds
-    the 16 outcome counts of the s-th setting of `tomography_settings`.  Party
+    A tomography is the `CountTable` of these settings in this order.  Party
     i's frame row at (s, o) is 2*l + ((o >> (3 - i)) & 1), l the index of its
     label in `TOMOGRAPHY_BASES`: the (label, bit) row order of `_FRAME`.
     """
+    return list(_DESIGN)
 
-    counts: np.ndarray
 
-    def __post_init__(self):
-        counts = np.array(self.counts, dtype=float)
-        if counts.shape != (81, 16):
-            raise ValueError(f"need (81, 16) counts, one row per tomography "
-                             f"setting, got shape {counts.shape}")
-        if not np.all(np.isfinite(counts)) or np.any(counts < 0.0):
-            raise ValueError("counts must be finite and nonnegative")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    def to_json_dict(self) -> dict:
-        return {"records": [{"settings": [s.token.lower() for s in setting],
-                             "counts": [float(c) for c in row]}
-                            for setting, row in zip(tomography_settings(), self.counts)]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TomographySet":
-        items = data["records"]
-        settings = [tuple(PauliLabel.from_token(t) for t in item["settings"])
-                    for item in items]
-        if settings != tomography_settings():
-            raise ValueError("records must list the 81 tomography settings "
-                             "in design order")
-        return cls([item["counts"] for item in items])
+def _check_design(ts: CountTable):
+    if ts.settings != _DESIGN:
+        raise ValueError("tomography needs the 81 settings of "
+                         "tomography_settings, in design order")
 
 
 # Per-party eigenbasis of each tomography label: column b is the ket of
@@ -398,7 +364,7 @@ def _frame_adjoint(rho: np.ndarray) -> np.ndarray:
     return t.reshape(81, 16)
 
 
-def linear_inversion(ts: TomographySet) -> np.ndarray:
+def linear_inversion(ts: CountTable) -> np.ndarray:
     """Linear-inversion estimate from the dual frame of the 81-setting design.
 
         rho = sum_k p_k  (x)_i (|e_(k,i)><e_(k,i)| - I/3),
@@ -411,12 +377,14 @@ def linear_inversion(ts: TomographySet) -> np.ndarray:
     contraction of p, as a (6, 6, 6, 6) tensor indexed by (label, bit) per
     party, with the 6 x 4 per-party frame.  The output is Hermitian with
     unit trace but may have negative eigenvalues.  A setting without events
-    has no probabilities and raises `FitError`.
+    has no probabilities and raises `FitError`; a table that is not the
+    design, in design order, raises `ValueError`.
     """
+    _check_design(ts)
     totals = ts.counts.sum(axis=1)
     empty = np.flatnonzero(totals <= 0.0)
     if empty.size:
-        setting = tomography_settings()[empty[0]]
+        setting = ts.settings[empty[0]]
         raise FitError(f"tomography setting {''.join(s.token for s in setting)} "
                        "has no events")
     return _frame_sum(ts.counts / totals[:, None], _DUAL_FRAME)
@@ -453,9 +421,9 @@ def _likelihood_terms(counts: np.ndarray, rho: np.ndarray):
     return float(counts[observed] @ np.log(p[observed])), ratio
 
 
-def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
+def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
                     start: np.ndarray | None = None) -> MleResult:
-    """Maximum-likelihood density matrix from a complete tomography set.
+    """Maximum-likelihood density matrix from the 81-setting design's counts.
 
     Maximizes the log-likelihood sum_k n_k ln Tr(Pi_k rho) over density
     matrices by an accelerated projected gradient on rho (FISTA with
@@ -482,6 +450,7 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
     default the linear inversion projected onto the density matrices with
     no eigenvalue below `MLE_START_FLOOR`.
     """
+    _check_design(ts)
     counts = ts.counts
     n_total = float(counts.sum())
     if n_total <= 0.0:
@@ -533,11 +502,11 @@ def mle_reconstruct(ts: TomographySet, max_iterations: int = 5000,
                      certificate=cert)
 
 
-def monte_carlo_error(ts: TomographySet, statistic, n_resamples: int, seed):
+def monte_carlo_error(ts: CountTable, statistic, n_resamples: int, seed):
     """Standard deviation of a statistic under Poisson count resampling.
 
-    Resample r is one Poisson draw on the whole (81, 16) count array from
-    child r of ``seed``.  A statistic that returns a tuple of floats gets a
+    Resample r is one Poisson draw on the whole (S, 16) count array from
+    child r of ``seed``, with the same settings.  A statistic that returns a tuple of floats gets a
     tuple of standard deviations, one per component, each the same as a
     separate run with that component alone would give.
     """
@@ -546,7 +515,8 @@ def monte_carlo_error(ts: TomographySet, statistic, n_resamples: int, seed):
     values = []
     for child in np.random.SeedSequence(seed).spawn(n_resamples):
         rng = np.random.default_rng(child)
-        values.append(statistic(TomographySet(rng.poisson(ts.counts).astype(float))))
+        values.append(statistic(CountTable(ts.settings,
+                                           rng.poisson(ts.counts).astype(float))))
     if isinstance(values[0], tuple):
         return tuple(float(np.std([float(v) for v in column], ddof=1))
                      for column in zip(*values))

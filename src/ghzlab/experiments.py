@@ -3,9 +3,10 @@
 Every run takes one `SimContext` (source, chip stage, detectors), imported
 here from the simulator.  The source owns its master fractions and input
 enumeration, so the settings of a run, and the points of a phase scan,
-share one enumeration.  All runs are deterministic given a master seed: a
-sampled run gives its i-th setting the i-th child of that seed, and an
-exact run needs none.
+share one enumeration.  Every run's counts are one `CountTable`, a row per
+setting.  All runs are deterministic given a master seed: a sampled run
+gives its i-th setting the i-th child of that seed, and an exact run needs
+none.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis
-from .analysis import (BellResult, MeasurementRecord, MleResult, PhaseScanFit,
-                       TomographySet, WitnessResult, bell_settings, bell_value,
+from .analysis import (PHASE_WITNESS_SETTINGS, BellResult, CountTable, MleResult,
+                       PhaseScanFit, WitnessResult, bell_settings, bell_value,
                        fit_phase_scan, max_fidelity_over_phase, mle_reconstruct,
                        monte_carlo_error, phase_witness, stabilizer_witness,
                        tomography_settings)
@@ -38,20 +38,17 @@ def settings_for_labels(labels) -> tuple:
     return tuple(out)
 
 
-def measurement_record(ctx: SimContext, labels, shots: int | None = None,
-                       seed=None, effective_counts: float = 1.0) -> MeasurementRecord:
-    """Simulate one measurement setting.
-
-    With ``shots`` set, counts are a seeded multinomial sample of that many
-    post-selected events; otherwise the exact conditional probabilities are
-    scaled by ``effective_counts``.
-    """
-    dist = qubit_distribution(ctx, settings_for_labels(labels))
-    if shots is None:
-        counts = dist.conditional() * effective_counts
-    else:
-        counts = sample_counts(dist, shots, seed).astype(float)
-    return MeasurementRecord(settings=tuple(labels), counts=counts)
+def _count_table(ctx: SimContext, label_tuples: list, shots: int | None, seeds,
+                 effective_counts: float) -> CountTable:
+    """Row i: setting i's exact conditional probabilities scaled by
+    ``effective_counts``, or with ``shots`` set a multinomial sample of that
+    many post-selected events drawn from ``seeds[i]``."""
+    rows = []
+    for labels, seed in zip(label_tuples, seeds):
+        dist = qubit_distribution(ctx, settings_for_labels(labels))
+        rows.append(dist.conditional() * effective_counts if shots is None
+                    else sample_counts(dist, shots, seed))
+    return CountTable(label_tuples, rows)
 
 
 def _child_seeds(shots: int | None, seed, n: int) -> list:
@@ -60,12 +57,11 @@ def _child_seeds(shots: int | None, seed, n: int) -> list:
 
 
 def measurement_records(ctx: SimContext, label_tuples, shots: int | None, seed,
-                        effective_counts: float = 1.0) -> list:
-    """One record per setting of ``label_tuples``, setting i seeded by child i."""
+                        effective_counts: float = 1.0) -> CountTable:
+    """The count table of ``label_tuples``, setting i sampled from child i of ``seed``."""
     label_tuples = list(label_tuples)
-    seeds = _child_seeds(shots, seed, len(label_tuples))
-    return [measurement_record(ctx, labels, shots, child, effective_counts)
-            for labels, child in zip(label_tuples, seeds)]
+    return _count_table(ctx, label_tuples, shots,
+                        _child_seeds(shots, seed, len(label_tuples)), effective_counts)
 
 
 def run_simulate(ctx: SimContext, labels) -> OutcomeDistribution:
@@ -73,14 +69,12 @@ def run_simulate(ctx: SimContext, labels) -> OutcomeDistribution:
 
 
 def run_tomography(ctx: SimContext, shots: int | None = None, seed=None,
-                   effective_counts: float = 1e6) -> TomographySet:
+                   effective_counts: float = 1e6) -> CountTable:
     """Counts of the 81 tomography settings, rows in design order.
 
     Exact, or sampled with per-setting child seeds.
     """
-    records = measurement_records(ctx, tomography_settings(), shots, seed,
-                                  effective_counts)
-    return TomographySet(np.stack([r.counts for r in records]))
+    return measurement_records(ctx, tomography_settings(), shots, seed, effective_counts)
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class TomographyReport:
 RESAMPLE_START_MIX = 0.02
 
 
-def tomography_report(ts: TomographySet, n_resamples: int = 50,
+def tomography_report(ts: CountTable, n_resamples: int = 50,
                       seed=12345) -> tuple[TomographyReport, MleResult]:
     """MLE reconstruction plus fidelity/purity and their Monte-Carlo errors.
 
@@ -133,20 +127,18 @@ def tomography_report(ts: TomographySet, n_resamples: int = 50,
 
 
 def run_witness(ctx: SimContext, shots: int | None = None, seed=None) -> WitnessResult:
-    rec_x, rec_z = measurement_records(ctx, [(PauliLabel.X,) * 4, (PauliLabel.Z,) * 4],
-                                       shots, seed)
-    return stabilizer_witness(rec_x, rec_z)
+    return stabilizer_witness(measurement_records(
+        ctx, [(PauliLabel.X,) * 4, (PauliLabel.Z,) * 4], shots, seed))
 
 
 def run_phase_witness(ctx: SimContext, shots: int | None = None, seed=None) -> float:
-    rec = measurement_record(ctx, analysis.PHASE_WITNESS_SETTINGS,
-                             shots=shots, seed=seed)
-    return phase_witness(rec)
+    """Phase witness of one setting, sampled from ``seed`` itself."""
+    return phase_witness(_count_table(ctx, [PHASE_WITNESS_SETTINGS], shots, [seed], 1.0))
 
 
 def run_bell(ctx: SimContext, shots: int | None = None, seed=None) -> BellResult:
-    records = measurement_records(ctx, bell_settings(), shots, seed)
-    return bell_value(records, exact=shots is None)
+    return bell_value(measurement_records(ctx, bell_settings(), shots, seed),
+                      exact=shots is None)
 
 
 def run_bell_sweep(ctx: SimContext, photon_index: int, scales) -> list:

@@ -12,7 +12,8 @@ HiGHS, where the package enumerates the vertices of every lift's program
 at once.  The tomography oracles build the projector kets one outcome at a
 time, sum the log-likelihood over them, and invert by summing all 256 Pauli
 strings' averaged expectations, where the package contracts a fixed dual
-frame.  The master-fraction oracle sorts an 11^4 grid point by point with
+frame; each expectation is a loop over one setting's parties, where the
+package multiplies the whole count table by one parity table.  The master-fraction oracle sorts an 11^4 grid point by point with
 a Python objective and refines its best points with finite-difference
 L-BFGS-B, where the package solves the fit in closed form.  The secret
 sharing oracle runs the protocol one round at a time: it classifies each
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit, linprog, minimize
 
-from ghzlab.analysis import MeasurementRecord, expectation, tomography_settings
+from ghzlab.analysis import tomography_settings
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
 from ghzlab.qss import QssReport, _basis_settings, classify_bases
@@ -238,6 +239,31 @@ def oracle_heater_block(matrix_krad, base_rad, resistances, usable, max_lift=4):
     return full
 
 
+def oracle_expectation(settings, counts, identity_mask=None):
+    """Expectation of the product of the unsigned operators of one setting.
+
+    Outcome bit 0 of a party counts +1 and bit 1 counts -1, and a negated
+    label (-X, -Z) flips its party's count.  Parties labeled I, and the
+    parties ``identity_mask`` marks, count +1, which traces them out.
+    """
+    counts = np.asarray(counts, dtype=float)
+    total = float(counts.sum())
+    if total <= 0.0:
+        raise ValueError("record has zero total counts")
+    p = counts / total
+    if identity_mask is None:
+        identity_mask = (False,) * 4
+    signs = np.ones(16)
+    for i, (lab, masked) in enumerate(zip(settings, identity_mask)):
+        if masked or lab is PauliLabel.I:
+            continue
+        contrib = np.array([1.0 - 2.0 * ((k >> (3 - i)) & 1) for k in range(16)])
+        if lab.sign < 0:
+            contrib = -contrib
+        signs = signs * contrib
+    return float(p @ signs)
+
+
 def oracle_linear_inversion(ts):
     """Pauli reconstruction rho = (1/16) sum <P> P over all 256 Pauli strings.
 
@@ -245,16 +271,13 @@ def oracle_linear_inversion(ts):
     compatible setting with those parties masked.
     """
     labels = (PauliLabel.I, PauliLabel.X, PauliLabel.Y, PauliLabel.Z)
-    records = [MeasurementRecord(setting, row)
-               for setting, row in zip(tomography_settings(), ts.counts)]
     rho = np.zeros((16, 16), dtype=complex)
     for string in itertools.product(labels, repeat=4):
         mask = tuple(lab is PauliLabel.I for lab in string)
-        compatible = [rec for rec in records
-                      if all(m or rec.settings[i] is string[i]
-                             for i, m in enumerate(mask))]
-        ev = float(np.mean([expectation(rec, identity_mask=mask)
-                            for rec in compatible]))
+        ev = float(np.mean([oracle_expectation(setting, row, mask)
+                            for setting, row in zip(ts.settings, ts.counts)
+                            if all(m or setting[i] is string[i]
+                                   for i, m in enumerate(mask))]))
         op = string[0].matrix
         for lab in string[1:]:
             op = np.kron(op, lab.matrix)

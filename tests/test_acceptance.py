@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ghzlab.analysis import (TomographySet, bell_settings, mle_reconstruct,
+from ghzlab.analysis import (CountTable, bell_settings, mle_reconstruct,
                              tomography_settings)
 from ghzlab.chip import HeaterCalibration, MziSetting, full_unitary, heater_forward, heater_solve
 from ghzlab.experiments import (SimContext, measured_noise_context, run_bell,
@@ -107,7 +107,7 @@ def test_criterion_05_tomography_consistency(ideal):
         children = np.random.SeedSequence(run_seed).spawn(len(settings))
         counts = np.stack([sample_counts(d, 450, c).astype(float)
                            for d, c in zip(dists, children)])
-        f = fidelity_to_pure(mle_reconstruct(TomographySet(counts)).rho, ghz4())
+        f = fidelity_to_pure(mle_reconstruct(CountTable(settings, counts)).rho, ghz4())
         fidelities.append(f)
         if f >= 0.99:
             successes += 1

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
-                             bell_value, expectation, fit_phase_scan,
+from ghzlab.analysis import (PHASE_WITNESS_SETTINGS, CountTable, bell_settings,
+                             bell_value, correlators, fit_phase_scan,
                              linear_inversion, max_fidelity_over_phase,
                              mle_reconstruct, monte_carlo_error, phase_witness,
                              stabilizer_witness, tomography_settings,
@@ -16,74 +16,101 @@ from ghzlab.analysis import (MeasurementRecord, TomographySet, bell_settings,
 from ghzlab.config import default_config, parse_config
 from ghzlab import experiments
 from ghzlab.errors import FitError
-from ghzlab.experiments import (SimContext, measurement_record, run_bell,
+from ghzlab.experiments import (SimContext, measurement_records, run_bell,
                                 run_phase_scan, run_tomography, run_witness,
-                                tomography_report)
+                                settings_for_labels, tomography_report)
 from ghzlab.qmath import (PauliLabel, fidelity_to_pure, ghz4, project_to_physical,
                           purity)
+from ghzlab.simulator import qubit_distribution, sample_counts
 
 from oracles import (born_probabilities, ghz_state, mle_log_likelihood,
-                     oracle_fit_phase_scan, oracle_linear_inversion,
+                     oracle_expectation, oracle_fit_phase_scan,
+                     oracle_linear_inversion,
                      oracle_mle_certificate, oracle_mle_cholesky,
                      oracle_projector_vectors)
 
 SQRT2 = math.sqrt(2)
+I, X, Y, Z = PauliLabel.I, PauliLabel.X, PauliLabel.Y, PauliLabel.Z
+X4, Y4, Z4 = (X,) * 4, (Y,) * 4, (Z,) * 4
 
 
-def record_from_state(settings, tokens, state=None, scale=1.0):
-    probs = born_probabilities(ghz_state() if state is None else state, tokens)
-    return MeasurementRecord(settings=settings, counts=probs * scale)
+def born_table(settings, state=None, scale=1.0):
+    """Born probabilities of ``state`` (the GHZ state by default) at each
+    setting, times ``scale``; parties labeled I are measured at Z."""
+    psi = ghz_state() if state is None else state
+    return CountTable(settings, [
+        born_probabilities(psi, ["z" if lab is I else lab.token.lower() for lab in s])
+        * scale for s in settings])
+
+
+def tomo(counts):
+    """The tomography count table of ``counts``, rows in design order."""
+    return CountTable(tomography_settings(), counts)
+
+
+def _sign(settings) -> int:
+    return math.prod(lab.sign for lab in settings if lab is not I)
 
 
 class TestExpectation:
+    """`correlators`: the product of each row's labeled operators; a party
+    left out of a product is a party labeled I."""
+
     def test_ideal_zzzz(self):
-        rec = record_from_state((PauliLabel.Z,) * 4, ["z"] * 4)
-        assert expectation(rec) == pytest.approx(1.0, abs=1e-12)
+        assert correlators(born_table([Z4]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ideal_xxxx(self):
-        rec = record_from_state((PauliLabel.X,) * 4, ["x"] * 4)
-        assert expectation(rec) == pytest.approx(1.0, abs=1e-12)
+        assert correlators(born_table([X4]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_masked_pair_anticorrelated(self):
-        rec = record_from_state((PauliLabel.Z,) * 4, ["z"] * 4)
-        mask = (False, False, True, True)
-        assert expectation(rec, identity_mask=mask) == pytest.approx(-1.0, abs=1e-12)
+        table = born_table([(Z, Z, I, I)])
+        assert correlators(table)[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_all_masked_returns_one(self):
         rng = np.random.default_rng(0)
-        rec = MeasurementRecord((PauliLabel.Z,) * 4, rng.uniform(0, 10, 16))
-        assert expectation(rec, identity_mask=(True,) * 4) == pytest.approx(1.0)
+        table = CountTable([(I,) * 4], [rng.uniform(0, 10, 16)])
+        assert correlators(table)[0] == pytest.approx(1.0)
 
     def test_negative_label_flips(self):
-        # -X on party 2: outcome 0 marks the -1 eigenstate of X there
-        rec = record_from_state((PauliLabel.X, PauliLabel.MINUS_X,
-                                 PauliLabel.X, PauliLabel.X),
-                                ["x", "-x", "x", "x"])
-        assert expectation(rec) == pytest.approx(1.0, abs=1e-12)
+        # -X on party 2: outcome 0 marks the -1 eigenstate of X there, so the
+        # labeled product X(-X)XX is -XXXX
+        table = born_table([(X, PauliLabel.MINUS_X, X, X)])
+        assert correlators(table)[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_counts_rejected(self):
-        rec = MeasurementRecord((PauliLabel.Z,) * 4, np.zeros(16))
+        table = CountTable([Z4, Z4], [np.ones(16), np.zeros(16)])
         with pytest.raises(ValueError):
-            expectation(rec)
+            correlators(table)
+
+    def test_bitwise_equal_to_signed_oracle(self):
+        """Random settings (I and negated labels included) and integer counts,
+        some of them zero: each correlator is the oracle's unsigned
+        expectation times the labels' sign product, bit for bit."""
+        rng = np.random.default_rng(2718)
+        labels = list(PauliLabel)
+        settings = [tuple(labels[k] for k in rng.integers(0, len(labels), 4))
+                    for _ in range(400)]
+        counts = rng.integers(0, 60, (400, 16)).astype(float)
+        counts[rng.random((400, 16)) < 0.3] = 0.0
+        counts[counts.sum(axis=1) == 0.0, 0] = 1.0
+        expected = [_sign(s) * oracle_expectation(s, row)
+                    for s, row in zip(settings, counts)]
+        assert correlators(CountTable(settings, counts)).tolist() == expected
 
 
 class TestPhaseWitness:
     def test_ideal_maximum(self, ideal_ctx):
-        rec = measurement_record(ideal_ctx,
-                                 (PauliLabel.XPZ, PauliLabel.MINUS_X,
-                                  PauliLabel.X, PauliLabel.MINUS_X))
-        assert phase_witness(rec) == pytest.approx(SQRT2 / 2, abs=1e-12)
+        table = measurement_records(ideal_ctx, [PHASE_WITNESS_SETTINGS], None, None)
+        assert phase_witness(table) == pytest.approx(SQRT2 / 2, abs=1e-12)
 
     def test_quarter_phase_zero(self, ideal_ctx):
         ctx = ideal_ctx.with_state_phase(math.pi / 2)
-        rec = measurement_record(ctx, (PauliLabel.XPZ, PauliLabel.MINUS_X,
-                                       PauliLabel.X, PauliLabel.MINUS_X))
-        assert phase_witness(rec) == pytest.approx(0.0, abs=1e-12)
+        table = measurement_records(ctx, [PHASE_WITNESS_SETTINGS], None, None)
+        assert phase_witness(table) == pytest.approx(0.0, abs=1e-12)
 
     def test_wrong_settings_rejected(self):
-        rec = record_from_state((PauliLabel.X,) * 4, ["x"] * 4)
         with pytest.raises(ValueError):
-            phase_witness(rec)
+            phase_witness(born_table([X4]))
 
 
 class TestPhaseScanFit:
@@ -227,24 +254,17 @@ class TestPhaseScanFit:
 
 class TestStabilizerWitness:
     def test_ideal_state(self):
-        rec_x = record_from_state((PauliLabel.X,) * 4, ["x"] * 4)
-        rec_z = record_from_state((PauliLabel.Z,) * 4, ["z"] * 4)
-        result = stabilizer_witness(rec_x, rec_z)
+        result = stabilizer_witness(born_table([X4, Z4]))
         assert result.value == pytest.approx(-1.0, abs=1e-12)
         assert result.fidelity_lower_bound == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        uniform = np.full(16, 1 / 16)
-        rec_x = MeasurementRecord((PauliLabel.X,) * 4, uniform)
-        rec_z = MeasurementRecord((PauliLabel.Z,) * 4, uniform)
-        result = stabilizer_witness(rec_x, rec_z)
+        result = stabilizer_witness(CountTable([X4, Z4], np.full((2, 16), 1 / 16)))
         assert result.value == pytest.approx(7 / 4, abs=1e-12)
 
     def test_wrong_settings(self):
-        rec = record_from_state((PauliLabel.Y,) * 4, ["y"] * 4)
-        rec_z = record_from_state((PauliLabel.Z,) * 4, ["z"] * 4)
         with pytest.raises(ValueError):
-            stabilizer_witness(rec, rec_z)
+            stabilizer_witness(born_table([Y4, Z4]))
 
     def test_bound_holds_against_tomography(self, noise_ctx):
         wit = run_witness(noise_ctx)
@@ -254,18 +274,8 @@ class TestStabilizerWitness:
 
 
 class TestBell:
-    def _ideal_records(self):
-        token_map = {PauliLabel.XPZ: "x+z", PauliLabel.XMZ: "x-z",
-                     PauliLabel.MINUS_X: "-x", PauliLabel.MINUS_Z: "-z",
-                     PauliLabel.X: "x", PauliLabel.Z: "z", PauliLabel.I: "z"}
-        records = []
-        for settings in bell_settings():
-            tokens = [token_map[lab] for lab in settings]
-            records.append(record_from_state(settings, tokens))
-        return records
-
     def test_ideal_maximal_violation(self):
-        result = bell_value(self._ideal_records())
+        result = bell_value(born_table(bell_settings()))
         assert result.value == pytest.approx(6 * SQRT2, abs=1e-9)
         expected = (-1 / SQRT2,) * 3 + (1 / SQRT2,) * 5
         assert np.allclose(result.expectations, expected, atol=1e-9)
@@ -273,42 +283,91 @@ class TestBell:
     def test_dephased_mixture_no_violation(self):
         rho_a = ghz_state(0.0)
         rho_b = ghz_state(math.pi)  # mixing the two phases kills the coherence
-        token_map = {PauliLabel.XPZ: "x+z", PauliLabel.XMZ: "x-z",
-                     PauliLabel.MINUS_X: "-x", PauliLabel.MINUS_Z: "-z",
-                     PauliLabel.X: "x", PauliLabel.Z: "z", PauliLabel.I: "z"}
-        records = []
-        for settings in bell_settings():
-            tokens = [token_map[lab] for lab in settings]
-            pa = born_probabilities(rho_a, tokens)
-            pb = born_probabilities(rho_b, tokens)
-            records.append(MeasurementRecord(settings, (pa + pb) / 2))
-        result = bell_value(records)
+        pa = born_table(bell_settings(), rho_a).counts
+        pb = born_table(bell_settings(), rho_b).counts
+        result = bell_value(CountTable(bell_settings(), (pa + pb) / 2))
         assert result.value == pytest.approx(6 / SQRT2, abs=1e-9)
 
     def test_shot_noise_error(self):
-        records = [MeasurementRecord(s, record_from_state(s, t).counts * 1000)
-                   for s, t in zip(bell_settings(),
-                                   [["x-z", "-z", "z", "z"], ["x-z", "z", "z", "z"],
-                                    ["x-z", "z", "z", "-z"], ["x+z", "-z", "z", "z"],
-                                    ["x+z", "z", "z", "z"], ["x+z", "z", "z", "-z"],
-                                    ["x+z", "-x", "x", "-x"], ["x-z", "-x", "x", "-x"]])]
-        result = bell_value(records)
+        table = born_table(bell_settings(), scale=1000)
+        result = bell_value(table)
         assert result.standard_error > 0.0
         coeff = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 3.0, 3.0])
         e = np.array(result.expectations)
         expected = math.sqrt(float(np.sum(coeff ** 2 * (1.0 - e ** 2))) / 1000)
         assert result.standard_error == pytest.approx(expected, rel=1e-12)
-        assert bell_value(records, exact=True).standard_error == 0.0
+        assert bell_value(table, exact=True).standard_error == 0.0
 
     def test_wrong_settings_rejected(self):
-        records = self._ideal_records()
-        records[0] = record_from_state((PauliLabel.X,) * 4, ["x"] * 4)
+        settings = list(bell_settings())
+        settings[0] = X4
         with pytest.raises(ValueError):
-            bell_value(records)
+            bell_value(born_table(settings))
 
     def test_simulated_ideal_matches(self, ideal_ctx):
         result = run_bell(ideal_ctx)
         assert result.value == pytest.approx(6 * SQRT2, abs=1e-9)
+
+
+class TestSampledSeedRule:
+    """Row i of a sampled run is `sample_counts` of setting i's distribution
+    with child i of the run seed; point j of a phase scan draws with child j
+    itself, not with a child of it."""
+
+    SHOTS, SEED = 120, 77
+
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        drawn = []
+
+        def recorded(dist, shots, seed):
+            drawn.append(sample_counts(dist, shots, seed))
+            return drawn[-1]
+
+        monkeypatch.setattr(experiments, "sample_counts", recorded)
+        return drawn
+
+    def _expected(self, contexts, label_tuples):
+        children = np.random.SeedSequence(self.SEED).spawn(len(label_tuples))
+        return [sample_counts(qubit_distribution(ctx, settings_for_labels(s)),
+                              self.SHOTS, child)
+                for ctx, s, child in zip(contexts, label_tuples, children)]
+
+    def test_witness_row_i_draws_from_child_i(self, noise_ctx, draws):
+        settings = [X4, Z4]
+        result = run_witness(noise_ctx, shots=self.SHOTS, seed=self.SEED)
+        expected = self._expected([noise_ctx] * 2, settings)
+        assert len(draws) == 2
+        assert all(np.array_equal(d, e) for d, e in zip(draws, expected))
+        assert result.g1_expectation == pytest.approx(
+            oracle_expectation(settings[0], expected[0]), abs=1e-15)
+        z = expected[1]
+        assert result.stabilizer_indicator == pytest.approx(
+            (z[0b0101] + z[0b1010]) / z.sum(), abs=1e-15)
+
+    def test_bell_row_i_draws_from_child_i(self, noise_ctx, draws):
+        settings = bell_settings()
+        result = run_bell(noise_ctx, shots=self.SHOTS, seed=self.SEED)
+        expected = self._expected([noise_ctx] * 8, settings)
+        assert len(draws) == 8
+        assert all(np.array_equal(d, e) for d, e in zip(draws, expected))
+        for ev, s, counts in zip(result.expectations, settings, expected):
+            assert ev == pytest.approx(_sign(s) * oracle_expectation(s, counts),
+                                       abs=1e-15)
+
+    def test_phase_scan_point_j_draws_with_child_j(self, noise_ctx, draws):
+        powers, rad, offset = [30.0, 40.0, 50.0, 60.0, 70.0], 0.126264, -0.38
+        points, _ = run_phase_scan(noise_ctx, powers, rad, offset,
+                                   shots=self.SHOTS, seed=self.SEED)
+        contexts = [noise_ctx.with_state_phase(rad * p + offset) for p in powers]
+        settings = [PHASE_WITNESS_SETTINGS] * len(powers)
+        expected = self._expected(contexts, settings)
+        assert len(draws) == len(powers)
+        assert all(np.array_equal(d, e) for d, e in zip(draws, expected))
+        for (_, w), counts in zip(points, expected):
+            assert w == pytest.approx(
+                _sign(PHASE_WITNESS_SETTINGS)
+                * oracle_expectation(PHASE_WITNESS_SETTINGS, counts), abs=1e-15)
 
 
 class TestTomographySettings:
@@ -321,6 +380,8 @@ class TestTomographySettings:
 
 
 class TestTomographySet:
+    """`CountTable` on its 81-row tomography case."""
+
     @pytest.mark.parametrize("counts", [
         np.ones((81, 15)),
         np.ones(81 * 16),
@@ -330,11 +391,17 @@ class TestTomographySet:
     ], ids=["shape-81x15", "flat", "nan", "inf", "negative"])
     def test_constructor_rejects(self, counts):
         with pytest.raises(ValueError):
-            TomographySet(counts)
+            tomo(counts)
+
+    @pytest.mark.parametrize("settings", [
+        [], [(X, Y, Z)], [(X, Y, Z, "x")]], ids=["none", "three-labels", "token"])
+    def test_settings_rejected(self, settings):
+        with pytest.raises(ValueError):
+            CountTable(settings, np.ones((len(settings), 16)))
 
     def test_counts_are_a_read_only_float_copy(self):
         source = np.ones((81, 16), dtype=int)
-        ts = TomographySet(source)
+        ts = tomo(source)
         assert ts.counts.dtype == float
         with pytest.raises(ValueError):
             ts.counts[0, 0] = 5.0
@@ -342,7 +409,7 @@ class TestTomographySet:
         assert ts.counts[0, 0] == 1.0
 
     def test_has_exactly_one_field(self):
-        assert [f.name for f in fields(TomographySet)] == ["counts"]
+        assert [f.name for f in fields(CountTable)] == ["settings", "counts"]
 
 
 class TestTomographySetSerialization:
@@ -351,28 +418,32 @@ class TestTomographySetSerialization:
         data = ts.to_json_dict()
         assert [tuple(PauliLabel.from_token(t) for t in item["settings"])
                 for item in data["records"]] == tomography_settings()
-        back = TomographySet.from_json_dict(data)
+        back = CountTable.from_json_dict(data)
+        assert back.settings == ts.settings
         assert np.array_equal(ts.counts, back.counts)
 
     def test_out_of_order_settings_rejected(self, ideal_ctx):
         data = run_tomography(ideal_ctx, shots=30, seed=12).to_json_dict()
         records = data["records"]
         records[0], records[1] = records[1], records[0]
+        table = CountTable.from_json_dict(data)
         with pytest.raises(ValueError, match="design order"):
-            TomographySet.from_json_dict(data)
+            linear_inversion(table)
+        with pytest.raises(ValueError, match="design order"):
+            mle_reconstruct(table)
 
     def test_missing_setting_rejected(self, ideal_ctx):
         data = run_tomography(ideal_ctx, shots=30, seed=12).to_json_dict()
         del data["records"][40]
         with pytest.raises(ValueError, match="design order"):
-            TomographySet.from_json_dict(data)
+            linear_inversion(CountTable.from_json_dict(data))
 
 
 class TestTomographyDesign:
     """The per-party frame helpers against the design's kets, built outcome by outcome."""
 
     def test_adjoint_matches_oracle_kets(self):
-        v, _ = oracle_projector_vectors(TomographySet(np.ones((81, 16))))
+        v, _ = oracle_projector_vectors(tomo(np.ones((81, 16))))
         rng = np.random.default_rng(21)
         for _ in range(3):
             a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -381,7 +452,7 @@ class TestTomographyDesign:
             assert np.max(np.abs(_frame_adjoint(rho).ravel() - expected)) <= 1e-14
 
     def test_frame_sum_matches_oracle_kets(self):
-        v, _ = oracle_projector_vectors(TomographySet(np.ones((81, 16))))
+        v, _ = oracle_projector_vectors(tomo(np.ones((81, 16))))
         rng = np.random.default_rng(22)
         for _ in range(3):
             w = rng.uniform(0.0, 1.0, (81, 16))
@@ -393,7 +464,7 @@ class TestLinearInversion:
     def test_matches_oracle_on_random_counts(self):
         rng = np.random.default_rng(11)
         for _ in range(3):
-            ts = TomographySet(rng.uniform(0, 50, (81, 16)))
+            ts = tomo(rng.uniform(0, 50, (81, 16)))
             assert np.max(np.abs(linear_inversion(ts)
                                  - oracle_linear_inversion(ts))) <= 1e-12
 
@@ -404,24 +475,24 @@ class TestLinearInversion:
         assert np.max(np.abs(rho - target)) < 1e-10
 
     def test_uniform_counts_give_identity(self):
-        rho = linear_inversion(TomographySet(np.full((81, 16), 10.0)))
+        rho = linear_inversion(tomo(np.full((81, 16), 10.0)))
         assert np.max(np.abs(rho - np.eye(16) / 16)) < 1e-12
 
     def test_trace_one_for_arbitrary_counts(self):
         rng = np.random.default_rng(5)
-        rho = linear_inversion(TomographySet(rng.uniform(0, 50, (81, 16))))
+        rho = linear_inversion(tomo(rng.uniform(0, 50, (81, 16))))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError):
-            TomographySet(np.ones((80, 16)))
+            tomo(np.ones((80, 16)))
 
     def test_setting_without_events_is_a_fit_error(self):
         counts = np.ones((81, 16))
         counts[tomography_settings().index(
             (PauliLabel.X, PauliLabel.Y, PauliLabel.Z, PauliLabel.X))] = 0.0
         with pytest.raises(FitError, match="XYZX"):
-            linear_inversion(TomographySet(counts))
+            linear_inversion(tomo(counts))
 
 
 class TestMle:
@@ -433,7 +504,7 @@ class TestMle:
         assert purity(res.rho) >= 0.9999
 
     def test_uniform_counts_give_near_identity(self):
-        res = mle_reconstruct(TomographySet(np.full((81, 16), 1000.0)))
+        res = mle_reconstruct(tomo(np.full((81, 16), 1000.0)))
         dist = 0.5 * np.abs(np.linalg.eigvalsh(res.rho - np.eye(16) / 16)).sum()
         assert dist < 1e-3
 
@@ -561,7 +632,7 @@ class TestMonteCarloError:
     def test_sqrt_n_law(self):
         counts = np.zeros((81, 16))
         counts[:, 0] = 1e4
-        ts = TomographySet(counts)
+        ts = tomo(counts)
         err = monte_carlo_error(ts, lambda t: t.counts[0][0], 200, seed=2)
         assert err == pytest.approx(100.0, rel=0.10)
 
@@ -569,7 +640,7 @@ class TestMonteCarloError:
         def build(scale):
             counts = np.zeros((81, 16))
             counts[:, 0] = 100.0 * scale
-            return TomographySet(counts)
+            return tomo(counts)
 
         stat = lambda t: t.counts[0][0]
         e1 = monte_carlo_error(build(1), stat, 300, seed=5)

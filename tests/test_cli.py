@@ -304,17 +304,37 @@ class TestCommands:
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["bell_value"] > payload["rows"][1]["bell_value"]
 
+    def test_bell_sweep_is_exact_whatever_the_sampling(self, ideal_config, tmp_path):
+        cfg = json.loads(ideal_config.read_text())
+        cfg["bell_sweep"]["scales"] = [1.0, 0.5]
+        outs = []
+        for exact in (True, False):
+            cfg["exact_probabilities"], cfg["shots_per_setting"] = exact, 1
+            ideal_config.write_text(dump_config(cfg))
+            outs.append(tmp_path / f"sweep-{exact}")
+            assert main(["bell-sweep", "--config", str(ideal_config),
+                         "--out", str(outs[-1])]) == 0
+        assert (outs[0] / "sweep.json").read_bytes() == \
+            (outs[1] / "sweep.json").read_bytes()
+
 
 class TestDeterminismAndExitCodes:
-    def test_rerun_byte_identical(self, ideal_config, tmp_path):
+    @pytest.mark.parametrize("command", ["simulate", "witness", "bell", "phase-scan",
+                                         "tomography"])
+    def test_rerun_byte_identical(self, ideal_config, tmp_path, command):
+        cfg = json.loads(ideal_config.read_text())
+        cfg["exact_probabilities"] = False
+        cfg["tomography"]["resamples"] = 3
+        ideal_config.write_text(dump_config(cfg))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            assert main(["simulate", "--config", str(ideal_config),
+            assert main([command, "--config", str(ideal_config),
                          "--out", str(out)]) == 0
-        assert (out1 / "distribution.json").read_bytes() == \
-            (out2 / "distribution.json").read_bytes()
-        assert (out1 / "distribution.csv").read_bytes() == \
-            (out2 / "distribution.csv").read_bytes()
+        names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in out2.iterdir()
+                               if p.name != "manifest.json")
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     @pytest.mark.parametrize("path, value", [
         ("detectors", {"efficiencies": [2.0] * 8}),
