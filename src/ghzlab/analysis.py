@@ -112,75 +112,55 @@ class PhaseScanFit:
     power_at_max: float
 
 
-# Grid frequencies per gap between distinct powers in the global search of
-# the phase-scan fit; the best one is refined by golden-section search.
+# Grid frequencies per gap between scan nodes in the global search of the
+# phase-scan fit; the best one is refined by golden-section search.
 PHASE_SCAN_GRID_PER_POINT = 64
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _projected_fit(x: np.ndarray, w: np.ndarray, freqs: np.ndarray):
-    """Least-squares (c, s) of w ~ c*cos(a*x) + s*sin(a*x) for each a, and residuals.
+def _normal_fit(z1, z2, n: int):
+    """Explained sum of squares and (c, s) of the least-squares w ~ c*cos(a*x) + s*sin(a*x).
 
-    The pseudo-inverse drops a column that vanishes on the grid (the sine or
-    the cosine at a = pi/spacing on a uniform scan) instead of raising.
+    From z1 = sum(w*exp(-i*a*x)), z2 = sum(exp(-2i*a*x)) and the point count
+    n, elementwise, by the closed-form 2x2 normal equations, or by the
+    longer column alone where their determinant vanishes.
     """
-    ax = np.multiply.outer(freqs, x)
-    basis = np.stack([np.cos(ax), np.sin(ax)], axis=-1)
-    coef = np.linalg.pinv(basis) @ w
-    resid = w - np.einsum("kij,kj->ki", basis, coef)
-    return coef, np.einsum("ki,ki->k", resid, resid)
+    wc, ws = z1.real, -z1.imag
+    cc, ss, cs = (n + z2.real) / 2.0, (n - z2.real) / 2.0, -z2.imag / 2.0
+    det = cc * ss - cs * cs
+    full, cos_only = det > 1e-12 * n * n, cc >= ss
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(full, (ss * wc - cs * ws) / det, np.where(cos_only, wc / cc, 0.0))
+        s = np.where(full, (cc * ws - cs * wc) / det, np.where(cos_only, 0.0, ws / ss))
+    return c * wc + s * ws, c, s
 
 
-def _search_bracket(x: np.ndarray, w: np.ndarray, m: int) -> tuple[float, float]:
-    """(a - step, a + step) around the grid frequency a that explains most of w.
+def _search_bracket(node: np.ndarray, w: np.ndarray, m: int,
+                    band: float) -> tuple[float, float, float]:
+    """(a - step, a + step, step) around the grid frequency a that explains most of w.
 
-    The grid spans (0, pi*(m - 1)/span] for m distinct powers.  The explained
-    sum of squares, which does not depend on the origin of x, solves the 2x2
-    normal equations in z1 = sum(w*exp(-i*a*x)) and z2 = sum(exp(-2i*a*x)),
-    or uses the longer column alone where their determinant vanishes.  When
-    the powers lie on the even grid of m nodes (to 1e-6 of a gap), both sums
-    are FFTs of the node-binned data, zero-padded to a power of two
-    M >= 2(m - 1), one per residue of the grid index: O(M log M) time and
-    O(M) memory each.  Otherwise they are summed directly, about 2**18 terms
-    at a time: O(n) time per grid frequency.
+    ``node`` puts each point on one of m even nodes, and the grid spans the
+    band (0, ``band``] in at least `PHASE_SCAN_GRID_PER_POINT` steps per
+    node gap.  Its z1 and z2 (`_normal_fit`, with node 0 as origin) are FFTs
+    of the node-binned data, zero-padded to a power of two M >= 2(m - 1),
+    one per residue of the grid index: O(M log M) time and O(M) memory each.
     """
-    per, n, lo = PHASE_SCAN_GRID_PER_POINT, len(x), float(x.min())
-    span = float(x.max()) - lo
-    pos = (x - lo) * ((m - 1) / span)
-    node = np.rint(pos).astype(np.intp)
-    if np.all(np.abs(pos - node) <= 1e-6):
-        size = 1 << (2 * m - 3).bit_length()
-        step, n_grid = 2.0 * math.pi * (m - 1) / (per * size * span), per * size // 2
-        binned = np.stack([np.bincount(node, w, m), np.bincount(node, None, m)])
-        half = np.arange(size // 2 + 1)
-
-        def sums(q):
-            mod = np.exp(-2j * math.pi * q / (per * size) * np.arange(m))
-            f1, f2 = np.fft.fft(binned * np.stack([mod, mod * mod]), size)
-            return per * half + q, f1[half], f2[2 * half % size]
-        blocks = map(sums, range(per))
-    else:
-        step, n_grid = math.pi / (per * span), per * (m - 1)
-        rows = max(1, (1 << 18) // n)
-
-        def sums(k0):
-            k = np.arange(k0, min(k0 + rows, n_grid + 1))
-            e = np.exp(-1j * np.multiply.outer(step * k, x))
-            return k, e @ w, (e * e).sum(axis=1)
-        blocks = map(sums, range(1, n_grid + 1, rows))
+    per, n = PHASE_SCAN_GRID_PER_POINT, len(w)
+    size = 1 << (2 * m - 3).bit_length()
+    n_grid = per * size // 2
+    step = band / n_grid
+    binned = np.stack([np.bincount(node, w, m), np.bincount(node, None, m)])
+    half = np.arange(size // 2 + 1)
     k_best, best = 0, -math.inf
-    for k, z1, z2 in blocks:
-        wc, ws = z1.real, -z1.imag
-        cc, ss, cs = (n + z2.real) / 2.0, (n - z2.real) / 2.0, -z2.imag / 2.0
-        det = cc * ss - cs * cs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = np.where(det > 1e-12 * n * n,
-                             (ss * wc * wc - 2.0 * cs * wc * ws + cc * ws * ws) / det,
-                             np.where(cc >= ss, wc * wc / cc, ws * ws / ss))
+    for q in range(per):
+        mod = np.exp(-2j * math.pi * q / (per * size) * np.arange(m))
+        f1, f2 = np.fft.fft(binned * np.stack([mod, mod * mod]), size)
+        k = per * half + q
+        score = _normal_fit(f1[half], f2[2 * half % size], n)[0]
         i = int(np.argmax(np.where((k >= 1) & (k <= n_grid), score, -math.inf)))
         if score[i] > best:
             k_best, best = int(k[i]), float(score[i])
-    return (k_best - 1) * step, min(k_best + 1, n_grid) * step
+    return (k_best - 1) * step, min(k_best + 1, n_grid) * step, step
 
 
 def fit_phase_scan(points) -> PhaseScanFit:
@@ -190,13 +170,17 @@ def fit_phase_scan(points) -> PhaseScanFit:
     captures the scan.  On the centred powers x = P - mean(P) the model is
     c*cos(a*x) + s*sin(a*x), linear in (c, s) for a fixed frequency a, so
     the fit is a search over a alone (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
-    a grid of spacing pi/(`PHASE_SCAN_GRID_PER_POINT`*span) or finer over
-    (0, pi*(m - 1)/span], then a golden-section refinement of the best grid
-    cell.  m counts the distinct powers, and powers closer than 1e-9*span
-    count as one.  On an evenly spaced scan the band ends at pi/spacing, and
-    higher frequencies alias onto it.  A >= 0, a > 0, b lies in (-pi, pi],
-    and ``power_at_max`` is the fitted-cosine argmax closest to the mean
-    scanned power.
+    an FFT grid over the band (0, pi/spacing] (`_search_bracket`), then a
+    golden-section refinement of the best grid cell, on sums over the exact
+    x, to a few ulps; `_normal_fit` gives (c, s) at every frequency.  The m
+    distinct powers (closer than 1e-9*span count as one, so powers may
+    repeat) must lie on an even grid of m nodes, to 1e-6 of a gap or to a
+    few ulps of the powers, whichever is larger; higher frequencies alias
+    into the band.  An uneven scan raises `FitError`, and so does a best fit
+    in the bottom or top grid cell of the band with an amplitude above ten
+    times the witness's range: there a column vanishes, and the frequency
+    is not identifiable.  A >= 0, a > 0, b lies in (-pi, pi], and
+    ``power_at_max`` is the fitted-cosine argmax closest to the mean power.
     """
     pts = np.array([(float(p), float(w)) for p, w in points])
     if len(pts) < 5:
@@ -216,21 +200,36 @@ def fit_phase_scan(points) -> PhaseScanFit:
         raise FitError("scan powers too close together")
     if np.ptp(wit) < 1e-12:
         raise FitError("degenerate scan: witness does not vary")
+    pos = (power - power.min()) * ((m - 1) / span)
+    node = np.rint(pos)
+    ulps = 4.0 * float(np.spacing(np.abs(power).max())) * (m - 1) / span
+    if np.any(np.abs(pos - node) > max(1e-6, ulps)):
+        raise FitError("scan powers are not evenly spaced")
 
-    lo, hi = _search_bracket(x, wit, m)
+    def residual(a):
+        """(c, s) at each frequency in ``a``, and their residual sums of squares."""
+        e = np.exp(-1j * np.multiply.outer(a, x))
+        c, s = _normal_fit(e @ wit, (e * e).sum(axis=-1), len(x))[1:]
+        r = wit - c[..., None] * e.real + s[..., None] * e.imag
+        return c, s, np.einsum("...i,...i->...", r, r)
+
+    band = math.pi * (m - 1) / span
+    lo, hi, step = _search_bracket(node.astype(np.intp), wit, m, band)
     while hi - lo > 4.0 * math.ulp(hi):
         gap = _INV_GOLDEN * (hi - lo)
-        r1, r2 = _projected_fit(x, wit, np.array([hi - gap, lo + gap]))[1]
+        r1, r2 = residual(np.array([hi - gap, lo + gap]))[2]
         lo, hi = (lo, lo + gap) if r1 <= r2 else (hi - gap, hi)
     a = (lo + hi) / 2.0
-    c, s = _projected_fit(x, wit, np.array([a]))[0][0]
-    shift = math.atan2(s, c)
+    c, s = map(float, residual(a)[:2])
+    amplitude, shift = math.hypot(c, s), math.atan2(s, c)
+    if (a <= step or a >= band - step) and amplitude > 10.0 * np.ptp(wit):
+        raise FitError("frequency not identifiable: the best fit sits at the edge of the band")
     b = math.remainder(-a * mid - shift, 2.0 * math.pi)
     if b <= -math.pi:
         b += 2.0 * math.pi
-    fit = PhaseScanFit(amplitude=math.hypot(c, s), rad_per_unit=a, phase_offset=b,
+    fit = PhaseScanFit(amplitude=amplitude, rad_per_unit=a, phase_offset=b,
                        power_at_max=mid + shift / a)
-    if not all(map(math.isfinite, (fit.amplitude, a, b, fit.power_at_max))):
+    if not all(map(math.isfinite, (amplitude, a, b, fit.power_at_max))):
         raise FitError("cosine fit is not finite")
     return fit
 

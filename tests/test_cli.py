@@ -428,6 +428,9 @@ class TestDeterminismAndExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
+    # The ``config-init`` source and chip, for runs on its context.
+    _INIT_CONTEXT = {key: default_config()[key] for key in ("source", "chip")}
+
     def test_numerical_failure_exit_3(self, ideal_config, tmp_path):
         cfg = json.loads(ideal_config.read_text())
         # a scan that never moves the phase makes the cosine fit degenerate
@@ -448,9 +451,16 @@ class TestDeterminismAndExitCodes:
                         "exact_probabilities": False}),
         ("phase-scan", {"phase_scan": {"power_min_mw": 28.0,
                                        "power_max_mw": 1.7976931348623157e308}}),
+        ("phase-scan", {**_INIT_CONTEXT, "exact_probabilities": False, "phase_scan": {
+            "points": 5, "rad_per_mw": 0.2564, "offset_rad": -2.0}}),
+        ("phase-scan", {**_INIT_CONTEXT, "exact_probabilities": False, "phase_scan": {
+            "points": 5, "rad_per_mw": 0.0005, "offset_rad": 0.3}}),
+        ("phase-scan", {**_INIT_CONTEXT, "exact_probabilities": False, "phase_scan": {
+            "rad_per_mw": 0.0, "offset_rad": 0.0}}),
     ], ids=["qss-nothing-sifted", "no-post-selected-mass", "shots-overflow",
             "bell-cancellation", "simulate-cancellation", "phase-scan-one-power",
-            "phase-scan-linspace-overflow"])
+            "phase-scan-linspace-overflow", "phase-scan-alias-band-top",
+            "phase-scan-alias-band-bottom", "phase-scan-alias-no-phase"])
     def test_degenerate_run_exit_3(self, ideal_config, tmp_path, capsys, command, update):
         cfg = json.loads(ideal_config.read_text())
         for key, value in update.items():
@@ -467,6 +477,7 @@ class TestDeterminismAndExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert len(err.splitlines()) == 1
+        assert not any((tmp_path / "o").iterdir())
 
 
 def test_context_only_commands_never_enumerate(tmp_path, enumeration_calls):
@@ -590,3 +601,30 @@ def test_mutated_config_exits_0_2_or_3(data):
         with contextlib.redirect_stderr(io.StringIO()):
             code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert code in (0, 2, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.integers(5, 13), band_fraction=st.floats(0.0, 1.5),
+       offset=st.floats(-math.pi, math.pi), seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_phase_scan_exits_0_or_3(points, band_fraction, offset, seed):
+    """A sampled ``config-init`` phase scan, its frequency up to 1.5 times the band
+    edge pi/spacing: a numerical failure, or a fit in the band whose amplitude
+    exceeds the largest witness by at most ten times the witness's range.  (A
+    scan that barely moves the phase is fitted near a cosine's peak, so its
+    amplitude is the witness's level, which its noise range alone can miss.)"""
+    cfg = json.loads(dump_config(default_config()))
+    scan = cfg["phase_scan"]
+    band = math.pi * (points - 1) / (scan["power_max_mw"] - scan["power_min_mw"])
+    scan.update(points=points, rad_per_mw=band_fraction * band, offset_rad=offset)
+    cfg.update(exact_probabilities=False, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "o"
+        path.write_text(dump_config(cfg))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["phase-scan", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code == 0:
+            fit = read_json(out / "fit.json")
+            power, wit = np.loadtxt(out / "scan.csv", delimiter=",", skiprows=1).T
+            assert 0.0 < fit["rad_per_mw"] <= math.pi * (points - 1) / np.ptp(power)
+            assert fit["amplitude"] <= np.abs(wit).max() + 10.0 * np.ptp(wit)
