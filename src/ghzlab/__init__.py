@@ -2,10 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .chip import (HeaterCalibration, MziSetting, PreparationStage,
-                   full_unitary, heater_forward, heater_solve,
-                   measurement_unitary, preparation_unitary,
-                   setting_for_projector)
+from .chip import (HeaterCalibration, PreparationStage, full_unitary,
+                   heater_forward, heater_solve, measurement_unitary,
+                   preparation_unitary)
 from .qmath import (PauliLabel, fidelity_to_pure, ghz4, pauli_operator,
                     permanent, project_to_physical, purity)
 from .simulator import (DetectorModel, LossBudget, OutcomeDistribution,

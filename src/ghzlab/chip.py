@@ -111,23 +111,12 @@ def preparation_unitary(stage: PreparationStage) -> np.ndarray:
     return (phases[:, None] * perm) @ c
 
 
-@dataclass(frozen=True)
-class MziSetting:
-    """One MZI configuration: input phase alpha and internal phase phi (radians)."""
-
-    alpha: float
-    phi: float
-    pauli: PauliLabel | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha) % TWO_PI)
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
-
-
-# Phase settings realizing each projective measurement; the +1 eigenstate
+# Phases (alpha, phi) realizing each projective measurement; the +1 eigenstate
 # cos(chi)|0> + e^{i*psi} sin(chi)|1> of the labeled operator exits on the
-# upper output with probability one (validated in the test suite).
+# upper output with probability one (validated in the test suite).  A party
+# measured with I is read out at Z.
 _PROJECTOR_TABLE = {
+    PauliLabel.I: (0.0, math.pi),
     PauliLabel.X: (0.0, math.pi / 2),
     PauliLabel.MINUS_X: (0.0, 3 * math.pi / 2),
     PauliLabel.Y: (math.pi / 2, math.pi / 2),
@@ -138,31 +127,27 @@ _PROJECTOR_TABLE = {
 }
 
 
-def setting_for_projector(label: PauliLabel) -> MziSetting:
-    if label not in _PROJECTOR_TABLE:
-        raise ValueError(f"no MZI setting for label {label}")
-    alpha, phi = _PROJECTOR_TABLE[label]
-    return MziSetting(alpha=alpha, phi=phi, pauli=label)
-
-
-def mzi_block(setting: MziSetting) -> np.ndarray:
+def mzi_block(alpha: float, phi: float) -> np.ndarray:
     """2x2 transfer matrix: coupler . phi-shift . coupler . alpha-shift."""
     dc = coupler(0.5)
-    return dc @ phase_on_upper(setting.phi) @ dc @ phase_on_upper(setting.alpha)
+    return dc @ phase_on_upper(phi) @ dc @ phase_on_upper(alpha)
 
 
-def measurement_unitary(settings: Sequence[MziSetting]) -> np.ndarray:
-    """Block-diagonal 8x8 unitary of the four measurement MZIs."""
-    if len(settings) != 4:
-        raise ValueError("need one MZI setting per qubit")
+_MZI_BLOCKS = {label: mzi_block(*phases) for label, phases in _PROJECTOR_TABLE.items()}
+
+
+def measurement_unitary(labels: Sequence[PauliLabel]) -> np.ndarray:
+    """Block-diagonal 8x8 unitary of the four measurement MZIs, one label per qubit."""
+    if len(labels) != 4:
+        raise ValueError("need one measurement label per qubit")
     u = np.zeros((8, 8), dtype=complex)
-    for k, s in enumerate(settings):
-        u[2 * k:2 * k + 2, 2 * k:2 * k + 2] = mzi_block(s)
+    for k, label in enumerate(labels):
+        u[2 * k:2 * k + 2, 2 * k:2 * k + 2] = _MZI_BLOCKS[label]
     return u
 
 
-def full_unitary(stage: PreparationStage, settings: Sequence[MziSetting]) -> np.ndarray:
-    return measurement_unitary(settings) @ preparation_unitary(stage)
+def full_unitary(stage: PreparationStage, labels: Sequence[PauliLabel]) -> np.ndarray:
+    return measurement_unitary(labels) @ preparation_unitary(stage)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import __version__, experiments, qss
 from .chip import heater_forward, heater_solve
 from .config import ExperimentConfig, default_config, dump_config, load_config
 from .errors import ConfigError, FitError, SolverError
-from .simulator import OUTCOME_LABELS, coincidence_rate
+from .simulator import OUTCOME_LABELS, coincidence_rate, qubit_distribution
 
 RESULT_SCHEMA = "ghzlab-result/v1"
 
@@ -49,7 +49,7 @@ def _write_manifest(outdir: Path, command: str, cfg_path: str, cfg: ExperimentCo
 
 def cmd_simulate(cfg: ExperimentConfig, outdir: Path) -> list:
     labels = cfg.simulate_labels
-    dist = experiments.run_simulate(cfg.context, labels)
+    dist = qubit_distribution(cfg.context, labels)
     csv_path = outdir / "distribution.csv"
     json_path = outdir / "distribution.json"
     csv_path.write_text(dist.to_csv())
@@ -254,20 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "config-init":
-        text = dump_config(default_config())
-        if args.out is not None:
-            args.out.write_text(text)
-        else:
-            sys.stdout.write(text)
+    if args.command == "config-init" and args.out is None:
+        sys.stdout.write(dump_config(default_config()))
         return 0
     try:
+        if args.command == "config-init":
+            args.out.write_text(dump_config(default_config()))
+            return 0
         cfg = load_config(args.config)
+        outdir = args.out
+        outdir.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    outdir = args.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             results = COMMANDS[args.command](cfg, outdir)

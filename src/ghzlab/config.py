@@ -29,16 +29,17 @@ MAX_COUNT = 10 ** 6
 
 
 def default_config() -> dict:
+    source = SourceSpec()
     return {
         "schema": SCHEMA,
         "seed": 20220901,
         "shots_per_setting": 450,
         "exact_probabilities": True,
         "source": {
-            "g2": 0.005,
-            "overlaps": {"AB": 0.924, "AC": 0.915, "BD": 0.881, "CD": 0.921},
-            "eta": 0.039,
-            "distinguishability_scale": [1.0, 1.0, 1.0, 1.0],
+            "g2": source.g2,
+            "overlaps": dict(source.measured_overlaps),
+            "eta": source.eta,
+            "distinguishability_scale": list(source.distinguishability_scale),
         },
         "chip": {
             "path_phases": [0.0] * 8,
@@ -59,7 +60,7 @@ def default_config() -> dict:
         "tomography": {"resamples": 25},
         "calibrate": {
             "alpha_targets_rad": [0.0, 0.0, 0.0, 0.0],
-            "phi_targets_rad": [3.8656, 2.838, 0.798, 0.990],
+            "phi_targets_rad": HeaterCalibration().phi_offset.tolist(),
         },
         "rate": asdict(LossBudget()),
         "notes": {
@@ -280,7 +281,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data)
 

@@ -20,22 +20,12 @@ from .analysis import (PHASE_WITNESS_SETTINGS, BellResult, CountTable, MleResult
                        fit_phase_scan, max_fidelity_over_phase, mle_reconstruct,
                        monte_carlo_error, phase_witness, stabilizer_witness,
                        tomography_settings)
-from .chip import PreparationStage, setting_for_projector
+from .chip import PreparationStage
 from .qmath import PauliLabel, fidelity_to_pure, ghz4, purity
-from .simulator import (DetectorModel, OutcomeDistribution, SimContext,
-                        qubit_distribution, sample_counts)
+from .simulator import DetectorModel, SimContext, qubit_distribution, sample_counts
 from .source import MEASURED_PAIRS, SourceSpec
 
 MEASURED_REFLECTIVITIES = (0.500, 0.505, 0.4905, 0.503)
-
-
-def settings_for_labels(labels) -> tuple:
-    """MZI settings for four measurement labels; identity parties sit at Z."""
-    out = []
-    for lab in labels:
-        out.append(setting_for_projector(
-            PauliLabel.Z if lab is PauliLabel.I else lab))
-    return tuple(out)
 
 
 def _count_table(ctx: SimContext, label_tuples: list, shots: int | None, seeds,
@@ -45,7 +35,7 @@ def _count_table(ctx: SimContext, label_tuples: list, shots: int | None, seeds,
     many post-selected events drawn from ``seeds[i]``."""
     rows = []
     for labels, seed in zip(label_tuples, seeds):
-        dist = qubit_distribution(ctx, settings_for_labels(labels))
+        dist = qubit_distribution(ctx, labels)
         rows.append(dist.conditional() * effective_counts if shots is None
                     else sample_counts(dist, shots, seed))
     return CountTable(label_tuples, rows)
@@ -62,10 +52,6 @@ def measurement_records(ctx: SimContext, label_tuples, shots: int | None, seed,
     label_tuples = list(label_tuples)
     return _count_table(ctx, label_tuples, shots,
                         _child_seeds(shots, seed, len(label_tuples)), effective_counts)
-
-
-def run_simulate(ctx: SimContext, labels) -> OutcomeDistribution:
-    return qubit_distribution(ctx, settings_for_labels(labels))
 
 
 def run_tomography(ctx: SimContext, shots: int | None = None, seed=None,

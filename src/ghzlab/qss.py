@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import simulator
-from .chip import setting_for_projector
 from .errors import SolverError
+from .experiments import measurement_records
 from .qmath import PauliLabel, ghz4, pauli_operator
 from .simulator import SimContext
 
@@ -61,18 +60,14 @@ def classify_bases(bases) -> str:
     return "c" if x_set in _CORRELATED_PAIRS else "d"
 
 
-def _labels(bases) -> list:
-    return [PauliLabel.X if v == "x" else PauliLabel.Y for v in bases]
-
-
-def _basis_settings(bases):
-    return tuple(setting_for_projector(label) for label in _labels(bases))
-
+# The four measurement labels of each basis choice, one tuple per ``b``.
+_LABELS = tuple(tuple(PauliLabel.X if v == "x" else PauliLabel.Y for v in bases)
+                for bases in _BASES)
 
 # Eigenvalue of the four-fold basis operator on the shared state: +1 for
 # cases a and d, -1 for case c, 0 for case b.
-_SIGN = np.array([np.vdot(ghz4(), pauli_operator(_labels(bases)) @ ghz4()).real
-                  for bases in _BASES]).round().astype(np.int8)
+_SIGN = np.array([np.vdot(ghz4(), pauli_operator(labels) @ ghz4()).real
+                  for labels in _LABELS]).round().astype(np.int8)
 _CASE = np.array([classify_bases(bases) for bases in _BASES])
 # The dealer's bit is the parity of parties 2-4, flipped on a -1 eigenvalue.
 _INFERRED = np.where(_SIGN[:, None] == 0, -1,
@@ -97,8 +92,7 @@ class QssReport:
 
 def _conditionals(ctx: SimContext) -> np.ndarray:
     """Conditional outcome distribution of each basis choice, one row per ``b``."""
-    return np.array([simulator.qubit_distribution(ctx, _basis_settings(bases)).conditional()
-                     for bases in _BASES])
+    return measurement_records(ctx, _LABELS, None, None).counts
 
 
 def _error_rate(conditionals: np.ndarray) -> float:

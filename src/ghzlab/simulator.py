@@ -307,14 +307,14 @@ def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
     return OutcomeDistribution(probs=probs, discard_mass=1.0 - mass)
 
 
-def qubit_distribution(ctx: SimContext, settings) -> OutcomeDistribution:
-    """End-to-end outcome distribution for one measurement configuration.
+def qubit_distribution(ctx: SimContext, labels) -> OutcomeDistribution:
+    """End-to-end outcome distribution of one setting, four measurement labels.
 
     The weight that the input enumeration dropped (fewer than four photons,
     or negligible terms) is accounted to the discard mass, so the total
     probability including discards is one.
     """
-    return outcome_distribution(full_unitary(ctx.stage, settings), ctx.spec.enumeration,
+    return outcome_distribution(full_unitary(ctx.stage, labels), ctx.spec.enumeration,
                                 ctx.detectors)
 
 

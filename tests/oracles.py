@@ -37,9 +37,10 @@ import numpy as np
 from scipy.optimize import curve_fit, linprog, minimize
 
 from ghzlab.analysis import tomography_settings
+from ghzlab.chip import mzi_block, preparation_unitary
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
-from ghzlab.qss import QssReport, _basis_settings, classify_bases
+from ghzlab.qss import QssReport, classify_bases
 from ghzlab.source import _PAIR_INDEX, MasterFractions, _balance_gauge
 from ghzlab.simulator import (OutcomeDistribution, apply_detector_efficiency,
                               qubit_distribution, scatter_distribution)
@@ -70,6 +71,23 @@ def mzi_reference(alpha, phi):
     pa = np.diag([np.exp(1j * alpha), 1.0])
     pp = np.diag([np.exp(1j * phi), 1.0])
     return dc @ pp @ dc @ pa
+
+
+def mzi_phase_unitary(stage, phases):
+    """Chip unitary with MZI k at ``phases[k]`` = (alpha, phi), phases no label names.
+
+    The four `mzi_block` blocks after `preparation_unitary`, for tests that
+    drive the simulator at random MZI phases.
+    """
+    measurement = np.zeros((8, 8), dtype=complex)
+    for k, (alpha, phi) in enumerate(phases):
+        measurement[2 * k:2 * k + 2, 2 * k:2 * k + 2] = mzi_block(alpha, phi)
+    return measurement @ preparation_unitary(stage)
+
+
+def xy_labels(bases):
+    """The measurement labels of a secret-sharing basis choice such as "xyxx"."""
+    return tuple(PauliLabel.X if b == "x" else PauliLabel.Y for b in bases)
 
 
 def permanent_by_permutations(m):
@@ -523,7 +541,7 @@ def oracle_expected_qber(ctx) -> float:
     for bases in itertools.product("xy", repeat=4):
         if classify_bases(bases) == "b":
             continue
-        p = qubit_distribution(ctx, _basis_settings(bases)).conditional()
+        p = qubit_distribution(ctx, xy_labels(bases)).conditional()
         err = 0.0
         for outcome in range(16):
             bits = [(outcome >> (3 - i)) & 1 for i in range(4)]
@@ -542,7 +560,7 @@ def oracle_run_qss(ctx, rounds, seed, public_fraction=0.0):
     """
     cdfs = {}
     for bases in itertools.product("xy", repeat=4):
-        cdf = qubit_distribution(ctx, _basis_settings(bases)).conditional().cumsum()
+        cdf = qubit_distribution(ctx, xy_labels(bases)).conditional().cumsum()
         cdfs[bases] = cdf / cdf[-1]
     master = np.random.SeedSequence(seed)
     transcript = []

@@ -13,19 +13,18 @@ import pytest
 
 from ghzlab.analysis import (CountTable, bell_settings, mle_reconstruct,
                              tomography_settings)
-from ghzlab.chip import HeaterCalibration, MziSetting, full_unitary, heater_forward, heater_solve
+from ghzlab.chip import HeaterCalibration, heater_forward, heater_solve
 from ghzlab.experiments import (SimContext, measured_noise_context, run_bell,
                                 run_bell_sweep, run_phase_witness,
-                                run_simulate, run_tomography, run_witness,
-                                settings_for_labels, tomography_report)
+                                run_tomography, run_witness, tomography_report)
 from ghzlab.qmath import PauliLabel, fidelity_to_pure, ghz4, permanent, purity
 from ghzlab.qss import classify_bases, run_qss
 from ghzlab.simulator import (DetectorModel, LossBudget, coincidence_rate,
-                              qubit_distribution, sample_counts)
+                              outcome_distribution, qubit_distribution, sample_counts)
 from ghzlab.source import MasterFractions, SourceSpec, fit_master_fractions
 
 from oracles import (assignment_distribution, likelihood_ratio_deviance,
-                     permanent_by_permutations)
+                     mzi_phase_unitary, permanent_by_permutations)
 
 SQRT2 = math.sqrt(2)
 Z4 = (PauliLabel.Z,) * 4
@@ -48,7 +47,7 @@ def noisy():
 
 def test_criterion_01_ideal_generation(ideal):
     t0 = time.perf_counter()
-    dist = run_simulate(ideal, Z4)
+    dist = qubit_distribution(ideal, Z4)
     elapsed = time.perf_counter() - t0
     cond = dist.conditional()
     ok = (abs(dist.success_probability - 1 / 8) < 1e-12
@@ -100,7 +99,7 @@ def test_criterion_05_tomography_consistency(ideal):
     p_exact = purity(mle.rho)
 
     settings = tomography_settings()
-    dists = [qubit_distribution(ideal, settings_for_labels(s)) for s in settings]
+    dists = [qubit_distribution(ideal, s) for s in settings]
     successes = 0
     fidelities = []
     for run_seed in range(20):
@@ -201,11 +200,11 @@ def test_criterion_09_oracles(ideal):
     worst_dist = 0.0
     for _ in range(20):
         theta = rng.uniform(-math.pi, math.pi)
-        settings = [MziSetting(rng.uniform(0, 2 * math.pi),
-                               rng.uniform(0, 2 * math.pi)) for _ in range(4)]
+        phases = [rng.uniform(0, 2 * math.pi, 2) for _ in range(4)]
         ctx = ideal.with_state_phase(theta)
-        dist = qubit_distribution(ctx, settings)
-        oracle = assignment_distribution(full_unitary(ctx.stage, settings))
+        u = mzi_phase_unitary(ctx.stage, phases)
+        dist = outcome_distribution(u, ctx.spec.enumeration, ctx.detectors)
+        oracle = assignment_distribution(u)
         worst_dist = max(worst_dist, float(np.max(np.abs(dist.probs - oracle))))
 
     cal = HeaterCalibration()

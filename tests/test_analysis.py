@@ -18,7 +18,7 @@ from ghzlab import experiments
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_records, run_bell,
                                 run_phase_scan, run_tomography, run_witness,
-                                settings_for_labels, tomography_report)
+                                tomography_report)
 from ghzlab.qmath import (PauliLabel, fidelity_to_pure, ghz4, project_to_physical,
                           purity)
 from ghzlab.simulator import qubit_distribution, sample_counts
@@ -369,8 +369,7 @@ class TestSampledSeedRule:
 
     def _expected(self, contexts, label_tuples):
         children = np.random.SeedSequence(self.SEED).spawn(len(label_tuples))
-        return [sample_counts(qubit_distribution(ctx, settings_for_labels(s)),
-                              self.SHOTS, child)
+        return [sample_counts(qubit_distribution(ctx, s), self.SHOTS, child)
                 for ctx, s, child in zip(contexts, label_tuples, children)]
 
     def test_witness_row_i_draws_from_child_i(self, noise_ctx, draws):

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from ghzlab.chip import (HeaterCalibration, MziSetting, PreparationStage,
-                         full_unitary, heater_forward, heater_solve,
-                         measurement_unitary, mzi_block, preparation_unitary,
-                         setting_for_projector, _solve_block)
+from ghzlab.chip import (HeaterCalibration, PreparationStage, full_unitary,
+                         heater_forward, heater_solve, measurement_unitary,
+                         mzi_block, preparation_unitary, _solve_block)
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
 
-from oracles import (assignment_distribution, mzi_reference, oracle_heater_block,
-                     preparation_matrix_reference)
+from oracles import (assignment_distribution, mzi_phase_unitary, mzi_reference,
+                     oracle_heater_block, preparation_matrix_reference)
 
 TWO_PI = 2 * math.pi
 
 # +1 eigenstates cos(chi)|0> + e^{i*psi} sin(chi)|1> as (chi, psi), one per
-# label that has an MZI setting.
+# label but I.
 PROJECTOR_EIGENSTATE = {
     PauliLabel.X: (math.pi / 4, 0.0),
     PauliLabel.MINUS_X: (-math.pi / 4, 0.0),
@@ -28,10 +27,15 @@ PROJECTOR_EIGENSTATE = {
 }
 
 
-def upper_click_probability(setting: MziSetting, state2: np.ndarray) -> float:
+def label_block(label: PauliLabel) -> np.ndarray:
+    """The 2x2 MZI block that ``measurement_unitary`` gives the first qubit."""
+    return measurement_unitary((label,) * 4)[:2, :2]
+
+
+def upper_click_probability(label: PauliLabel, state2: np.ndarray) -> float:
     """Probability that a single photon in ``state2`` exits on the upper output."""
     v = np.asarray(state2, dtype=complex).ravel()
-    out = mzi_block(setting) @ v
+    out = label_block(label) @ v
     return float(abs(out[0]) ** 2)
 
 
@@ -73,41 +77,43 @@ class TestMeasurementStage:
     def test_plus_eigenstate_clicks_upper(self, label):
         chi, psi = PROJECTOR_EIGENSTATE[label]
         state = np.array([math.cos(chi), np.exp(1j * psi) * math.sin(chi)])
-        setting = setting_for_projector(label)
-        assert upper_click_probability(setting, state) == pytest.approx(1.0, abs=1e-10)
+        assert upper_click_probability(label, state) == pytest.approx(1.0, abs=1e-10)
 
     def test_projector_settings_table(self):
-        assert setting_for_projector(PauliLabel.Z) == MziSetting(0.0, math.pi, PauliLabel.Z)
-        assert setting_for_projector(PauliLabel.X) == MziSetting(0.0, math.pi / 2, PauliLabel.X)
-        assert setting_for_projector(PauliLabel.XPZ) == \
-            MziSetting(0.0, 3 * math.pi / 4, PauliLabel.XPZ)
+        assert np.array_equal(label_block(PauliLabel.Z), mzi_block(0.0, math.pi))
+        assert np.array_equal(label_block(PauliLabel.X), mzi_block(0.0, math.pi / 2))
+        assert np.array_equal(label_block(PauliLabel.XPZ), mzi_block(0.0, 3 * math.pi / 4))
 
-    def test_unsupported_label(self):
-        with pytest.raises(ValueError):
-            setting_for_projector(PauliLabel.I)
+    def test_identity_read_out_at_z(self):
+        others = (PauliLabel.X, PauliLabel.Y, PauliLabel.XPZ, PauliLabel.MINUS_X)
+        for k in range(4):
+            with_i = list(others)
+            with_i[k] = PauliLabel.I
+            with_z = list(others)
+            with_z[k] = PauliLabel.Z
+            assert np.array_equal(measurement_unitary(with_i), measurement_unitary(with_z))
 
     def test_block_matches_reference(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             a, p = rng.uniform(0, TWO_PI, 2)
-            assert np.max(np.abs(mzi_block(MziSetting(a, p)) - mzi_reference(a, p))) < 1e-12
+            assert np.max(np.abs(mzi_block(a, p) - mzi_reference(a, p))) < 1e-12
 
     def test_block_diagonal_structure(self):
-        settings = [MziSetting(0.3, 1.1), MziSetting(0.0, 2.0),
-                    MziSetting(1.0, 0.5), MziSetting(2.2, 3.3)]
-        u = measurement_unitary(settings)
+        u = measurement_unitary([PauliLabel.X, PauliLabel.Y, PauliLabel.XPZ,
+                                 PauliLabel.MINUS_Z])
         mask = np.ones((8, 8), dtype=bool)
         for k in range(4):
             mask[2 * k:2 * k + 2, 2 * k:2 * k + 2] = False
         assert np.all(u[mask] == 0.0)
 
     def test_z_setting_routes_computational_states(self):
-        block = mzi_block(setting_for_projector(PauliLabel.Z))
+        block = label_block(PauliLabel.Z)
         assert abs(block[0, 0]) ** 2 == pytest.approx(1.0, abs=1e-12)
         assert abs(block[1, 1]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_x_setting_on_plus_state(self):
-        block = mzi_block(setting_for_projector(PauliLabel.X))
+        block = label_block(PauliLabel.X)
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
         assert abs((block @ plus)[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -117,13 +123,11 @@ class TestFullUnitary:
         rng = np.random.default_rng(6)
         stage = PreparationStage()
         for _ in range(100):
-            settings = [MziSetting(*rng.uniform(0, TWO_PI, 2)) for _ in range(4)]
-            u = full_unitary(stage, settings)
+            u = mzi_phase_unitary(stage, [rng.uniform(0, TWO_PI, 2) for _ in range(4)])
             assert np.linalg.norm(u.conj().T @ u - np.eye(8)) < 1e-12
 
     def test_z_settings_concentrate_on_alternating_outcomes(self):
-        settings = [setting_for_projector(PauliLabel.Z)] * 4
-        u = full_unitary(PreparationStage(), settings)
+        u = full_unitary(PreparationStage(), (PauliLabel.Z,) * 4)
         probs = assignment_distribution(u)
         assert probs[0b0101] == pytest.approx(1 / 16, abs=1e-12)
         assert probs[0b1010] == pytest.approx(1 / 16, abs=1e-12)
@@ -138,7 +142,6 @@ class TestStatePhase:
 
     def test_state_phase_matches_assignment_amplitudes(self):
         rng = np.random.default_rng(10)
-        settings = [setting_for_projector(PauliLabel.Z)] * 4
         for _ in range(10):
             th = rng.uniform(-math.pi, math.pi, 8)
             stage = PreparationStage(path_phases=tuple(th))

@@ -20,6 +20,7 @@ from ghzlab.cli import COMMANDS, _density_matrix_text, main
 from ghzlab.config import (MAX_COUNT, PhaseScanSpec, default_config, dump_config,
                            load_config, parse_config)
 from ghzlab.errors import ConfigError
+from ghzlab.experiments import measured_noise_context
 from ghzlab.qmath import PauliLabel
 
 
@@ -37,6 +38,13 @@ def ideal_config(tmp_path):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(ghzlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 class TestConfig:
@@ -131,6 +139,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="exact_probabilities"):
             parse_config(cfg)
 
+    def test_default_is_the_measured_noise_context(self):
+        assert parse_config(default_config()).context == measured_noise_context()
+
     def test_config_init_command(self, tmp_path, capsys):
         out = tmp_path / "emitted.json"
         assert main(["config-init", "--out", str(out)]) == 0
@@ -210,9 +221,7 @@ class TestCommands:
         # separate process with stdout on a pipe sees whether anything escapes
         cfg = json.loads(ideal_config.read_text())
         rng = np.random.default_rng(41)
-        src = str(Path(ghzlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env = package_env()
         for i in range(3):
             cfg["calibrate"] = {
                 "alpha_targets_rad": rng.uniform(0, 2 * math.pi, 4).tolist(),
@@ -320,7 +329,7 @@ class TestCommands:
 
 class TestDeterminismAndExitCodes:
     @pytest.mark.parametrize("command", ["simulate", "witness", "bell", "phase-scan",
-                                         "tomography"])
+                                         "tomography", "qss"])
     def test_rerun_byte_identical(self, ideal_config, tmp_path, command):
         cfg = json.loads(ideal_config.read_text())
         cfg["exact_probabilities"] = False
@@ -368,6 +377,26 @@ class TestDeterminismAndExitCodes:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("case", ["config-not-utf8", "out-is-a-file",
+                                      "config-init-into-missing-dir"])
+    def test_unusable_path_exit_2(self, ideal_config, tmp_path, case):
+        # a separate process, so that stderr shows any traceback
+        out = tmp_path / "o"
+        if case == "config-not-utf8":
+            ideal_config.write_bytes(b'{"schema": "\xff"}')
+        elif case == "out-is-a-file":
+            out.write_text("a file\n")
+        args = (["config-init", "--out", str(tmp_path / "missing" / "config.json")]
+                if case == "config-init-into-missing-dir" else
+                ["simulate", "--config", str(ideal_config), "--out", str(out)])
+        proc = subprocess.run([sys.executable, "-m", "ghzlab.cli", *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=package_env(), timeout=120)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("update", [
         {"calibrate": {"alpha_targets_rad": [0.0, 0.0]}},
@@ -514,9 +543,7 @@ for command in COMMANDS:
     versions = json.loads(Path(out, command, "manifest.json").read_text())["versions"]
     assert sorted(versions) == ["ghzlab", "numpy"], versions
 """
-    src = str(Path(ghzlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = package_env()
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
                           timeout=300)

@@ -9,12 +9,12 @@ import pytest
 from ghzlab import qss
 from ghzlab.config import default_config, parse_config
 from ghzlab.errors import SolverError
-from ghzlab.qss import (_CASE, _ERROR, _INFERRED, _SIGN, _basis_settings, classify_bases,
+from ghzlab.qss import (_CASE, _ERROR, _INFERRED, _SIGN, classify_bases,
                         expected_qber, run_qss, write_transcript_csv)
 from ghzlab.simulator import SimContext, qubit_distribution
 
 from oracles import (born_probabilities, combo_sign, ghz_state, infer_dealer_bit,
-                     oracle_run_qss, oracle_transcript_to_csv)
+                     oracle_run_qss, oracle_transcript_to_csv, xy_labels)
 
 
 def basis_index(bases) -> int:
@@ -175,7 +175,7 @@ class TestRunQss:
         for r, rec in enumerate(transcript):
             rng = np.random.default_rng(children[r])
             bases = tuple("xy"[b] for b in rng.integers(0, 2, size=4))
-            p = qubit_distribution(ctx, _basis_settings(bases)).conditional()
+            p = qubit_distribution(ctx, xy_labels(bases)).conditional()
             index = int(rng.choice(16, p=p))
             assert (rec.basis, rec.outcome) == (basis_index(bases), index)
             if rec.case != "b":

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzlab.analysis import bell_settings, tomography_settings
-from ghzlab.chip import MziSetting, PreparationStage, full_unitary, setting_for_projector
+from ghzlab.chip import PreparationStage, full_unitary
 from ghzlab.experiments import (SimContext, measured_noise_context, run_bell,
-                                run_phase_scan, run_simulate, run_tomography,
-                                run_witness, settings_for_labels)
+                                run_phase_scan, run_tomography, run_witness)
 from ghzlab.qss import run_qss
 from ghzlab.qmath import PauliLabel
 from ghzlab.simulator import (DetectorModel, LossBudget, OutcomeDistribution,
@@ -21,7 +20,8 @@ from ghzlab.source import (JointInputEnumeration, JointInputTerm, MasterFraction
                            SourceSpec)
 
 from oracles import (assignment_distribution, born_probabilities, ghz_state,
-                     oracle_qubit_distribution, threshold_and_postselect)
+                     mzi_phase_unitary, oracle_qubit_distribution,
+                     threshold_and_postselect)
 
 Z4 = (PauliLabel.Z,) * 4
 X4 = (PauliLabel.X,) * 4
@@ -43,8 +43,6 @@ def assert_matches_oracle(u, enumeration, det):
 
 class TestScatter:
     def test_single_photon_through_preparation(self):
-        u = full_unitary(PreparationStage(),
-                         [setting_for_projector(PauliLabel.Z)] * 4)
         # single photon into the first input splits over the first two qubits
         from ghzlab.chip import preparation_unitary
         up = preparation_unitary(PreparationStage())
@@ -155,14 +153,14 @@ class TestPostselection:
 
 class TestQubitDistribution:
     def test_ideal_z_basis(self, ideal_ctx):
-        dist = run_simulate(ideal_ctx, Z4)
+        dist = qubit_distribution(ideal_ctx, Z4)
         assert dist.success_probability == pytest.approx(1 / 8, abs=1e-12)
         cond = dist.conditional()
         assert cond[0b0101] == pytest.approx(0.5, abs=1e-12)
         assert cond[0b1010] == pytest.approx(0.5, abs=1e-12)
 
     def test_ideal_x_basis_even_parity(self, ideal_ctx):
-        dist = run_simulate(ideal_ctx, X4)
+        dist = qubit_distribution(ideal_ctx, X4)
         cond = dist.conditional()
         oracle = born_probabilities(ghz_state(), ["x"] * 4)
         oracle /= oracle.sum()
@@ -175,7 +173,7 @@ class TestQubitDistribution:
                 assert cond[outcome] == pytest.approx(0.0, abs=1e-12)
 
     def test_phase_invisible_in_z_basis(self, ideal_ctx):
-        dist = run_simulate(ideal_ctx.with_state_phase(math.pi), Z4)
+        dist = qubit_distribution(ideal_ctx.with_state_phase(math.pi), Z4)
         cond = dist.conditional()
         assert cond[0b0101] == pytest.approx(0.5, abs=1e-12)
         assert cond[0b1010] == pytest.approx(0.5, abs=1e-12)
@@ -184,23 +182,21 @@ class TestQubitDistribution:
         rng = np.random.default_rng(18)
         for _ in range(20):
             theta = rng.uniform(-math.pi, math.pi)
-            settings = [MziSetting(rng.uniform(0, 2 * math.pi),
-                                   rng.uniform(0, 2 * math.pi)) for _ in range(4)]
+            phases = [rng.uniform(0, 2 * math.pi, 2) for _ in range(4)]
             ctx = ideal_ctx.with_state_phase(theta)
-            dist = qubit_distribution(ctx, settings)
-            u = full_unitary(ctx.stage, settings)
+            u = mzi_phase_unitary(ctx.stage, phases)
+            dist = outcome_distribution(u, ctx.spec.enumeration, ctx.detectors)
             oracle = assignment_distribution(u)
             assert np.max(np.abs(dist.probs - oracle)) < 1e-9
 
     def test_global_phase_invariance(self, ideal_ctx):
-        settings = settings_for_labels(X4)
-        u = full_unitary(ideal_ctx.stage, settings)
+        u = full_unitary(ideal_ctx.stage, X4)
         d1 = assignment_distribution(u)
         d2 = assignment_distribution(np.exp(1j * 0.7) * u)
         assert np.max(np.abs(d1 - d2)) < 1e-12
 
     def test_mass_conserved_with_noise(self, noise_ctx):
-        dist = run_simulate(noise_ctx, Z4)
+        dist = qubit_distribution(noise_ctx, Z4)
         assert dist.probs.sum() + dist.discard_mass == pytest.approx(1.0, abs=1e-8)
         assert np.all(dist.probs >= 0.0)
 
@@ -208,7 +204,7 @@ class TestQubitDistribution:
         last = -1.0
         for eta in (0.4, 0.6, 0.8, 1.0):
             ctx = replace(ideal_ctx, detectors=DetectorModel(efficiencies=(eta,) * 8))
-            dist = qubit_distribution(ctx, settings_for_labels(Z4))
+            dist = qubit_distribution(ctx, Z4)
             assert dist.success_probability > last
             last = dist.success_probability
 
@@ -224,7 +220,7 @@ class TestOracleAgreement:
                              ids=["".join(lab.token for lab in s)
                                   for s in COMMAND_SETTINGS])
     def test_measured_noise_settings(self, noise_ctx, noisy_enumeration, labels):
-        u = full_unitary(noise_ctx.stage, settings_for_labels(labels))
+        u = full_unitary(noise_ctx.stage, labels)
         new, ref = assert_matches_oracle(u, noisy_enumeration, noise_ctx.detectors)
         # the kept probabilities are ~1e-7, so compare the normalized ones too
         assert np.max(np.abs(new.conditional() - ref.conditional())) <= 1e-12
@@ -232,7 +228,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("labels", [X4, Z4], ids=["XXXX", "ZZZZ"])
     def test_imbalanced_detectors(self, noisy_enumeration, labels):
         ctx = measured_noise_context(detector_efficiencies=LOSSY_EFFICIENCIES)
-        u = full_unitary(ctx.stage, settings_for_labels(labels))
+        u = full_unitary(ctx.stage, labels)
         assert_matches_oracle(u, noisy_enumeration, ctx.detectors)
 
 
@@ -288,7 +284,7 @@ class TestProperties:
 
 class TestRoundoffClamp:
     def test_ideal_z_basis_zeros_sample(self, ideal_ctx):
-        dist = run_simulate(ideal_ctx, Z4)
+        dist = qubit_distribution(ideal_ctx, Z4)
         impossible = np.delete(dist.probs, [0b0101, 0b1010])
         assert np.all(impossible >= 0.0) and np.all(impossible < 1e-30)
         assert np.any(impossible == 0.0)
@@ -298,7 +294,7 @@ class TestRoundoffClamp:
     def test_ideal_settings_never_negative(self, ideal_ctx):
         # about half of these leave -5e-17 on some exact-zero outcome
         for labels in tomography_settings() + COMMAND_SETTINGS:
-            dist = run_simulate(ideal_ctx, labels)
+            dist = qubit_distribution(ideal_ctx, labels)
             assert np.all(dist.probs >= 0.0)
             assert sample_counts(dist, 10, 0).sum() == 10
 
@@ -306,7 +302,7 @@ class TestRoundoffClamp:
         # a negative term weight makes the kept mass genuinely negative
         enumeration = JointInputEnumeration(
             (JointInputTerm(-1.0, ((0, 0), (2, 0), (4, 0), (6, 0))),), 1, 1, -1.0)
-        u = full_unitary(ideal_ctx.stage, settings_for_labels(Z4))
+        u = full_unitary(ideal_ctx.stage, Z4)
         with pytest.raises(FloatingPointError):
             outcome_distribution(u, enumeration, DetectorModel.ideal())
 
@@ -356,7 +352,7 @@ class TestCancellationGuard:
 
 class TestSampling:
     def test_deterministic_given_seed(self, ideal_ctx):
-        dist = run_simulate(ideal_ctx, Z4)
+        dist = qubit_distribution(ideal_ctx, Z4)
         c1 = sample_counts(dist, 1000, 42)
         c2 = sample_counts(dist, 1000, 42)
         assert np.array_equal(c1, c2)
@@ -369,7 +365,7 @@ class TestSampling:
         assert counts[0b0101] == 500
 
     def test_large_sample_statistics(self, ideal_ctx):
-        dist = run_simulate(ideal_ctx, Z4)
+        dist = qubit_distribution(ideal_ctx, Z4)
         counts = sample_counts(dist, 10 ** 6, 7)
         sigma = 500.0  # sqrt(N*p*(1-p))
         assert abs(counts[0b0101] - 5e5) < 5 * sigma
@@ -400,11 +396,11 @@ class TestCoincidenceRate:
 
 class TestOutcomeDistributionType:
     def test_conditional_normalizes(self, ideal_ctx):
-        dist = run_simulate(ideal_ctx, Z4)
+        dist = qubit_distribution(ideal_ctx, Z4)
         assert dist.conditional().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_csv_and_json_exports(self, ideal_ctx):
-        dist = run_simulate(ideal_ctx, Z4)
+        dist = qubit_distribution(ideal_ctx, Z4)
         csv = dist.to_csv()
         assert csv.splitlines()[0] == "outcome,probability"
         assert len(csv.splitlines()) == 17
