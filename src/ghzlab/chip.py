@@ -146,8 +146,16 @@ def measurement_unitary(labels: Sequence[PauliLabel]) -> np.ndarray:
     return u
 
 
-def full_unitary(stage: PreparationStage, labels: Sequence[PauliLabel]) -> np.ndarray:
-    return measurement_unitary(labels) @ preparation_unitary(stage)
+def full_unitary(stage: PreparationStage, labels: Sequence[PauliLabel],
+                 preparation: np.ndarray | None = None) -> np.ndarray:
+    """The measurement MZIs after the preparation stage.
+
+    ``preparation`` is `preparation_unitary` of ``stage``, passed by a caller
+    that reads many settings of one stage so that it is built once.
+    """
+    if preparation is None:
+        preparation = preparation_unitary(stage)
+    return measurement_unitary(labels) @ preparation
 
 
 # --------------------------------------------------------------------------

@@ -117,6 +117,7 @@ def cmd_tomography(cfg: ExperimentConfig, outdir: Path) -> list:
         "mle_iterations": report.mle_iterations,
         "mle_converged": report.mle_converged,
         "mle_certificate": report.mle_certificate,
+        "mle_resamples_converged": report.mle_resamples_converged,
     })
     return [counts_path, rho_path, text_path, report_path]
 

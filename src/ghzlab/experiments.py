@@ -20,7 +20,7 @@ from .analysis import (PHASE_WITNESS_SETTINGS, BellResult, CountTable, MleResult
                        fit_phase_scan, max_fidelity_over_phase, mle_reconstruct,
                        monte_carlo_error, phase_witness, stabilizer_witness,
                        tomography_settings)
-from .chip import PreparationStage
+from .chip import PreparationStage, preparation_unitary
 from .qmath import PauliLabel, fidelity_to_pure, ghz4, purity
 from .simulator import DetectorModel, SimContext, qubit_distribution, sample_counts
 from .source import MEASURED_PAIRS, SourceSpec
@@ -33,9 +33,10 @@ def _count_table(ctx: SimContext, label_tuples: list, shots: int | None, seeds,
     """Row i: setting i's exact conditional probabilities scaled by
     ``effective_counts``, or with ``shots`` set a multinomial sample of that
     many post-selected events drawn from ``seeds[i]``."""
+    preparation = preparation_unitary(ctx.stage)
     rows = []
     for labels, seed in zip(label_tuples, seeds):
-        dist = qubit_distribution(ctx, labels)
+        dist = qubit_distribution(ctx, labels, preparation)
         rows.append(dist.conditional() * effective_counts if shots is None
                     else sample_counts(dist, shots, seed))
     return CountTable(label_tuples, rows)
@@ -74,6 +75,7 @@ class TomographyReport:
     mle_iterations: int
     mle_converged: bool
     mle_certificate: float
+    mle_resamples_converged: int
 
 
 # Share of I/16 in the start point of each Monte-Carlo resample's fit.
@@ -87,6 +89,8 @@ def tomography_report(ts: CountTable, n_resamples: int = 50,
     Each resample's fit starts from the central estimate mixed with
     `RESAMPLE_START_MIX` of I/16, which gives every outcome a positive
     probability, so a resample that empties a setting still has a fit.
+    ``mle_resamples_converged`` counts the resample fits that met the
+    certificate.
     """
     target = ghz4()
     mle = mle_reconstruct(ts)
@@ -94,10 +98,13 @@ def tomography_report(ts: CountTable, n_resamples: int = 50,
     pur = purity(mle.rho)
     theta_star, fid_star = max_fidelity_over_phase(mle.rho)
     start = (1.0 - RESAMPLE_START_MIX) * mle.rho + RESAMPLE_START_MIX * np.eye(16) / 16
+    resamples_converged = 0
 
     def fid_pur_stat(resampled):
-        rho = mle_reconstruct(resampled, start=start).rho
-        return fidelity_to_pure(rho, target), purity(rho)
+        nonlocal resamples_converged
+        fit = mle_reconstruct(resampled, start=start)
+        resamples_converged += fit.converged
+        return fidelity_to_pure(fit.rho, target), purity(fit.rho)
 
     if n_resamples >= 2:
         fid_err, pur_err = monte_carlo_error(ts, fid_pur_stat, n_resamples, seed)
@@ -108,7 +115,8 @@ def tomography_report(ts: CountTable, n_resamples: int = 50,
                               fidelity_error=fid_err, purity_error=pur_err,
                               mle_iterations=mle.iterations,
                               mle_converged=mle.converged,
-                              mle_certificate=mle.certificate)
+                              mle_certificate=mle.certificate,
+                              mle_resamples_converged=resamples_converged)
     return report, mle
 
 

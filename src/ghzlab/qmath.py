@@ -204,7 +204,18 @@ def project_to_physical(h: np.ndarray, herm_tol: float = 1e-8,
     n = a.shape[0]
     if not 0.0 <= min_eigenvalue * n < 1.0:
         raise ValueError(f"eigenvalue floor {min_eigenvalue} leaves no trace to share")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return nearest_density_matrix((a + a.conj().T) / 2.0, min_eigenvalue)
+
+
+def nearest_density_matrix(h: np.ndarray, min_eigenvalue: float = 0.0) -> np.ndarray:
+    """The core of `project_to_physical`, with no checks of its input.
+
+    ``h`` must be a finite Hermitian n x n matrix (only its lower triangle is
+    read) and 0 <= ``min_eigenvalue`` * n < 1, as for a caller whose input is
+    Hermitian by construction.
+    """
+    n = h.shape[0]
+    w, v = np.linalg.eigh(h)
     # u: floor-shifted eigenvalues, largest first.  The shift is
     # excess[k] / (k + 1) for the largest k whose u[k] stays positive under
     # its own shift excess[k] / (k + 1), i.e. (k + 1) * u[k] > excess[k].

@@ -307,15 +307,17 @@ def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
     return OutcomeDistribution(probs=probs, discard_mass=1.0 - mass)
 
 
-def qubit_distribution(ctx: SimContext, labels) -> OutcomeDistribution:
+def qubit_distribution(ctx: SimContext, labels,
+                       preparation: np.ndarray | None = None) -> OutcomeDistribution:
     """End-to-end outcome distribution of one setting, four measurement labels.
 
     The weight that the input enumeration dropped (fewer than four photons,
     or negligible terms) is accounted to the discard mass, so the total
-    probability including discards is one.
+    probability including discards is one.  ``preparation`` is as for
+    `full_unitary`.
     """
-    return outcome_distribution(full_unitary(ctx.stage, labels), ctx.spec.enumeration,
-                                ctx.detectors)
+    return outcome_distribution(full_unitary(ctx.stage, labels, preparation),
+                                ctx.spec.enumeration, ctx.detectors)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed) -> np.ndarray:

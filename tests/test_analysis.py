@@ -11,8 +11,9 @@ from ghzlab.analysis import (PHASE_WITNESS_SETTINGS, CountTable, bell_settings,
                              linear_inversion, max_fidelity_over_phase,
                              mle_reconstruct, monte_carlo_error, phase_witness,
                              stabilizer_witness, tomography_settings,
-                             MLE_CERTIFICATE_TOL, MLE_START_FLOOR, _FRAME,
-                             _frame_adjoint, _frame_sum, _likelihood_terms)
+                             MLE_CERTIFICATE_TOL, MLE_START_FLOOR, _PAIR_FRAME,
+                             _by_pairs, _frame_adjoint, _frame_sum,
+                             _likelihood_terms)
 from ghzlab.config import default_config, parse_config
 from ghzlab import experiments
 from ghzlab.errors import FitError
@@ -479,7 +480,8 @@ class TestTomographySetSerialization:
 
 
 class TestTomographyDesign:
-    """The per-party frame helpers against the design's kets, built outcome by outcome."""
+    """The two-party frame helpers against the design's kets, built outcome by
+    outcome; (81, 16) arrays in design order enter them through `_by_pairs`."""
 
     def test_adjoint_matches_oracle_kets(self):
         v, _ = oracle_projector_vectors(tomo(np.ones((81, 16))))
@@ -488,7 +490,8 @@ class TestTomographyDesign:
             a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
             rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
             expected = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
-            assert np.max(np.abs(_frame_adjoint(rho).ravel() - expected)) <= 1e-14
+            assert np.max(np.abs(_frame_adjoint(rho)
+                                 - _by_pairs(expected.reshape(81, 16)))) <= 1e-14
 
     def test_frame_sum_matches_oracle_kets(self):
         v, _ = oracle_projector_vectors(tomo(np.ones((81, 16))))
@@ -496,7 +499,7 @@ class TestTomographyDesign:
         for _ in range(3):
             w = rng.uniform(0.0, 1.0, (81, 16))
             expected = (v * w.ravel()) @ v.conj().T
-            assert np.max(np.abs(_frame_sum(w, _FRAME) - expected)) <= 1e-13
+            assert np.max(np.abs(_frame_sum(_by_pairs(w), _PAIR_FRAME) - expected)) <= 1e-13
 
 
 class TestLinearInversion:
@@ -562,8 +565,8 @@ class TestMle:
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = a @ a.conj().T + 4.0 * np.eye(16)
         rho /= np.trace(rho).real
-        _, ratio = _likelihood_terms(ts.counts, rho)
-        r = _frame_sum(ratio / n_total, _FRAME)
+        _, ratio = _likelihood_terms(_by_pairs(ts.counts), _frame_adjoint(rho))
+        r = _frame_sum(ratio / n_total, _PAIR_FRAME)
         eps = 1e-6
         for _ in range(4):
             d = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -595,6 +598,17 @@ class TestMle:
         res = mle_reconstruct(run_tomography(ideal_ctx, effective_counts=1e6))
         assert res.converged
         assert -1e-12 <= res.certificate <= MLE_CERTIFICATE_TOL
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_capped_certificate_is_the_full_one(self, ideal_ctx, cap):
+        """A capped fit reports both terms of the certificate at its last
+        iterate, not the first term alone that decided each step's stop.
+        From I/16 the second term, lambda_max(R) - 1, is the larger one."""
+        ts = run_tomography(ideal_ctx, shots=300, seed=4)
+        res = mle_reconstruct(ts, max_iterations=cap, start=np.eye(16) / 16)
+        assert res.iterations == cap and not res.converged
+        assert res.certificate == pytest.approx(oracle_mle_certificate(ts, res.rho),
+                                                rel=1e-12, abs=0.0)
 
     def test_certificate_larger_when_capped(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=300, seed=4)
@@ -661,6 +675,31 @@ def test_resample_that_empties_a_setting_still_fits(monkeypatch):
     assert all(fit.converged for fit in fits)
     assert report.mle_converged
     assert 0.0 < report.fidelity_error < 0.1 and 0.0 < report.purity_error < 0.1
+
+
+class TestResampleConvergence:
+    """`mle_resamples_converged` counts the resample fits that met the certificate."""
+
+    def test_all_converge_on_default_config(self):
+        report, _ = tomography_report(_config_init_tomography(), n_resamples=25, seed=1)
+        assert report.mle_converged
+        assert report.mle_resamples_converged == 25
+
+    def test_capped_resample_is_counted(self, monkeypatch):
+        ts = run_tomography(SimContext.ideal(), shots=450, seed=3)
+        fits = []
+
+        def third_resample_capped(t, **kwargs):
+            if len(fits) == 3:
+                kwargs["max_iterations"] = 1
+            fits.append(mle_reconstruct(t, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(experiments, "mle_reconstruct", third_resample_capped)
+        report, _ = tomography_report(ts, n_resamples=25, seed=11)
+        assert len(fits) == 26 and fits[3].iterations == 1 and not fits[3].converged
+        assert report.mle_converged
+        assert report.mle_resamples_converged == 24
 
 
 class TestMonteCarloError:

@@ -291,6 +291,7 @@ class TestCommands:
         report = read_json(out / "report.json")
         assert report["mle_converged"] is True
         assert report["mle_certificate"] <= 1e-6
+        assert report["mle_resamples_converged"] == cfg["tomography"]["resamples"]
         assert 0.0 < report["fidelity_error"] < 1.0
 
     def test_density_matrix_text_has_no_negative_zero(self):
