@@ -11,9 +11,9 @@ from .simulator import (DetectorModel, LossBudget, OutcomeDistribution,
                         apply_detector_efficiency, coincidence_rate,
                         outcome_distribution, qubit_distribution, sample_counts,
                         scatter_distribution)
-from .source import (EmissionProbabilities, JointInputTerm, MasterFractions,
-                     SourceSpec, enumerate_joint_inputs, fit_master_fractions,
-                     input_mixture, solve_pair_probabilities)
+from .source import (EmissionProbabilities, MasterFractions, SourceSpec,
+                     enumerate_joint_inputs, fit_master_fractions, input_mixture,
+                     solve_pair_probabilities)
 from .analysis import (BellResult, CountTable, WitnessResult, bell_settings,
                        bell_value, correlators, fit_phase_scan, linear_inversion,
                        max_fidelity_over_phase, mle_reconstruct,

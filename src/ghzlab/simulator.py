@@ -21,7 +21,9 @@ et al., PRA 98, 062322, 2018); the discard mass is the rest.
 A `SimContext` is the simulator's one input: source, chip stage and
 detectors.  The source owns its weighted enumeration of labeled inputs,
 built on first use, so every setting simulated with one source scatters the
-same enumeration, whatever the chip stage or detectors.
+same enumeration, whatever the chip stage or detectors.  The simulator reads
+only the enumeration's `LabelGroups` table: the distinct label groups, and
+the summed weight of each multiset of them.
 
 `scatter_distribution` and `apply_detector_efficiency` remain as the
 occupation-level model: the full output histogram of one labeled input and
@@ -39,7 +41,7 @@ import numpy as np
 
 from .chip import PreparationStage, full_unitary
 from .qmath import permanent
-from .source import JointInputEnumeration, SourceSpec
+from .source import LabelGroups, SourceSpec
 
 OUTCOME_LABELS = tuple(format(k, "04b") for k in range(16))
 
@@ -269,21 +271,20 @@ _ROUNDOFF_TOL = 1e-12
 _CANCELLATION_TOL = 1e-6
 
 
-def outcome_distribution(u: np.ndarray, enumeration: JointInputEnumeration,
+def outcome_distribution(u: np.ndarray, table: LabelGroups,
                          det: DetectorModel = DetectorModel.ideal()
                          ) -> OutcomeDistribution:
-    """Post-selected outcomes of the enumeration's terms scattered by ``u``.
+    """Post-selected outcomes of the label-group table's terms scattered by ``u``.
 
     Evaluates every distinct label group on all 81 masks with one stacked
     permanent per group size, multiplies the groups of each label-group
     multiset, and applies inclusion-exclusion.  The discard mass is one
-    minus the post-selected mass, so the weight the enumeration dropped is
+    minus the post-selected mass, so the weight missing from the table is
     counted as discarded.  Raises ``FloatingPointError`` when round-off
     leaves a probability below tolerance, no post-selected mass at all, or
     a round-off bound above ``_CANCELLATION_TOL`` of the post-selected mass.
     """
     u = np.asarray(u, dtype=complex)
-    table = enumeration.label_groups
     d = np.where(_MASK_MODES, 1.0, 1.0 - np.asarray(det.efficiencies, dtype=float))
     gram = (u.conj().T * d[:, None, :]) @ u
     values = np.ones((len(table.groups) + 1, len(_MASK_MODES)))
@@ -317,7 +318,7 @@ def qubit_distribution(ctx: SimContext, labels,
     `full_unitary`.
     """
     return outcome_distribution(full_unitary(ctx.stage, labels, preparation),
-                                ctx.spec.enumeration, ctx.detectors)
+                                ctx.spec.enumeration.label_groups, ctx.detectors)
 
 
 def sample_counts(dist: OutcomeDistribution, shots: int, seed) -> np.ndarray:

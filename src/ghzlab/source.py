@@ -17,15 +17,24 @@ A `SourceSpec` owns what derives from it alone: its master fractions
 (perfect for four unit overlaps, otherwise fitted, once per overlap set per
 process) and, built on first use, its weighted enumeration of labeled
 inputs.
+
+The labels are structural.  The master label is shared, and every other
+label belongs to one input, so which label groups a joint term holds (the
+sets of inputs whose photons share a label) depends only on which of its
+six mixture entries each input takes.  One fixed table over the 6^4 joint
+entries, built once per process on first use, holds each one's photon
+count, label groups and group multiset.  Only the weights depend on the
+spec: the outer product of the four inputs' mixtures, pruned by two masks
+and summed onto the multisets with one bincount.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,8 +224,11 @@ def _master_fractions(ab: float, ac: float, bd: float, cd: float) -> MasterFract
     return fit_master_fractions(dict(zip(MEASURED_PAIRS, (ab, ac, bd, cd))))
 
 
-# Mixture entries: (photon labels in the input's spatial mode) keyed by name.
-_VACUUM = ()
+# The six entries of one input's mixture, in order, as the internal states of
+# their photons: M the master state all inputs share, S the input's own
+# subsidiary state and N its own noise state.
+_ENTRY_STATES = ("", "M", "S", "N", "MN", "SN")
+_INPUT_MODES = (0, 2, 4, 6)
 
 
 def input_mixture(spec: SourceSpec, fractions: MasterFractions, input_index: int
@@ -229,34 +241,66 @@ def input_mixture(spec: SourceSpec, fractions: MasterFractions, input_index: int
     p1, p2 = probs.p1, probs.p2
     eta = spec.eta
     xi = fractions.x[input_index] * spec.distinguishability_scale[input_index]
-    dist = subsidiary_label(input_index)
-    noise = noise_label(input_index)
     w_vac = 1.0 - (eta * p1 + eta ** 2 * p2 + 2.0 * eta * (1.0 - eta) * p2)
     w_master = eta * xi * p1 + eta * (1.0 - eta) * xi * p2
     w_dist = eta * (1.0 - xi) * p1 + eta * (1.0 - eta) * (1.0 - xi) * p2
     w_noise = eta * (1.0 - eta) * p2
     w_pair_master = eta ** 2 * xi * p2
     w_pair_dist = eta ** 2 * (1.0 - xi) * p2
-    return [
-        (w_vac, _VACUUM),
-        (w_master, (MASTER_LABEL,)),
-        (w_dist, (dist,)),
-        (w_noise, (noise,)),
-        (w_pair_master, (MASTER_LABEL, noise)),
-        (w_pair_dist, (dist, noise)),
-    ]
+    label = {"M": MASTER_LABEL, "S": subsidiary_label(input_index),
+             "N": noise_label(input_index)}
+    weights = (w_vac, w_master, w_dist, w_noise, w_pair_master, w_pair_dist)
+    return [(w, tuple(label[state] for state in states))
+            for w, states in zip(weights, _ENTRY_STATES)]
 
 
-@dataclass(frozen=True)
-class JointInputTerm:
-    """One weighted multi-photon input configuration.
+class _CombinationTable(NamedTuple):
+    """The 6^4 joint entries of the four inputs, in ``itertools.product`` order.
 
-    ``photons`` holds (spatial mode, internal label) pairs; photons sharing
-    an input mode always carry distinct labels.
+    A label group is a nonempty set of inputs, coded as its bitmask (bit i
+    for input i).  Row k of ``groups`` lists the groups of combination k in
+    the order their labels first appear among its photons, input by input,
+    one slot per photon state and 0 for an empty slot.  ``multiset[k]``
+    codes the multiset of those groups below 1296: 81 times the master
+    group's bitmask when it spans two inputs or more, plus the count of
+    each one-input group in base 3.
     """
 
-    weight: float
-    photons: tuple  # of (mode, label)
+    entries: np.ndarray  # (1296, 4) int8: the entry each input takes
+    photons: np.ndarray  # (1296,) int8
+    groups: np.ndarray  # (1296, 8) uint8
+    multiset: np.ndarray  # (1296,) int16
+
+
+@cache
+def _combination_table() -> _CombinationTable:
+    """The fixed label structure of every joint entry, built on first use."""
+    # entry[i, k] is the entry input i takes in combination k
+    entry = np.indices((len(_ENTRY_STATES),) * 4).reshape(4, -1)
+
+    def per_input(test):
+        return np.array([test(states) for states in _ENTRY_STATES])[entry]
+
+    inputs = np.arange(4)[:, None]
+    bit = 1 << inputs
+    own_first = per_input(lambda states: states[:1] in ("S", "N"))
+    own_second = per_input(lambda states: states[1:2] in ("S", "N"))
+    has_master = per_input(lambda states: "M" in states)
+    master = (has_master * bit).sum(axis=0)
+    # the master group is visited at the first input with a master photon
+    first = np.where(has_master & (master & -master == bit), master, 0)
+    slots = np.stack([np.where(own_first, bit, first), np.where(own_second, bit, 0)],
+                     axis=2)
+    singles = own_first.astype(int) + own_second + (master == bit)
+    spans = np.where(master & (master - 1), master, 0)
+    table = _CombinationTable(
+        entries=entry.T.astype(np.int8),
+        photons=per_input(len).sum(axis=0).astype(np.int8),
+        groups=slots.transpose(1, 0, 2).reshape(-1, 8).astype(np.uint8),
+        multiset=(81 * spans + (singles * 3 ** inputs).sum(axis=0)).astype(np.int16))
+    for array in table:
+        array.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -280,38 +324,66 @@ class LabelGroups:
 
 @dataclass(frozen=True)
 class JointInputEnumeration:
-    terms: tuple
+    """The kept terms of a source's joint input mixture.
+
+    Row k of ``terms`` gives the mixture entry each input takes in the k-th
+    kept term, in product order.  ``raw_term_count`` counts all joint
+    terms, ``photon_filtered_count`` those with four photons or more, and
+    ``retained_weight`` is the kept terms' weight, summed in order.
+    ``label_groups`` aggregates the kept terms by label-group multiset.
+    """
+
+    terms: np.ndarray
     raw_term_count: int
     photon_filtered_count: int
     retained_weight: float
+    label_groups: LabelGroups
 
-    @cached_property
-    def label_groups(self) -> LabelGroups:
-        """The terms aggregated by label-group multiset, built on first use."""
-        positions: dict = {}
-        multisets: dict = {}
-        for term in self.terms:
-            by_label = defaultdict(list)
-            for mode, label in term.photons:
-                by_label[label].append(mode)
-            key = tuple(sorted(positions.setdefault(tuple(sorted(modes)), len(positions))
-                               for modes in by_label.values()))
-            multisets[key] = multisets.get(key, 0.0) + term.weight
-        width = max((len(key) for key in multisets), default=1)
-        index = np.full((len(multisets), width), len(positions), dtype=np.intp)
-        for row, key in enumerate(multisets):
-            index[row, :len(key)] = key
-        groups = tuple(positions)
-        by_size = []
-        for size in sorted({len(g) for g in groups}):
-            rows = [r for r, g in enumerate(groups) if len(g) == size]
-            by_size.append((np.array(rows), np.array([groups[r] for r in rows])))
-        return LabelGroups(groups, np.array(list(multisets.values()), dtype=float),
-                           index, tuple(by_size))
+
+def _first_appearances(ids: np.ndarray, size: int) -> np.ndarray:
+    """Ascending positions in ``ids`` where each of its values first appears.
+
+    ``ids`` holds integers below ``size``.  Sorting is avoided on purpose:
+    the first call of numpy's sort family maps in its sizable sort kernels.
+    """
+    positions = np.arange(len(ids))
+    first = np.full(size, len(ids), dtype=np.intp)
+    np.minimum.at(first, ids, positions)
+    return np.flatnonzero(first[ids] == positions)
+
+
+def _label_groups(table: _CombinationTable, rows: np.ndarray,
+                  weights: np.ndarray) -> LabelGroups:
+    """The combinations ``rows`` with ``weights``, aggregated by label-group multiset.
+
+    Groups and multisets are numbered in order of first appearance, and
+    each multiset's weight is summed in row order.
+    """
+    slots = table.groups[rows].ravel()
+    order = slots[_first_appearances(slots, 16)]
+    order = order[order != 0]
+    position = np.full(16, len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    keys = table.multiset[rows]
+    starts = _first_appearances(keys, 6 ** 4)
+    multiset_position = np.zeros(6 ** 4, dtype=np.intp)
+    multiset_position[keys[starts]] = np.arange(len(starts))
+    # .astype: bincount of no terms at all is an integer array
+    summed = np.bincount(multiset_position[keys], weights=weights,
+                         minlength=len(starts)).astype(float, copy=False)
+    sorted_rows = [sorted(row) for row in position[table.groups[rows[starts]]].tolist()]
+    index = np.array(sorted_rows, dtype=np.intp).reshape(len(starts), 8)
+    index = index[:, :int((index < len(order)).sum(axis=1).max(initial=1))]
+    groups = tuple(tuple(mode for i, mode in enumerate(_INPUT_MODES) if g >> i & 1)
+                   for g in order.tolist())
+    by_size = []
+    for size in sorted({len(g) for g in groups}):
+        members = [r for r, g in enumerate(groups) if len(g) == size]
+        by_size.append((np.array(members), np.array([groups[r] for r in members])))
+    return LabelGroups(groups, summed, index, tuple(by_size))
 
 
 def enumerate_joint_inputs(spec: SourceSpec, fractions: MasterFractions,
-                           input_modes: tuple = (0, 2, 4, 6),
                            weight_cutoff: float = 1e-8) -> JointInputEnumeration:
     """Weighted product of the four input mixtures, pruned for simulation.
 
@@ -320,25 +392,18 @@ def enumerate_joint_inputs(spec: SourceSpec, fractions: MasterFractions,
     heaviest surviving term.  The retained weight is recorded so that
     conditional probabilities can be normalized downstream.
     """
-    mixtures = [input_mixture(spec, fractions, i) for i in range(4)]
-    raw_count = 1
-    for m in mixtures:
-        raw_count *= len(m)
-    four_photon: list[tuple[float, tuple]] = []
-    for combo in itertools.product(*mixtures):
-        total_photons = sum(len(entry[1]) for entry in combo)
-        if total_photons < 4:
-            continue
-        weight = 1.0
-        photons = []
-        for mode, (w, labels) in zip(input_modes, combo):
-            weight *= w
-            photons.extend((mode, lab) for lab in labels)
-        four_photon.append((weight, tuple(photons)))
-    if not four_photon:
-        return JointInputEnumeration((), raw_count, 0, 0.0)
-    w_max = max(w for w, _ in four_photon)
-    kept = [JointInputTerm(w, ph) for w, ph in four_photon
-            if w_max > 0.0 and w >= weight_cutoff * w_max]
-    retained = float(sum(t.weight for t in kept))
-    return JointInputEnumeration(tuple(kept), raw_count, len(four_photon), retained)
+    table = _combination_table()
+    a, b, c, d = (np.array([w for w, _ in input_mixture(spec, fractions, i)])
+                  for i in range(4))
+    # a term's weight is its four factors multiplied in input order
+    weights = np.multiply.outer(np.multiply.outer(np.multiply.outer(a, b), c), d).ravel()
+    four_photon = table.photons >= 4
+    w_max = weights[four_photon].max()
+    rows = np.flatnonzero(four_photon & (weights >= weight_cutoff * w_max)
+                          & (w_max > 0.0))
+    kept = weights[rows]
+    return JointInputEnumeration(
+        terms=table.entries[rows], raw_term_count=len(weights),
+        photon_filtered_count=int(np.count_nonzero(four_photon)),
+        retained_weight=float(np.cumsum(kept)[-1]) if len(kept) else 0.0,
+        label_groups=_label_groups(table, rows, kept))

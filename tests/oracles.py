@@ -25,13 +25,18 @@ phase-scan oracle runs nonlinear least squares on A*cos(a*P + b) from a
 parameters and searches the frequency alone.  The MLE oracle ascends the
 likelihood in a Cholesky factor of rho with a line search, where the
 package takes accelerated projected gradient steps on rho itself; its
-certificate and the fit's deviance are summed outcome by outcome.
+certificate and the fit's deviance are summed outcome by outcome.  The
+enumeration oracle multiplies the four input mixtures term by term into
+(mode, label) photon tuples and groups each term's photons by label in a
+dict, where the package looks every combination's label groups up in one
+fixed table and sums the weights with one bincount.
 """
 
 import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import curve_fit, linprog, minimize
@@ -41,7 +46,8 @@ from ghzlab.chip import mzi_block, preparation_unitary
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
 from ghzlab.qss import QssReport, classify_bases
-from ghzlab.source import _PAIR_INDEX, MasterFractions, _balance_gauge
+from ghzlab.source import (_PAIR_INDEX, LabelGroups, MasterFractions,
+                           _balance_gauge, input_mixture)
 from ghzlab.simulator import (OutcomeDistribution, apply_detector_efficiency,
                               qubit_distribution, scatter_distribution)
 
@@ -181,6 +187,77 @@ def threshold_and_postselect(dist: dict) -> OutcomeDistribution:
         else:
             discard += p
     return OutcomeDistribution(probs=probs, discard_mass=discard)
+
+
+@dataclass(frozen=True)
+class JointInputTerm:
+    """One weighted multi-photon input configuration.
+
+    ``photons`` holds (spatial mode, internal label) pairs; photons sharing
+    an input mode always carry distinct labels.
+    """
+
+    weight: float
+    photons: tuple  # of (mode, label)
+
+
+@dataclass(frozen=True)
+class OracleEnumeration:
+    terms: tuple
+    raw_term_count: int
+    photon_filtered_count: int
+    retained_weight: float
+
+    @cached_property
+    def label_groups(self) -> LabelGroups:
+        """The terms aggregated by label-group multiset, built on first use."""
+        positions: dict = {}
+        multisets: dict = {}
+        for term in self.terms:
+            by_label = defaultdict(list)
+            for mode, label in term.photons:
+                by_label[label].append(mode)
+            key = tuple(sorted(positions.setdefault(tuple(sorted(modes)), len(positions))
+                               for modes in by_label.values()))
+            multisets[key] = multisets.get(key, 0.0) + term.weight
+        width = max((len(key) for key in multisets), default=1)
+        index = np.full((len(multisets), width), len(positions), dtype=np.intp)
+        for row, key in enumerate(multisets):
+            index[row, :len(key)] = key
+        groups = tuple(positions)
+        by_size = []
+        for size in sorted({len(g) for g in groups}):
+            rows = [r for r, g in enumerate(groups) if len(g) == size]
+            by_size.append((np.array(rows), np.array([groups[r] for r in rows])))
+        return LabelGroups(groups, np.array(list(multisets.values()), dtype=float),
+                           index, tuple(by_size))
+
+
+def oracle_enumerate_joint_inputs(spec, fractions, input_modes=(0, 2, 4, 6),
+                                  weight_cutoff=1e-8) -> OracleEnumeration:
+    """The four input mixtures multiplied out term by term, pruned as the package does."""
+    mixtures = [input_mixture(spec, fractions, i) for i in range(4)]
+    raw_count = 1
+    for m in mixtures:
+        raw_count *= len(m)
+    four_photon: list[tuple[float, tuple]] = []
+    for combo in itertools.product(*mixtures):
+        total_photons = sum(len(entry[1]) for entry in combo)
+        if total_photons < 4:
+            continue
+        weight = 1.0
+        photons = []
+        for mode, (w, labels) in zip(input_modes, combo):
+            weight *= w
+            photons.extend((mode, lab) for lab in labels)
+        four_photon.append((weight, tuple(photons)))
+    if not four_photon:
+        return OracleEnumeration((), raw_count, 0, 0.0)
+    w_max = max(w for w, _ in four_photon)
+    kept = [JointInputTerm(w, ph) for w, ph in four_photon
+            if w_max > 0.0 and w >= weight_cutoff * w_max]
+    retained = float(sum(t.weight for t in kept))
+    return OracleEnumeration(tuple(kept), raw_count, len(four_photon), retained)
 
 
 def _convolve(d1: dict, d2: dict) -> dict:

@@ -203,7 +203,7 @@ def test_criterion_09_oracles(ideal):
         phases = [rng.uniform(0, 2 * math.pi, 2) for _ in range(4)]
         ctx = ideal.with_state_phase(theta)
         u = mzi_phase_unitary(ctx.stage, phases)
-        dist = outcome_distribution(u, ctx.spec.enumeration, ctx.detectors)
+        dist = outcome_distribution(u, ctx.spec.enumeration.label_groups, ctx.detectors)
         oracle = assignment_distribution(u)
         worst_dist = max(worst_dist, float(np.max(np.abs(dist.probs - oracle))))
 

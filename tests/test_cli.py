@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import ghzlab
 from ghzlab.chip import HeaterCalibration
-from ghzlab.cli import COMMANDS, _density_matrix_text, main
+from ghzlab.cli import COMMANDS, _density_matrix_text, build_parser, main
 from ghzlab.config import (MAX_COUNT, PhaseScanSpec, default_config, dump_config,
                            load_config, parse_config)
 from ghzlab.errors import ConfigError
@@ -517,6 +517,22 @@ def test_context_only_commands_never_enumerate(tmp_path, enumeration_calls):
     for command in ("calibrate", "rate"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
     assert enumeration_calls == []
+
+
+def test_repeated_main_calls(tmp_path, capsys):
+    """In-process calls of ``main`` in a row share one parser, a bad argument between."""
+    path = tmp_path / "config.json"
+    assert main(["config-init", "--out", str(path)]) == 0
+    assert main(["rate", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--config", str(path), "--out", str(tmp_path / "x"), "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert main(["rate", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "rate.json").read_bytes()
+            == (tmp_path / "b" / "rate.json").read_bytes())
+    assert build_parser() is build_parser()
 
 
 def test_commands_run_without_scipy(tmp_path):

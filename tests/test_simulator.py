@@ -16,11 +16,11 @@ from ghzlab.simulator import (DetectorModel, LossBudget, OutcomeDistribution,
                               apply_detector_efficiency, coincidence_rate,
                               outcome_distribution, qubit_distribution,
                               sample_counts, scatter_distribution)
-from ghzlab.source import (JointInputEnumeration, JointInputTerm, MasterFractions,
-                           SourceSpec)
+from ghzlab.source import MasterFractions, SourceSpec
 
-from oracles import (assignment_distribution, born_probabilities, ghz_state,
-                     mzi_phase_unitary, oracle_qubit_distribution,
+from oracles import (JointInputTerm, OracleEnumeration, assignment_distribution,
+                     born_probabilities, ghz_state, mzi_phase_unitary,
+                     oracle_enumerate_joint_inputs, oracle_qubit_distribution,
                      threshold_and_postselect)
 
 Z4 = (PauliLabel.Z,) * 4
@@ -33,8 +33,8 @@ QSS_BASES = [tuple(PauliLabel.X if c == "x" else PauliLabel.Y for c in bases)
 COMMAND_SETTINGS = list(bell_settings()) + [X4, Z4] + QSS_BASES
 
 
-def assert_matches_oracle(u, enumeration, det):
-    new = outcome_distribution(u, enumeration, det)
+def assert_matches_oracle(u, table, enumeration, det):
+    new = outcome_distribution(u, table, det)
     ref = oracle_qubit_distribution(u, enumeration, det)
     assert np.max(np.abs(new.probs - ref.probs)) <= 1e-12
     assert abs(new.discard_mass - ref.discard_mass) <= 1e-12
@@ -185,7 +185,8 @@ class TestQubitDistribution:
             phases = [rng.uniform(0, 2 * math.pi, 2) for _ in range(4)]
             ctx = ideal_ctx.with_state_phase(theta)
             u = mzi_phase_unitary(ctx.stage, phases)
-            dist = outcome_distribution(u, ctx.spec.enumeration, ctx.detectors)
+            dist = outcome_distribution(u, ctx.spec.enumeration.label_groups,
+                                        ctx.detectors)
             oracle = assignment_distribution(u)
             assert np.max(np.abs(dist.probs - oracle)) < 1e-9
 
@@ -214,14 +215,15 @@ class TestOracleAgreement:
 
     @pytest.fixture(scope="class")
     def noisy_enumeration(self, noise_ctx):
-        return noise_ctx.spec.enumeration
+        return oracle_enumerate_joint_inputs(noise_ctx.spec, noise_ctx.spec.fractions)
 
     @pytest.mark.parametrize("labels", COMMAND_SETTINGS,
                              ids=["".join(lab.token for lab in s)
                                   for s in COMMAND_SETTINGS])
     def test_measured_noise_settings(self, noise_ctx, noisy_enumeration, labels):
         u = full_unitary(noise_ctx.stage, labels)
-        new, ref = assert_matches_oracle(u, noisy_enumeration, noise_ctx.detectors)
+        new, ref = assert_matches_oracle(u, noise_ctx.spec.enumeration.label_groups,
+                                         noisy_enumeration, noise_ctx.detectors)
         # the kept probabilities are ~1e-7, so compare the normalized ones too
         assert np.max(np.abs(new.conditional() - ref.conditional())) <= 1e-12
 
@@ -229,7 +231,8 @@ class TestOracleAgreement:
     def test_imbalanced_detectors(self, noisy_enumeration, labels):
         ctx = measured_noise_context(detector_efficiencies=LOSSY_EFFICIENCIES)
         u = full_unitary(ctx.stage, labels)
-        assert_matches_oracle(u, noisy_enumeration, ctx.detectors)
+        assert_matches_oracle(u, ctx.spec.enumeration.label_groups, noisy_enumeration,
+                              ctx.detectors)
 
 
 @st.composite
@@ -237,7 +240,9 @@ def labeled_inputs(draw):
     """A random unitary, detector efficiencies and 1-2 labeled input terms.
 
     Each input mode carries one photon, and at most one of them a second
-    photon with a different label.
+    photon with a different label.  The labels are arbitrary, not the
+    source's, so the terms reach the simulator through the oracle's
+    label-group aggregation.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     q, r = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
@@ -253,7 +258,7 @@ def labeled_inputs(draw):
                 lambda lab: lab != labels[i]))))
         terms.append((draw(st.floats(0.1, 1.0)), tuple(photons)))
     total = sum(w for w, _ in terms)
-    enumeration = JointInputEnumeration(
+    enumeration = OracleEnumeration(
         tuple(JointInputTerm(w / total, ph) for w, ph in terms),
         len(terms), len(terms), sum(w / total for w, _ in terms))
     return u, DetectorModel(efficiencies=etas), enumeration
@@ -264,7 +269,7 @@ class TestProperties:
     @given(labeled_inputs())
     def test_matches_oracle(self, case):
         u, det, enumeration = case
-        assert_matches_oracle(u, enumeration, det)
+        assert_matches_oracle(u, enumeration.label_groups, enumeration, det)
 
     @settings(max_examples=40, deadline=None)
     @given(labeled_inputs(), st.permutations(range(5)))
@@ -273,11 +278,11 @@ class TestProperties:
         terms = tuple(
             JointInputTerm(t.weight, tuple((m, relabel[lab]) for m, lab in reversed(t.photons)))
             for t in enumeration.terms)
-        renamed = JointInputEnumeration(terms, enumeration.raw_term_count,
-                                        enumeration.photon_filtered_count,
-                                        enumeration.retained_weight)
-        d1 = outcome_distribution(u, enumeration, det)
-        d2 = outcome_distribution(u, renamed, det)
+        renamed = OracleEnumeration(terms, enumeration.raw_term_count,
+                                    enumeration.photon_filtered_count,
+                                    enumeration.retained_weight)
+        d1 = outcome_distribution(u, enumeration.label_groups, det)
+        d2 = outcome_distribution(u, renamed.label_groups, det)
         assert np.max(np.abs(d1.probs - d2.probs)) <= 1e-12
         assert abs(d1.discard_mass - d2.discard_mass) <= 1e-12
 
@@ -300,11 +305,11 @@ class TestRoundoffClamp:
 
     def test_large_negative_probability_raises(self, ideal_ctx):
         # a negative term weight makes the kept mass genuinely negative
-        enumeration = JointInputEnumeration(
+        enumeration = OracleEnumeration(
             (JointInputTerm(-1.0, ((0, 0), (2, 0), (4, 0), (6, 0))),), 1, 1, -1.0)
         u = full_unitary(ideal_ctx.stage, Z4)
         with pytest.raises(FloatingPointError):
-            outcome_distribution(u, enumeration, DetectorModel.ideal())
+            outcome_distribution(u, enumeration.label_groups, DetectorModel.ideal())
 
 
 class TestSimContext:
@@ -321,7 +326,7 @@ class TestSimContext:
         spec = replace(ctx.spec, distinguishability_scale=(1.0, 1.0, 0.0, 1.0))
         other = replace(ctx, spec=spec)
         assert other.spec.enumeration is not ctx.spec.enumeration
-        assert other.spec.enumeration.terms != ctx.spec.enumeration.terms
+        assert not np.array_equal(other.spec.enumeration.terms, ctx.spec.enumeration.terms)
         assert run_bell(other).value < run_bell(ctx).value
         assert len(enumeration_calls) == 2
 

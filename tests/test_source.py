@@ -13,7 +13,8 @@ from ghzlab.source import (MEASURED_PAIRS, MasterFractions, SourceSpec,
                            enumerate_joint_inputs, fit_master_fractions,
                            input_mixture, noise_label, solve_pair_probabilities,
                            subsidiary_label, MASTER_LABEL)
-from oracles import oracle_fit_master_fractions, oracle_fit_objective
+from oracles import (oracle_enumerate_joint_inputs, oracle_fit_master_fractions,
+                     oracle_fit_objective)
 
 
 def _products(x):
@@ -171,24 +172,40 @@ class TestInputMixture:
         assert weights[(subsidiary_label(0),)] > 0.0
 
 
+def _term_weights(spec, fractions, terms):
+    """Each term's weight, its four inputs' entry weights multiplied in order."""
+    mixtures = [input_mixture(spec, fractions, i) for i in range(4)]
+    return [math.prod(mixtures[i][e][0] for i, e in enumerate(row)) for row in terms.tolist()]
+
+
+def _term_groups(spec, fractions, row):
+    """The sorted input-mode tuples of one term's label groups, as a sorted tuple."""
+    groups = {}
+    for i, e in enumerate(row):
+        for label in input_mixture(spec, fractions, i)[e][1]:
+            groups.setdefault(label, []).append(2 * i)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
 class TestEnumeration:
     def test_ideal_source_single_term(self):
         enum = enumerate_joint_inputs(SourceSpec.ideal(), MasterFractions.perfect())
-        assert len(enum.terms) == 1
-        term = enum.terms[0]
-        assert term.weight == pytest.approx(1.0)
-        assert term.photons == ((0, 0), (2, 0), (4, 0), (6, 0))
+        assert enum.terms.tolist() == [[1, 1, 1, 1]]  # each input's master photon
+        table = enum.label_groups
+        assert table.groups == ((0, 2, 4, 6),)
+        assert table.weights.tolist() == pytest.approx([1.0])
         assert enum.retained_weight == pytest.approx(1.0)
 
     def test_no_multiphoton_gives_sixteen_label_terms(self):
         spec = SourceSpec(g2=0.0, eta=0.5,
                           measured_overlaps={p: 0.81 for p in MEASURED_PAIRS})
-        enum = enumerate_joint_inputs(spec, MasterFractions(x=(0.9,) * 4))
+        frac = MasterFractions(x=(0.9,) * 4)
+        enum = enumerate_joint_inputs(spec, frac)
         assert len(enum.terms) == 16
-        for term in enum.terms:
-            assert len(term.photons) == 4
-            assert all(lab in (MASTER_LABEL, subsidiary_label(i))
-                       for i, (mode, lab) in enumerate(term.photons))
+        for row in enum.terms.tolist():
+            labels = [input_mixture(spec, frac, i)[e][1] for i, e in enumerate(row)]
+            assert all(lab in ((MASTER_LABEL,), (subsidiary_label(i),))
+                       for i, lab in enumerate(labels))
 
     def test_raw_and_filtered_counts(self):
         spec = SourceSpec()
@@ -197,15 +214,16 @@ class TestEnumeration:
         assert enum.photon_filtered_count == 1041
 
     def test_retained_weight_matches_terms(self, noise_ctx):
-        enum = enumerate_joint_inputs(noise_ctx.spec, noise_ctx.spec.fractions)
+        spec = noise_ctx.spec
+        enum = enumerate_joint_inputs(spec, spec.fractions)
         assert enum.retained_weight == pytest.approx(
-            sum(t.weight for t in enum.terms), abs=1e-15)
+            sum(_term_weights(spec, spec.fractions, enum.terms)), abs=1e-15)
         assert enum.retained_weight < 1.0
 
     def test_label_groups_aggregate_terms(self, noise_ctx):
-        enum = enumerate_joint_inputs(noise_ctx.spec, noise_ctx.spec.fractions)
+        spec = noise_ctx.spec
+        enum = enumerate_joint_inputs(spec, spec.fractions)
         table = enum.label_groups
-        assert enum.label_groups is table
         assert len(enum.terms) == 410 and len(table.weights) == 162
         assert len(table.groups) <= 15
         assert all(len(set(g)) == len(g) and set(g) <= {0, 2, 4, 6}
@@ -214,21 +232,75 @@ class TestEnumeration:
         # every term's groups, as sets of input modes, appear in its row
         rows = {tuple(sorted(table.groups[i] for i in row if i < len(table.groups)))
                 for row in table.index}
-        for term in enum.terms:
-            groups = {}
-            for mode, label in term.photons:
-                groups.setdefault(label, []).append(mode)
-            assert tuple(sorted(tuple(sorted(g)) for g in groups.values())) in rows
+        for row in enum.terms.tolist():
+            assert _term_groups(spec, spec.fractions, row) in rows
 
     def test_weight_pruning_threshold(self):
         spec = SourceSpec()
         frac = MasterFractions(x=(0.95,) * 4)
         enum = enumerate_joint_inputs(spec, frac, weight_cutoff=1e-8)
-        w_max = max(t.weight for t in enum.terms)
-        assert all(t.weight >= 1e-8 * w_max for t in enum.terms)
+        weights = _term_weights(spec, frac, enum.terms)
+        assert all(w >= 1e-8 * max(weights) for w in weights)
         loose = enumerate_joint_inputs(spec, frac, weight_cutoff=0.0)
         assert len(loose.terms) == 1041
         assert len(enum.terms) < len(loose.terms)
+
+
+def _assert_same_bits(new, old):
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def assert_matches_oracle_enumeration(spec, weight_cutoff):
+    """The table enumeration equals the term-by-term oracle bit for bit."""
+    new = enumerate_joint_inputs(spec, spec.fractions, weight_cutoff=weight_cutoff)
+    old = oracle_enumerate_joint_inputs(spec, spec.fractions, weight_cutoff=weight_cutoff)
+    assert new.raw_term_count == old.raw_term_count
+    assert new.photon_filtered_count == old.photon_filtered_count
+    assert new.retained_weight == old.retained_weight
+    assert len(new.terms) == len(old.terms)
+    assert _term_weights(spec, spec.fractions, new.terms) == [t.weight for t in old.terms]
+    a, b = new.label_groups, old.label_groups
+    assert a.groups == b.groups
+    _assert_same_bits(a.weights, b.weights)
+    _assert_same_bits(a.index, b.index)
+    assert len(a.by_size) == len(b.by_size)
+    for (rows_a, modes_a), (rows_b, modes_b) in zip(a.by_size, b.by_size):
+        _assert_same_bits(rows_a, rows_b)
+        _assert_same_bits(modes_a, modes_b)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+class TestEnumerationMatchesOracle:
+    @pytest.mark.parametrize("spec, weight_cutoff", [
+        (SourceSpec(), 1e-8),
+        (SourceSpec.ideal(), 1e-8),
+        (SourceSpec(), 0.0),
+        (SourceSpec(), 1.0),
+        (SourceSpec(g2=0.0), 1e-8),
+        (SourceSpec(eta=1.0), 1e-8),
+        (SourceSpec(g2=0.2, eta=1.0), 0.0),
+        (SourceSpec(distinguishability_scale=(1.0, 0.0, 1.0, 1.0)), 1e-8),
+        (SourceSpec(distinguishability_scale=(0.0,) * 4), 0.0),
+        (SourceSpec(eta=1e-100), 1e-8),
+    ], ids=["measured", "ideal", "cutoff-0", "cutoff-1", "g2-0", "eta-1",
+            "eta-1-cutoff-0", "one-scale-0", "all-scales-0", "weights-underflow"])
+    def test_boundary_specs(self, spec, weight_cutoff):
+        assert_matches_oracle_enumeration(spec, weight_cutoff)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g2=st.one_of(st.just(0.0), st.floats(0.0, 0.49)),
+           eta=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+           overlaps=st.one_of(st.just((1.0,) * 4), st.tuples(_unit, _unit, _unit, _unit)),
+           scales=st.tuples(*(st.one_of(st.just(0.0), st.just(1.0), _unit)
+                              for _ in range(4))),
+           weight_cutoff=st.one_of(st.sampled_from((0.0, 1e-8, 1.0)), st.floats(0.0, 1.0)))
+    def test_random_specs(self, g2, eta, overlaps, scales, weight_cutoff):
+        spec = SourceSpec(g2=g2, eta=eta, measured_overlaps=dict(zip(MEASURED_PAIRS, overlaps)),
+                          distinguishability_scale=scales)
+        assert_matches_oracle_enumeration(spec, weight_cutoff)
 
 
 def _hom_coincidence(spec, fractions, i, j):
@@ -320,7 +392,7 @@ class TestSpecOwnsFractions:
         other = replace(spec, distinguishability_scale=(1.0, 1.0, 0.5, 1.0))
         assert other.fractions is spec.fractions
         assert other.enumeration is not spec.enumeration
-        assert other.enumeration.terms != spec.enumeration.terms
+        assert not np.array_equal(other.enumeration.terms, spec.enumeration.terms)
         assert other.enumeration is other.enumeration
         assert len(fit_calls) == 1
         assert len(enumeration_calls) == 2
