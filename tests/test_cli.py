@@ -567,6 +567,30 @@ for command in COMMANDS:
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_exact_commands_leave_numpy_random_unloaded(tmp_path):
+    """Exact bell, witness and qss never import ``numpy.random``; a public QSS subset does."""
+    script = """
+import json, sys
+from pathlib import Path
+from ghzlab.cli import main
+out = sys.argv[1]
+config = out + "/config.json"
+assert main(["config-init", "--out", config]) == 0
+for command in ("bell", "witness", "qss"):
+    assert main([command, "--config", config, "--out", out + "/" + command]) == 0, command
+assert "numpy.random" not in sys.modules
+cfg = json.loads(Path(config).read_text())
+cfg["qss"]["public_fraction"] = 0.5
+Path(config).write_text(json.dumps(cfg))
+assert main(["qss", "--config", config, "--out", out + "/public"]) == 0
+assert "numpy.random" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 _ODD_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3),
     st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, 2 ** 63, 1e300, 5e-324]),

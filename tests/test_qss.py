@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -194,24 +195,79 @@ class TestRunQss:
         assert len(lines) == 51
 
 
+class TestSeedContract:
+    def test_unseeded_run_rejected(self, ideal_ctx):
+        with pytest.raises(TypeError, match="seed"):
+            run_qss(ideal_ctx, rounds=10, seed=None)
+
+    def test_bool_seed_rejected(self, ideal_ctx):
+        with pytest.raises(TypeError, match="seed"):
+            run_qss(ideal_ctx, rounds=10, seed=True)
+
+    def test_negative_seed_rejected(self, ideal_ctx):
+        with pytest.raises(ValueError, match="seed"):
+            run_qss(ideal_ctx, rounds=10, seed=-1)
+
+    def test_rounds_beyond_one_spawn_key_word_rejected(self, ideal_ctx):
+        with pytest.raises(ValueError, match="rounds"):
+            run_qss(ideal_ctx, rounds=2 ** 32, seed=1)
+
+
+_DRAW_SEEDS = (0, 1, 20220901, 2 ** 32 - 1, 2 ** 32, 2 ** 128, 2 ** 200 + 3)
+
+
+class TestChildDraws:
+    """Each round's draws against its spawned child's PCG64 and Generator."""
+
+    @pytest.mark.parametrize("seed", _DRAW_SEEDS)
+    @pytest.mark.parametrize("start", ["first", "chunk-boundary"])
+    def test_matches_spawned_child(self, seed, start):
+        first = 0 if start == "first" else qss.DRAW_CHUNK_ROUNDS - 3
+        n = 6
+        children = np.random.SeedSequence(seed).spawn(first + n)[first:]
+        draws = qss._child_draws(seed, first, n)
+        assert draws.dtype == np.uint64 and draws.shape == (n, 3)
+        basis, uniform = qss._round_draws(draws)
+        for i, child in enumerate(children):
+            assert draws[i].tolist() == np.random.PCG64(child).random_raw(3).tolist()
+            rng = np.random.default_rng(child)
+            assert basis[i] == basis_index("xy"[v] for v in rng.integers(0, 2, size=4))
+            assert uniform[i] == rng.random()
+
+
+def test_draw_memory_is_bounded(ideal_ctx):
+    run_qss(ideal_ctx, rounds=10, seed=1)  # per-process tables are built on first use
+    tracemalloc.start()
+    try:
+        run_qss(ideal_ctx, rounds=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
 def _photon_a_distinguishable():
     ctx = SimContext.ideal()
     return replace(ctx, spec=replace(ctx.spec, distinguishability_scale=(0.0, 1.0, 1.0, 1.0)))
 
 
-@pytest.mark.parametrize("make_ctx, rounds, seed, public_fraction, chunk", [
-    (lambda: parse_config(default_config()).context, 2000, 20220901, 0.0, None),
-    (_photon_a_distinguishable, 3000, 7, 0.3, None),
-    (SimContext.ideal, 500, 3, 0.5, None),
-    (SimContext.ideal, 1, 2, 0.0, None),
-    (SimContext.ideal, 1000, 1, 0.0, 96),
+@pytest.mark.parametrize("make_ctx, rounds, seed, public_fraction, chunk, draw_chunk", [
+    (lambda: parse_config(default_config()).context, 2000, 20220901, 0.0, None, None),
+    (_photon_a_distinguishable, 3000, 7, 0.3, None, None),
+    (SimContext.ideal, 500, 3, 0.5, None, None),
+    (SimContext.ideal, 1, 2, 0.0, None, None),
+    (SimContext.ideal, 1000, 1, 0.0, 96, None),
+    (_photon_a_distinguishable, 700, 9, 0.4, None, 64),
 ], ids=["default-config", "photon-a-distinguishable", "ideal", "nothing-sifted",
-        "several-csv-chunks"])
+        "several-csv-chunks", "several-draw-chunks"])
 def test_matches_round_by_round_oracle(monkeypatch, tmp_path, make_ctx, rounds, seed,
-                                       public_fraction, chunk):
+                                       public_fraction, chunk, draw_chunk):
     if chunk is not None:
         monkeypatch.setattr(qss, "CSV_CHUNK_ROUNDS", chunk)
         assert rounds > 2 * chunk
+    if draw_chunk is not None:
+        monkeypatch.setattr(qss, "DRAW_CHUNK_ROUNDS", draw_chunk)
+        assert rounds > 2 * draw_chunk
     ctx = make_ctx()
     try:
         expected, records = oracle_run_qss(ctx, rounds, seed, public_fraction)
