@@ -18,6 +18,7 @@ module also provides the forward map and its power-minimizing inverse.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -178,6 +179,9 @@ _PHI_MATRIX_KRAD = np.array([
 
 _PHI_OFFSET_RAD = np.array([3.8656, 2.838, 0.798, 0.990])
 
+# Entry (i, j) is True where column j is in row i's diagonal block.
+_DIAGONAL_BLOCK = np.arange(8) // 2 == np.arange(4)[:, None]
+
 
 @dataclass(frozen=True)
 class HeaterCalibration:
@@ -215,20 +219,22 @@ class HeaterCalibration:
         object.__setattr__(self, "phi_matrix", b)
         object.__setattr__(self, "phi_offset", offset)
         object.__setattr__(self, "resistances", r)
+        # A dead phi column counts on neither side of its row's comparison,
+        # and a side left empty reduces to -inf or +inf, which never fails.
+        counted = np.ones((2, 1, 8), dtype=bool)
         for ch in self.dead_channels:
             if not 1 <= ch <= 16:
                 raise ValueError(f"dead channel {ch} out of range 1-16")
-            if ch >= 9 and np.any(b[:, ch - 9] != 0.0):
-                raise ValueError(f"dead channel {ch} has nonzero crosstalk column")
-        for i in range(4):
-            diag = {2 * i, 2 * i + 1}
-            for m in (a, b):
-                live = [abs(m[i, j]) for j in range(8)
-                        if j not in diag and (m is a or (j + 9) not in self.dead_channels)]
-                ref = [abs(m[i, j]) for j in diag
-                       if m is a or (j + 9) not in self.dead_channels]
-                if ref and live and max(live) >= min(ref):
-                    raise ValueError(f"row {i + 1}: diagonal-block entries do not dominate")
+            if ch >= 9:
+                if np.any(b[:, ch - 9] != 0.0):
+                    raise ValueError(f"dead channel {ch} has nonzero crosstalk column")
+                counted[1, 0, ch - 9] = False
+        mags = np.abs((a, b))
+        off_max = np.where(counted & ~_DIAGONAL_BLOCK, mags, -np.inf).max(axis=2)
+        diag_min = np.where(counted & _DIAGONAL_BLOCK, mags, np.inf).min(axis=2)
+        failing = np.flatnonzero((off_max >= diag_min).any(axis=0))
+        if failing.size:
+            raise ValueError(f"row {failing[0] + 1}: diagonal-block entries do not dominate")
 
     def dead_mask(self) -> np.ndarray:
         mask = np.zeros(16, dtype=bool)
@@ -297,6 +303,23 @@ def heater_forward(cal: HeaterCalibration, currents: Sequence[float]
     return alpha, phi
 
 
+@functools.cache
+def _bases(n: int) -> np.ndarray:
+    """Read-only (C(n, 4), 4) table of every choice of four of n columns."""
+    table = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _lifts(max_lift: int) -> np.ndarray:
+    """Read-only (4, (max_lift+1)^4) table of lifts, columns in product order."""
+    table = np.ascontiguousarray(
+        np.array(list(itertools.product(range(max_lift + 1), repeat=4))).T)
+    table.flags.writeable = False
+    return table
+
+
 def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
                  resistances: np.ndarray, usable: np.ndarray,
                  max_lift: int = 4) -> np.ndarray:
@@ -304,29 +327,34 @@ def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
 
     Over the lifts k in {0..max_lift}^4, the linear program min R.u has an
     optimal basic feasible solution, so every nonsingular choice of four
-    columns of M is solved for every lift at once, and the cheapest
-    solution with u >= -1e-12 wins, the first lift in lexicographic order
-    on ties.  Least squares on the support of its u polishes the solution
-    to machine-precision equality at that lift.
+    columns of M is solved for every lift at once: the inverse of each
+    basis, stacked, times the (4, lifts) target table gives the vertices as
+    a (basis, row, lift) array in one matmul, and one more matmul with each
+    basis's costs gives their powers.  The basis and lift tables depend only
+    on the number of live columns and on max_lift, so they are built once.
+    The cheapest vertex with u >= -1e-12 wins; the argmin runs over the
+    transposed (lift, basis) powers, so ties go to the first lift in
+    lexicographic order and within it to the first basis.  Least squares on
+    the support of its u polishes the solution to machine-precision
+    equality at that lift.
     """
     m = 1e3 * matrix_krad[:, usable]
     cost = resistances[usable]
     n = m.shape[1]
-    bases = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    bases = _bases(n)
     columns = m[:, bases].transpose(1, 0, 2)
     keep = np.linalg.matrix_rank(columns) == 4
     bases = bases[keep]
-    lifts = np.array(list(itertools.product(range(max_lift + 1), repeat=4)))
-    targets = base_rad[:, None] + TWO_PI * lifts.T
-    vertices = np.einsum("bij,jk->kbi", np.linalg.inv(columns[keep]), targets)
-    feasible = np.all(vertices >= -1e-12, axis=2)
+    targets = base_rad[:, None] + TWO_PI * _lifts(max_lift)
+    vertices = np.linalg.inv(columns[keep]) @ targets
+    feasible = (vertices >= -1e-12).all(axis=1)
     if not feasible.any():
         raise SolverError("no nonnegative heater solution reaches the target phases")
-    power = np.where(feasible, np.einsum("bi,kbi->kb", cost[bases], vertices), np.inf)
-    k, basis = np.unravel_index(np.argmin(power), power.shape)
+    power = np.where(feasible, (cost[bases][:, None, :] @ vertices)[:, 0, :], np.inf)
+    k, basis = np.unravel_index(np.argmin(power.T), power.T.shape)
     b = targets[:, k]
     u = np.zeros(n)
-    u[bases[basis]] = np.clip(vertices[k, basis], 0.0, None)
+    u[bases[basis]] = np.clip(vertices[basis, :, k], 0.0, None)
     support = u > 1e-12
     if support.any():
         sol, *_ = np.linalg.lstsq(m[:, support], b, rcond=None)

@@ -9,7 +9,9 @@ shares only the Ryser permanent with the click-mask path of
 `qubit_distribution`, and that is checked against explicit permutations.
 The heater oracle solves one linear program per 2*pi lift vector with
 HiGHS, where the package enumerates the vertices of every lift's program
-at once.  The tomography oracles build the projector kets one outcome at a
+at once; the vertex oracle is that enumeration as it stood before it
+became stacked matmuls over cached tables, with einsum over tables built
+per call.  The tomography oracles build the projector kets one outcome at a
 time, sum the log-likelihood over them, and invert by summing all 256 Pauli
 strings' averaged expectations, where the package contracts a fixed dual
 frame; each expectation is a loop over one setting's parties, where the
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.optimize import curve_fit, linprog, minimize
 
 from ghzlab.analysis import tomography_settings
-from ghzlab.chip import mzi_block, preparation_unitary
+from ghzlab.chip import TWO_PI, mzi_block, preparation_unitary
 from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
 from ghzlab.qss import QssReport, classify_bases
@@ -331,6 +333,46 @@ def oracle_heater_block(matrix_krad, base_rad, resistances, usable, max_lift=4):
         raise SolverError("no nonnegative heater solution reaches the target phases")
     full = np.zeros(8)
     full[usable] = best_u
+    return full
+
+
+def oracle_vertex_block(matrix_krad, base_rad, resistances, usable, max_lift=4):
+    """Heater block by vertex enumeration with einsum over tables built per call.
+
+    The lift-by-basis enumeration the package used before its stacked
+    matmuls over cached tables: the vertices come out (lift, basis, row) and
+    the argmin runs over the (lift, basis) powers, so a tie goes to the
+    first lift in lexicographic order and within it to the first basis.
+    """
+    m = 1e3 * matrix_krad[:, usable]
+    cost = resistances[usable]
+    n = m.shape[1]
+    bases = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    columns = m[:, bases].transpose(1, 0, 2)
+    keep = np.linalg.matrix_rank(columns) == 4
+    bases = bases[keep]
+    lifts = np.array(list(itertools.product(range(max_lift + 1), repeat=4)))
+    targets = base_rad[:, None] + TWO_PI * lifts.T
+    vertices = np.einsum("bij,jk->kbi", np.linalg.inv(columns[keep]), targets)
+    feasible = np.all(vertices >= -1e-12, axis=2)
+    if not feasible.any():
+        raise SolverError("no nonnegative heater solution reaches the target phases")
+    power = np.where(feasible, np.einsum("bi,kbi->kb", cost[bases], vertices), np.inf)
+    k, basis = np.unravel_index(np.argmin(power), power.shape)
+    b = targets[:, k]
+    u = np.zeros(n)
+    u[bases[basis]] = np.clip(vertices[k, basis], 0.0, None)
+    support = u > 1e-12
+    if support.any():
+        sol, *_ = np.linalg.lstsq(m[:, support], b, rcond=None)
+        polished = np.zeros(n)
+        polished[support] = np.clip(sol, 0.0, None)
+        if np.all(sol >= -1e-12) and np.max(np.abs(m @ polished - b)) <= 1e-9:
+            u = polished
+    if np.max(np.abs(m @ u - b)) > 1e-7:
+        raise SolverError("heater solution misses the target phases")
+    full = np.zeros(8)
+    full[usable] = u
     return full
 
 

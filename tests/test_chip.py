@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from ghzlab.errors import SolverError
 from ghzlab.qmath import PauliLabel
 
 from oracles import (assignment_distribution, mzi_phase_unitary, mzi_reference,
-                     oracle_heater_block, preparation_matrix_reference)
+                     oracle_heater_block, oracle_vertex_block,
+                     preparation_matrix_reference)
 
 TWO_PI = 2 * math.pi
 
@@ -298,6 +300,56 @@ class TestHeaterSolveOracle:
                                       oracle_heater_block(*block, max_lift=max_lift))
 
 
+def _solve_or_error(solve, block, max_lift):
+    try:
+        return solve(*block, max_lift=max_lift)
+    except SolverError:
+        return SolverError
+
+
+class TestVertexEnumeration:
+    """Stacked matmuls over cached tables against the per-call einsum enumeration."""
+
+    @pytest.mark.parametrize("dead", [{15}, {3, 15}, {1, 8, 15}, {2, 3, 4, 15}])
+    @pytest.mark.parametrize("max_lift", [2, 4])
+    def test_matches_einsum_oracle_bit_for_bit(self, dead, max_lift):
+        cal = HeaterCalibration(dead_channels=frozenset(dead))
+        rng = np.random.default_rng([34, max_lift, *sorted(dead)])
+        for _ in range(30):
+            for block in _heater_blocks(cal, rng.uniform(0, TWO_PI, 4),
+                                        rng.uniform(0, TWO_PI, 4)):
+                got = _solve_or_error(_solve_block, block, max_lift)
+                want = _solve_or_error(oracle_vertex_block, block, max_lift)
+                if want is SolverError:
+                    assert got is SolverError
+                else:
+                    assert got is not SolverError and np.array_equal(got, want)
+
+    def test_tied_bases_go_to_first_basis(self):
+        # columns 0 and 1 are identical at equal resistance, so every basis
+        # holding column 0 ties exactly with the same basis holding column 1
+        m = np.zeros((4, 8))
+        m[0, :2] = 50.0
+        m[1, 2] = m[2, 3] = m[3, 4] = 50.0
+        m[:, 5:] = 5.0
+        u = _solve_block(m, np.array([1.0, 2.0, 3.0, 4.0]), np.full(8, 420.0),
+                         np.ones(8, dtype=bool))
+        assert u[0] > 0.0 and u[1] == 0.0
+        assert np.allclose(1e3 * m @ u, [1.0, 2.0, 3.0, 4.0], rtol=0.0, atol=1e-12)
+
+    def test_solve_memory_is_bounded(self):
+        cal = HeaterCalibration()
+        rng = np.random.default_rng(35)
+        alpha_t, phi_t = rng.uniform(0, TWO_PI, 4), rng.uniform(0, TWO_PI, 4)
+        tracemalloc.start()
+        try:
+            heater_solve(cal, alpha_t, phi_t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2 ** 20
+
+
 class TestHeaterCalibrationType:
     def test_text_round_trip(self, tmp_path):
         cal = HeaterCalibration()
@@ -320,3 +372,25 @@ class TestHeaterCalibrationType:
         bad[0, 4] = 60.0
         with pytest.raises(ValueError):
             HeaterCalibration(alpha_matrix=bad)
+
+    def test_phi_dominance_enforced(self):
+        bad = HeaterCalibration().phi_matrix.copy()
+        bad[2, 0] = 60.0
+        with pytest.raises(ValueError, match="^row 3: diagonal-block entries do not dominate$"):
+            HeaterCalibration(phi_matrix=bad)
+
+    def test_dead_phi_diagonal_column_is_exempt(self):
+        # phi column 1 is resistor 10, in row 1's diagonal block
+        phi = HeaterCalibration().phi_matrix.copy()
+        phi[:, 1] = 0.0
+        HeaterCalibration(phi_matrix=phi, dead_channels=frozenset({10, 15}))
+        with pytest.raises(ValueError, match="^row 1: diagonal-block entries do not dominate$"):
+            HeaterCalibration(phi_matrix=phi, dead_channels=frozenset({15}))
+
+    def test_first_failing_row_is_reported(self):
+        cal = HeaterCalibration()
+        alpha, phi = cal.alpha_matrix.copy(), cal.phi_matrix.copy()
+        alpha[3, 0] = 60.0
+        phi[1, 7] = -60.0
+        with pytest.raises(ValueError, match="^row 2: diagonal-block entries do not dominate$"):
+            HeaterCalibration(alpha_matrix=alpha, phi_matrix=phi)
