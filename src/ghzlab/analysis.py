@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .qmath import (PauliLabel, SQRT2, check_density_matrix,
-                    nearest_density_matrix, project_to_physical)
+from .qmath import (PauliLabel, SQRT2, _projected_eigensystem, check_density_matrix,
+                    project_to_physical)
 
 TOMOGRAPHY_BASES = (PauliLabel.X, PauliLabel.Y, PauliLabel.Z)
 
@@ -417,6 +417,10 @@ class MleResult:
     iterations: int
     converged: bool
     certificate: float
+    # Of the iterations, those taken by the face finish, and the
+    # Hessian-vector products of their CG solves.
+    newton_steps: int
+    cg_products: int
 
 
 # Stop when the KKT certificate of the fit is at most this.  Round-off can
@@ -425,6 +429,12 @@ MLE_CERTIFICATE_TOL = 1e-6
 # Eigenvalue floor of the central fit's start point, so that every outcome
 # has a positive probability there.
 MLE_START_FLOOR = 1e-8
+# Accepted FISTA steps at one projection rank before the face finish starts.
+MLE_FACE_STEPS = 3
+# Hessian-vector products of one CG solve at most, and the shortest step of
+# the finish's line search.
+_CG_MAX_PRODUCTS = 50
+_NEWTON_MIN_STEP = 1e-4
 
 
 def _likelihood_terms(counts: np.ndarray, p: np.ndarray):
@@ -449,25 +459,82 @@ def _lambda_excess(r: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(r)[-1]) - 1.0
 
 
+def _face_jacobian(a: np.ndarray, r: np.ndarray, w2: np.ndarray,
+                   d: np.ndarray) -> np.ndarray:
+    """J[D] = R D + dR[D] A - D, the derivative of F(A) = R(AA^dag) A - A.
+
+    ``r`` is R(AA^dag) and ``w2`` the weights n_k / (N p_k^2) on the
+    observed outcomes (zero elsewhere), laid out as `_by_pairs`; then
+    dR[D] = -sum_k w2_k Tr(Pi_k (D A^dag + A D^dag)) Pi_k, one adjoint and
+    one frame sum.  J is self-adjoint under Re Tr(X^dag Y), and -J is
+    positive semidefinite near a maximum on the face.
+    """
+    dp = _frame_adjoint(d @ a.conj().T + a @ d.conj().T)
+    return r @ d - _frame_sum(w2 * dp, _PAIR_FRAME) @ a - d
+
+
+def _newton_direction(a: np.ndarray, r: np.ndarray, w2: np.ndarray,
+                      f: np.ndarray) -> tuple[np.ndarray, int]:
+    """(D, products): truncated CG on -J[D] = F from D = 0.
+
+    CG stops once its residual is at most min(0.1, sqrt|F|) |F|, after
+    `_CG_MAX_PRODUCTS` products, or on a direction of non-positive
+    curvature; that on the first product gives D = F, the gradient.
+    """
+    f_norm = float(np.linalg.norm(f))
+    tol = min(0.1, math.sqrt(f_norm)) * f_norm
+    d = np.zeros_like(f)
+    res, q, rr = f, f, f_norm * f_norm
+    for products in range(1, _CG_MAX_PRODUCTS + 1):
+        hq = -_face_jacobian(a, r, w2, q)
+        curvature = np.vdot(q, hq).real
+        if curvature <= 0.0:
+            return (f if products == 1 else d), products
+        alpha = rr / curvature
+        d = d + alpha * q
+        res = res - alpha * hq
+        rr_next = np.vdot(res, res).real
+        if rr_next <= tol * tol:
+            break
+        q = res + (rr_next / rr) * q
+        rr = rr_next
+    return d, products
+
+
 def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
                     start: np.ndarray | None = None) -> MleResult:
     """Maximum-likelihood density matrix from the 81-setting design's counts.
 
     Maximizes the log-likelihood sum_k n_k ln Tr(Pi_k rho) over density
     matrices by an accelerated projected gradient on rho (FISTA with
-    adaptive restart, as in Shang, Zhang and Ng, PRA 95, 062336, 2017).
-    The gradient is N R(rho), with
+    adaptive restart, as in Shang, Zhang and Ng, PRA 95, 062336, 2017),
+    finished by Newton-CG steps on the face of the density matrices that
+    the projection settles on (Nocedal and Wright, Numerical Optimization,
+    ch. 7).  The gradient is N R(rho), with
 
         R(rho) = sum_k (n_k / (N p_k)) Pi_k,   p_k = Tr(Pi_k rho),
 
     from `_frame_adjoint` (the p_k) and `_frame_sum` (the operator sum),
     on the counts regrouped once by `_by_pairs`; outcomes with n_k = 0 add
-    nothing.  Each step projects y + R(y) / L onto the density matrices
-    (`nearest_density_matrix`), from the momentum point
+    nothing.  Each FISTA step projects y + R(y) / L onto the density
+    matrices (`nearest_density_matrix`), from the momentum point
     y = x + beta (x - x_prev), whose p_k follow from those of x and x_prev
     by linearity, and backtracks by doubling L until the step passes the
     sufficient-decrease test; L shrinks by 0.9 after each accepted step.
     The momentum restarts when the likelihood falls.
+
+    The projection sets the eigenvalues it clamps exactly to zero, so each
+    accepted step has a rank r.  Once r has stayed the same for
+    `MLE_FACE_STEPS` accepted steps, the fit takes Newton steps on
+    rho = A A^dag, A = V_r diag(sqrt(w_r)) (16 x r) from the last iterate's
+    eigenpairs: truncated CG (`_newton_direction`) solves for a root of
+    F(A) = R(AA^dag) A - A, which is zero exactly at the stationary points
+    of the likelihood on the face, and the step is retracted as
+    A <- (A + tD) / |A + tD|_F, t halved from 1 down to 1e-4 until the
+    likelihood does not fall.  When no t keeps it from falling, or when the
+    certificate's first term is met but not its second (the maximum lies
+    off this face), the fit returns to FISTA with the momentum reset, and
+    switches again only after the rank has changed.
 
     A density matrix is the maximum exactly when R(rho) rho = rho and
     R(rho) <= I, so the fit stops once the certificate
@@ -475,12 +542,15 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
         max(|R(rho) rho - rho|_F, lambda_max(R(rho)) - 1)
 
     is at most `MLE_CERTIFICATE_TOL`; ``converged`` says it was met within
-    ``max_iterations`` steps.  While the first term exceeds the tolerance
-    it decides the stop alone, so lambda_max is computed only once it does
-    not, and for the certificate returned.  The fit starts at ``start`` (a
-    density matrix at which every observed outcome has a positive
-    probability), by default the linear inversion projected onto the
-    density matrices with no eigenvalue below `MLE_START_FLOOR`.
+    ``max_iterations`` steps, FISTA and Newton steps together, and
+    ``iterations`` counts both (``newton_steps`` the latter, and
+    ``cg_products`` their Hessian-vector products).  While the first term
+    exceeds the tolerance it decides the stop alone, so lambda_max is
+    computed only once it does not, and for the certificate returned.  The
+    fit starts at ``start`` (a density matrix at which every observed
+    outcome has a positive probability), by default the linear inversion
+    projected onto the density matrices with no eigenvalue below
+    `MLE_START_FLOOR`.
     """
     _check_design(ts)
     counts = _by_pairs(ts.counts)
@@ -490,25 +560,63 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
     if start is None:
         start = project_to_physical(linear_inversion(ts),
                                     min_eigenvalue=MLE_START_FLOOR)
+    observed = counts > 0.0
     x = np.asarray(start, dtype=complex)
     p_x = _frame_adjoint(x)
-    ll_x, ratio = _likelihood_terms(counts, p_x)
-    if ratio is None:
+    ll_x, ratio_x = _likelihood_terms(counts, p_x)
+    if ratio_x is None:
         raise ValueError("start point gives an observed outcome zero probability")
-    r_x = _frame_sum(ratio / n_total, _PAIR_FRAME)
+    r_x = _frame_sum(ratio_x / n_total, _PAIR_FRAME)
 
     def certificate(rho, r):
-        """The certificate, or its first term alone while that exceeds the tolerance."""
+        """(The certificate, or its first term alone while that exceeds the
+        tolerance; whether the first term is within the tolerance)."""
         stationarity = float(np.linalg.norm(r @ rho - rho))
         if stationarity > MLE_CERTIFICATE_TOL:
-            return stationarity
-        return max(stationarity, _lambda_excess(r))
+            return stationarity, False
+        return max(stationarity, _lambda_excess(r)), True
 
-    cert = certificate(x, r_x)
+    def newton_step(a):
+        """The likelihood terms after one Newton-CG step on the face from A,
+        or None when no step length keeps the likelihood from falling."""
+        nonlocal cg_products
+        w2 = np.divide(ratio_x, n_total * p_x, out=np.zeros_like(p_x), where=observed)
+        d, products = _newton_direction(a, r_x, w2, r_x @ a - a)
+        cg_products += products
+        t = 1.0
+        while t >= _NEWTON_MIN_STEP:
+            trial = a + t * d
+            trial /= np.linalg.norm(trial)
+            rho = trial @ trial.conj().T
+            p = _frame_adjoint(rho)
+            ll, ratio = _likelihood_terms(counts, p)
+            if ratio is not None and ll >= ll_x:
+                return trial, rho, p, ll, ratio
+            t /= 2.0
+        return None
+
+    cert, _ = certificate(x, r_x)
     x_prev, p_prev, momentum, lipschitz = x, p_x, 1.0, 1.0
-    iteration = 0
+    # face: A while the fit takes Newton steps, else None; steady counts
+    # the accepted FISTA steps since the projection's rank last changed.
+    face, rank, steady = None, 0, 0
+    iteration = newton_steps = cg_products = 0
     while cert > MLE_CERTIFICATE_TOL and iteration < max_iterations:
         iteration += 1
+        if face is not None:
+            step = newton_step(face)
+            if step is not None:
+                newton_steps += 1
+                face, x, p_x, ll_x, ratio_x = step
+                r_x = _frame_sum(ratio_x / n_total, _PAIR_FRAME)
+                cert, stationary = certificate(x, r_x)
+                if not stationary or cert <= MLE_CERTIFICATE_TOL:
+                    continue
+            # No step length kept the likelihood, or the maximum lies off
+            # this face: back to FISTA, in this iteration if no step was taken.
+            face, x_prev, p_prev, momentum = None, x, p_x, 1.0
+            if step is not None:
+                continue
         next_momentum = (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum)) / 2.0
         y, ll_y, r_y = x, ll_x, r_x
         if momentum > 1.0:
@@ -520,7 +628,8 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
         # L grows to 2**60 times its value at most; past that no step from y
         # passes the test, and the fit stops uncertified.
         for _ in range(60):
-            z = nearest_density_matrix(y + r_y / lipschitz)
+            w, v = _projected_eigensystem(y + r_y / lipschitz)
+            z = (v * w) @ v.conj().T
             p_z = _frame_adjoint(z)
             ll_z, ratio = _likelihood_terms(counts, p_z)
             d = z - y
@@ -531,15 +640,21 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
         else:
             break
         momentum = 1.0 if ll_z < ll_x else next_momentum
-        x_prev, p_prev, x, p_x, ll_x = x, p_x, z, p_z, ll_z
-        r_x = _frame_sum(ratio / n_total, _PAIR_FRAME)
-        cert = certificate(x, r_x)
+        x_prev, p_prev, x, p_x, ll_x, ratio_x = x, p_x, z, p_z, ll_z, ratio
+        r_x = _frame_sum(ratio_x / n_total, _PAIR_FRAME)
+        cert, _ = certificate(x, r_x)
         lipschitz *= 0.9
+        z_rank = int(np.count_nonzero(w))
+        steady = steady + 1 if z_rank == rank else 1
+        rank = z_rank
+        if steady == MLE_FACE_STEPS:
+            face = v[:, -rank:] * np.sqrt(w[-rank:])
     if cert > MLE_CERTIFICATE_TOL:
         cert = max(cert, _lambda_excess(r_x))
     return MleResult(rho=check_density_matrix(x, eig_tol=1e-9), log_likelihood=ll_x,
                      iterations=iteration, converged=cert <= MLE_CERTIFICATE_TOL,
-                     certificate=cert)
+                     certificate=cert, newton_steps=newton_steps,
+                     cg_products=cg_products)
 
 
 def monte_carlo_error(ts: CountTable, statistic, n_resamples: int, seed):

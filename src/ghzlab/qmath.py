@@ -214,6 +214,16 @@ def nearest_density_matrix(h: np.ndarray, min_eigenvalue: float = 0.0) -> np.nda
     read) and 0 <= ``min_eigenvalue`` * n < 1, as for a caller whose input is
     Hermitian by construction.
     """
+    w, v = _projected_eigensystem(h, min_eigenvalue)
+    return (v * w) @ v.conj().T
+
+
+def _projected_eigensystem(h: np.ndarray, min_eigenvalue: float = 0.0):
+    """(w, v): the eigenvectors v of ``h`` (columns, ascending eigenvalues)
+    and its eigenvalues projected onto the simplex, so that
+    `nearest_density_matrix` is (v * w) @ v^dag.  The eigenvalues the
+    projection clamps are exactly ``min_eigenvalue`` (zero by default).
+    """
     n = h.shape[0]
     w, v = np.linalg.eigh(h)
     # u: floor-shifted eigenvalues, largest first.  The shift is
@@ -223,4 +233,4 @@ def nearest_density_matrix(h: np.ndarray, min_eigenvalue: float = 0.0) -> np.nda
     excess = np.cumsum(u) - (1.0 - n * min_eigenvalue)
     k = np.flatnonzero(u * np.arange(1, n + 1) > excess)[-1]
     w = np.maximum(w - min_eigenvalue - excess[k] / (k + 1), 0.0) + min_eigenvalue
-    return (v * w) @ v.conj().T
+    return w, v

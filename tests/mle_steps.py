@@ -5,29 +5,41 @@ Usage: python tests/mle_steps.py TREE
 Imports the package from ``TREE/src`` and the benchmark's workloads from
 ``TREE/perfbench``, then runs the ``tomography`` command's pipeline on the two
 seed-1 ``tomo-sampled`` datasets and on the default config with
-``exact_probabilities: false``.  Prints one line ``dataset fit steps converged
-certificate`` per fit, fit 0 being the central fit and 1..25 the Monte-Carlo
-resamples, so the step counts of two trees can be compared with ``diff``.
-pytest does not collect this file.
+``exact_probabilities: false``.  Prints one line ``dataset fit fista newton cg
+converged certificate`` per fit, fit 0 being the central fit and 1..25 the
+Monte-Carlo resamples: its FISTA steps, its Newton steps and the
+Hessian-vector products of their CG solves.  A line ``dataset total fista
+newton cg`` closes each dataset, so the step counts of two trees can be
+compared with ``diff``.  pytest does not collect this file; the tests call
+`dataset_fits` for its step-count bounds.
 """
 
+import importlib.util
 import sys
 import tempfile
 from pathlib import Path
 
 
-def main(tree: str) -> int:
-    root = Path(tree).resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+def _workloads(perfbench: Path):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  perfbench / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def dataset_fits(perfbench: Path) -> list:
+    """[(dataset, its MLE fits in call order)] for the three datasets, with
+    the ``ghzlab`` package that is already importable and the workloads of
+    the ``perfbench`` directory."""
     from ghzlab import cli, experiments
     from ghzlab.config import default_config, parse_config
-    from workloads import tomo_sampled_steps
 
     base = default_config()
-    sampled = dict(base, exact_probabilities=False)
-    datasets = [(f"tomo-sampled-{i}", step.config)
-                for i, step in enumerate(tomo_sampled_steps(base, 1, False))]
-    datasets.append(("default-sampled", sampled))
+    datasets = [(f"tomo-sampled-{i}", step.config) for i, step in
+                enumerate(_workloads(perfbench).tomo_sampled_steps(base, 1, False))]
+    datasets.append(("default-sampled", dict(base, exact_probabilities=False)))
 
     fit = experiments.mle_reconstruct
     fits = []
@@ -36,13 +48,28 @@ def main(tree: str) -> int:
         fits.append(fit(*args, **kwargs))
         return fits[-1]
 
+    out = []
     experiments.mle_reconstruct = recorded
-    for name, config in datasets:
-        fits.clear()
-        with tempfile.TemporaryDirectory() as out:
-            cli.cmd_tomography(parse_config(config), Path(out))
+    try:
+        for name, config in datasets:
+            fits = []
+            with tempfile.TemporaryDirectory() as results:
+                cli.cmd_tomography(parse_config(config), Path(results))
+            out.append((name, fits))
+    finally:
+        experiments.mle_reconstruct = fit
+    return out
+
+
+def main(tree: str) -> int:
+    root = Path(tree).resolve()
+    sys.path.insert(0, str(root / "src"))
+    for name, fits in dataset_fits(root / "perfbench"):
         for i, res in enumerate(fits):
-            print(f"{name} {i} {res.iterations} {res.converged} {res.certificate:.3e}")
+            print(f"{name} {i} {res.iterations - res.newton_steps} {res.newton_steps} "
+                  f"{res.cg_products} {res.converged} {res.certificate:.3e}")
+        print(f"{name} total {sum(r.iterations - r.newton_steps for r in fits)} "
+              f"{sum(r.newton_steps for r in fits)} {sum(r.cg_products for r in fits)}")
     return 0
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from ghzlab.analysis import (PHASE_WITNESS_SETTINGS, CountTable, bell_settings,
                              mle_reconstruct, monte_carlo_error, phase_witness,
                              stabilizer_witness, tomography_settings,
                              MLE_CERTIFICATE_TOL, MLE_START_FLOOR, _PAIR_FRAME,
-                             _by_pairs, _frame_adjoint, _frame_sum,
+                             _by_pairs, _face_jacobian, _frame_adjoint, _frame_sum,
                              _likelihood_terms)
+from ghzlab import analysis, experiments
 from ghzlab.config import default_config, parse_config
-from ghzlab import experiments
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_records, run_bell,
                                 run_phase_scan, run_tomography, run_witness,
@@ -24,6 +25,7 @@ from ghzlab.qmath import (PauliLabel, fidelity_to_pure, ghz4, project_to_physica
                           purity)
 from ghzlab.simulator import qubit_distribution, sample_counts
 
+from mle_steps import dataset_fits
 from oracles import (born_probabilities, ghz_state, mle_log_likelihood,
                      oracle_expectation, oracle_fit_phase_scan,
                      oracle_linear_inversion,
@@ -599,14 +601,17 @@ class TestMle:
         assert res.converged
         assert -1e-12 <= res.certificate <= MLE_CERTIFICATE_TOL
 
-    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 6])
     def test_capped_certificate_is_the_full_one(self, ideal_ctx, cap):
         """A capped fit reports both terms of the certificate at its last
         iterate, not the first term alone that decided each step's stop.
-        From I/16 the second term, lambda_max(R) - 1, is the larger one."""
+        From I/16 the second term, lambda_max(R) - 1, is the larger one at
+        first; the fit switches to Newton steps after four FISTA steps, and
+        a cap of 6 stops inside that finish."""
         ts = run_tomography(ideal_ctx, shots=300, seed=4)
         res = mle_reconstruct(ts, max_iterations=cap, start=np.eye(16) / 16)
         assert res.iterations == cap and not res.converged
+        assert res.newton_steps == max(0, cap - 4)
         assert res.certificate == pytest.approx(oracle_mle_certificate(ts, res.rho),
                                                 rel=1e-12, abs=0.0)
 
@@ -656,6 +661,74 @@ def test_mle_meets_certificate_and_beats_cholesky_oracle(name):
     assert again.rho.tobytes() == res.rho.tobytes()
     assert (again.log_likelihood, again.iterations, again.certificate) == \
         (res.log_likelihood, res.iterations, res.certificate)
+
+
+def _face_residual(counts, a):
+    """F(A) = R(AA^dag) A - A for counts laid out as `_by_pairs`."""
+    _, ratio = _likelihood_terms(counts, _frame_adjoint(a @ a.conj().T))
+    return _frame_sum(ratio / counts.sum(), _PAIR_FRAME) @ a - a
+
+
+@pytest.mark.parametrize("name, min_rank, max_rank",
+                         [("ideal-450", 1, 1), ("config-init-450", 5, 15)])
+def test_face_jacobian_matches_finite_difference(name, min_rank, max_rank):
+    """J[D], from one adjoint and one frame sum, is the derivative of F(A)
+    on the face of the fit: a central difference of F agrees to 1e-6."""
+    ts = _MLE_DATASETS[name]()
+    w, v = np.linalg.eigh(mle_reconstruct(ts).rho)
+    rank = int(np.count_nonzero(w > 1e-12))
+    assert min_rank <= rank <= max_rank
+    a = v[:, -rank:] * np.sqrt(w[-rank:])
+    counts = _by_pairs(ts.counts)
+    p = _frame_adjoint(a @ a.conj().T)
+    w2 = np.divide(counts, counts.sum() * p * p, out=np.zeros_like(p), where=counts > 0)
+    r = _frame_sum(np.divide(counts, counts.sum() * p, out=np.zeros_like(p),
+                             where=counts > 0), _PAIR_FRAME)
+    rng = np.random.default_rng(5)
+    eps = 1e-6
+    for _ in range(3):
+        d = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+        d /= np.linalg.norm(d)
+        fd = (_face_residual(counts, a + eps * d)
+              - _face_residual(counts, a - eps * d)) / (2.0 * eps)
+        jd = _face_jacobian(a, r, w2, d)
+        assert np.linalg.norm(fd - jd) <= 1e-6 * np.linalg.norm(jd)
+
+
+def test_newton_on_a_face_below_the_optimum_falls_back(monkeypatch):
+    """The exact `config-init` optimum has full rank.  Started from a pure
+    state, the fit's first Newton phase runs on a face of lower rank; it
+    returns to FISTA there (a face of another rank can only come from FISTA
+    steps) and the fit still meets the certificate."""
+    ts = _config_init_tomography()
+    faces = []
+    direction = analysis._newton_direction
+
+    def recorded(a, *args):
+        faces.append(a.shape[1])
+        return direction(a, *args)
+
+    monkeypatch.setattr(analysis, "_newton_direction", recorded)
+    psi = ghz4() + 0.2 * np.exp(1j * np.arange(16)) / 4
+    psi /= np.linalg.norm(psi)
+    res = mle_reconstruct(ts, start=np.outer(psi, psi.conj()))
+    assert faces[0] < 16 and len(set(faces)) > 1
+    assert res.newton_steps == len(faces) and res.converged
+    assert oracle_mle_certificate(ts, res.rho) <= MLE_CERTIFICATE_TOL
+    assert np.linalg.eigvalsh(res.rho)[0] > 1e-6
+
+
+def test_mle_steps_per_fit_stay_few():
+    """Through the pipeline of `tests/mle_steps.py`: at most 10 steps per
+    fit on the two seed-1 tomo-sampled datasets and at most 30 on the
+    sampled `config-init` one, every fit certified."""
+    bounds = {"tomo-sampled-0": 10, "tomo-sampled-1": 10, "default-sampled": 30}
+    datasets = dataset_fits(Path(__file__).resolve().parent.parent / "perfbench")
+    assert [name for name, _ in datasets] == list(bounds)
+    for name, fits in datasets:
+        assert len(fits) == 26
+        assert all(fit.converged for fit in fits)
+        assert max(fit.iterations for fit in fits) <= bounds[name], name
 
 
 def test_resample_that_empties_a_setting_still_fits(monkeypatch):
