@@ -144,7 +144,8 @@ def run_bell_sweep(ctx: SimContext, photon_index: int, scales) -> list:
         spec = replace(ctx.spec, distinguishability_scale=tuple(scale))
         bell = run_bell(replace(ctx, spec=spec))
         fr = ctx.spec.fractions.x
-        overlaps = [fr[photon_index] * s * fr[j] for j in range(4) if j != photon_index]
+        overlaps = [fr[photon_index] * s * fr[j] * scale[j]
+                    for j in range(4) if j != photon_index]
         rows.append({"scale": float(s),
                      "min_pairwise_overlap": float(min(overlaps)),
                      "bell_value": bell.value})

@@ -13,7 +13,9 @@ labels read left to right in the order 0000, 0001, ..., 1111.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -112,12 +114,21 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
     return a
 
 
-def permanent(m: np.ndarray):
-    """Permanent of a square complex matrix via Ryser's formula.
+@cache
+def _permutations(n: int) -> np.ndarray:
+    """The n! permutations of range(n) as rows, in lexicographic order (read-only)."""
+    table = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    table = table.reshape(math.factorial(n), n)
+    table.setflags(write=False)
+    return table
 
-    Subsets are visited in Gray-code order so that each step updates the
-    running column sums with a single row add/subtract, giving O(2^n * n)
-    arithmetic.  Dimensions up to 16 are accepted.
+
+def permanent(m: np.ndarray):
+    """Permanent of a square complex matrix as a sum over permutations.
+
+    Each permutation's product is built row by row, so a matrix gives the
+    same bits alone as in a stack.  Dimensions up to 8 are accepted, the
+    most photons one scattered input holds.
 
     A stack of matrices with shape ``(..., n, n)`` gives an array of shape
     ``(...)`` holding each matrix's permanent; a single ``(n, n)`` matrix
@@ -127,25 +138,13 @@ def permanent(m: np.ndarray):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     n = a.shape[-1]
-    if n > 16:
-        raise ValueError(f"permanent limited to n <= 16, got {n}")
-    total = np.zeros(a.shape[:-2], dtype=complex)
-    if n == 0:
-        total += 1.0
-    sums = np.zeros(a.shape[:-2] + (n,), dtype=complex)
-    prev_gray = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        bit = gray ^ prev_gray
-        j = bit.bit_length() - 1
-        if gray & bit:
-            sums += a[..., :, j]
-        else:
-            sums -= a[..., :, j]
-        prev_gray = gray
-        popcount = bin(gray).count("1")
-        sign = 1 if (n - popcount) % 2 == 0 else -1
-        total += sign * np.prod(sums, axis=-1)
+    if n > 8:
+        raise ValueError(f"permanent limited to n <= 8, got {n}")
+    perms = _permutations(n)
+    terms = np.ones(a.shape[:-2] + (len(perms),), dtype=complex)
+    for row in range(n):
+        terms *= a[..., row, perms[:, row]]
+    total = terms.sum(axis=-1)
     return complex(total) if a.ndim == 2 else total
 
 
@@ -226,11 +225,11 @@ def _projected_eigensystem(h: np.ndarray, min_eigenvalue: float = 0.0):
     """
     n = h.shape[0]
     w, v = np.linalg.eigh(h)
-    # u: floor-shifted eigenvalues, largest first.  The shift is
-    # excess[k] / (k + 1) for the largest k whose u[k] stays positive under
-    # its own shift excess[k] / (k + 1), i.e. (k + 1) * u[k] > excess[k].
-    u = w[::-1] - min_eigenvalue
-    excess = np.cumsum(u) - (1.0 - n * min_eigenvalue)
-    k = np.flatnonzero(u * np.arange(1, n + 1) > excess)[-1]
-    w = np.maximum(w - min_eigenvalue - excess[k] / (k + 1), 0.0) + min_eigenvalue
+    # gap: distances below the largest eigenvalue.  The k + 1 largest stay
+    # positive, k the largest index with (k + 1) * gap[k] < sums[k], largest
+    # first; k = 0 always qualifies, however large the eigenvalues are.
+    gap = w[-1] - w
+    sums = np.cumsum(gap[::-1]) + (1.0 - n * min_eigenvalue)
+    k = np.flatnonzero(gap[::-1] * np.arange(1, n + 1) < sums)[-1]
+    w = np.maximum(sums[k] / (k + 1) - gap, 0.0) + min_eigenvalue
     return w, v

@@ -16,14 +16,16 @@ binomial loss is folded in exactly.  A term's value is the product over its
 label groups.  Evaluated on the 81 masks S that hold at most one mode per
 qubit pair, these values give each outcome's probability by
 inclusion-exclusion over the subsets of its four clicked detectors (Quesada
-et al., PRA 98, 062322, 2018); the discard mass is the rest.
+et al., PRA 98, 062322, 2018); the discard mass is the rest.  A label group
+is a set of inputs, one of 15, so every setting evaluates all 15 with one
+stacked permanent per group size (at most 4x4, a sum over permutations).
 
 A `SimContext` is the simulator's one input: source, chip stage and
 detectors.  The source owns its weighted enumeration of labeled inputs,
 built on first use, so every setting simulated with one source scatters the
 same enumeration, whatever the chip stage or detectors.  The simulator reads
-only the enumeration's `LabelGroups` table: the distinct label groups, and
-the summed weight of each multiset of them.
+only the enumeration's `LabelGroups` table: each multiset of label groups,
+as input bitmasks, and its summed weight.
 
 `scatter_distribution` and `apply_detector_efficiency` remain as the
 occupation-level model: the full output histogram of one labeled input and
@@ -271,26 +273,37 @@ _ROUNDOFF_TOL = 1e-12
 _CANCELLATION_TOL = 1e-6
 
 
+# For each group size k, the label groups of k inputs (bit i for input i,
+# in mode 2i) and their modes, one row per group.
+_GROUPS_BY_SIZE = tuple(
+    (np.array([sum(1 << i for i in c) for c in combos]), 2 * np.array(combos))
+    for combos in (list(itertools.combinations(range(4), k)) for k in range(1, 5)))
+
+
 def outcome_distribution(u: np.ndarray, table: LabelGroups,
                          det: DetectorModel = DetectorModel.ideal()
                          ) -> OutcomeDistribution:
     """Post-selected outcomes of the label-group table's terms scattered by ``u``.
 
-    Evaluates every distinct label group on all 81 masks with one stacked
-    permanent per group size, multiplies the groups of each label-group
-    multiset, and applies inclusion-exclusion.  The discard mass is one
-    minus the post-selected mass, so the weight missing from the table is
-    counted as discarded.  Raises ``FloatingPointError`` when round-off
-    leaves a probability below tolerance, no post-selected mass at all, or
-    a round-off bound above ``_CANCELLATION_TOL`` of the post-selected mass.
+    Evaluates all 15 label groups on all 81 masks with one stacked
+    permanent per group size (row 0 of the values, for padding, is ones),
+    multiplies the groups of each label-group multiset, and applies
+    inclusion-exclusion.  The discard mass is one minus the post-selected
+    mass, so the weight missing from the table is counted as discarded.
+    Raises ``FloatingPointError`` when round-off leaves a probability below
+    tolerance, no post-selected mass at all, or a round-off bound above
+    ``_CANCELLATION_TOL`` of the post-selected mass.
     """
     u = np.asarray(u, dtype=complex)
     d = np.where(_MASK_MODES, 1.0, 1.0 - np.asarray(det.efficiencies, dtype=float))
     gram = (u.conj().T * d[:, None, :]) @ u
-    values = np.ones((len(table.groups) + 1, len(_MASK_MODES)))
-    for rows, modes in table.by_size:
-        values[rows] = permanent(gram[:, modes[:, :, None], modes[:, None, :]]).real.T
-    masks = table.weights @ values[table.index].prod(axis=1)
+    values = np.ones((16, len(_MASK_MODES)))
+    for groups, modes in _GROUPS_BY_SIZE:
+        values[groups] = permanent(gram[:, modes[:, :, None], modes[:, None, :]]).real.T
+    products = np.ones((len(table.weights), len(_MASK_MODES)))
+    for column in table.index.T:
+        products *= values[column]
+    masks = table.weights @ products
     probs = _INCLUSION_EXCLUSION @ masks
     low = float(probs.min())
     if low < -_ROUNDOFF_TOL:

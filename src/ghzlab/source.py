@@ -21,11 +21,14 @@ inputs.
 The labels are structural.  The master label is shared, and every other
 label belongs to one input, so which label groups a joint term holds (the
 sets of inputs whose photons share a label) depends only on which of its
-six mixture entries each input takes.  One fixed table over the 6^4 joint
+six mixture entries each input takes.  A group holds at most one photon
+per input, so it is one of the 15 nonempty subsets of the four inputs and
+is named by its bitmask everywhere.  One fixed table over the 6^4 joint
 entries, built once per process on first use, holds each one's photon
-count, label groups and group multiset.  Only the weights depend on the
-spec: the outer product of the four inputs' mixtures, pruned by two masks
-and summed onto the multisets with one bincount.
+count and a code for its multiset of groups, and a second decodes a code
+into its groups.  Only the weights depend on the spec: the outer product
+of the four inputs' mixtures, pruned by two masks and summed onto the
+multisets with one bincount.
 """
 
 from __future__ import annotations
@@ -228,7 +231,6 @@ def _master_fractions(ab: float, ac: float, bd: float, cd: float) -> MasterFract
 # their photons: M the master state all inputs share, S the input's own
 # subsidiary state and N its own noise state.
 _ENTRY_STATES = ("", "M", "S", "N", "MN", "SN")
-_INPUT_MODES = (0, 2, 4, 6)
 
 
 def input_mixture(spec: SourceSpec, fractions: MasterFractions, input_index: int
@@ -258,17 +260,13 @@ class _CombinationTable(NamedTuple):
     """The 6^4 joint entries of the four inputs, in ``itertools.product`` order.
 
     A label group is a nonempty set of inputs, coded as its bitmask (bit i
-    for input i).  Row k of ``groups`` lists the groups of combination k in
-    the order their labels first appear among its photons, input by input,
-    one slot per photon state and 0 for an empty slot.  ``multiset[k]``
-    codes the multiset of those groups below 1296: 81 times the master
-    group's bitmask when it spans two inputs or more, plus the count of
-    each one-input group in base 3.
+    for input i).  ``multiset[k]`` codes the multiset of combination k's
+    groups below 1296: 81 times the master group's bitmask when it spans
+    two inputs or more, plus the count of each one-input group in base 3.
     """
 
     entries: np.ndarray  # (1296, 4) int8: the entry each input takes
     photons: np.ndarray  # (1296,) int8
-    groups: np.ndarray  # (1296, 8) uint8
     multiset: np.ndarray  # (1296,) int16
 
 
@@ -282,44 +280,52 @@ def _combination_table() -> _CombinationTable:
         return np.array([test(states) for states in _ENTRY_STATES])[entry]
 
     inputs = np.arange(4)[:, None]
-    bit = 1 << inputs
-    own_first = per_input(lambda states: states[:1] in ("S", "N"))
-    own_second = per_input(lambda states: states[1:2] in ("S", "N"))
-    has_master = per_input(lambda states: "M" in states)
-    master = (has_master * bit).sum(axis=0)
-    # the master group is visited at the first input with a master photon
-    first = np.where(has_master & (master & -master == bit), master, 0)
-    slots = np.stack([np.where(own_first, bit, first), np.where(own_second, bit, 0)],
-                     axis=2)
-    singles = own_first.astype(int) + own_second + (master == bit)
+    own = per_input(lambda states: sum(state in "SN" for state in states))
+    master = (per_input(lambda states: "M" in states) << inputs).sum(axis=0)
+    singles = own + (master == 1 << inputs)
     spans = np.where(master & (master - 1), master, 0)
     table = _CombinationTable(
         entries=entry.T.astype(np.int8),
         photons=per_input(len).sum(axis=0).astype(np.int8),
-        groups=slots.transpose(1, 0, 2).reshape(-1, 8).astype(np.uint8),
         multiset=(81 * spans + (singles * 3 ** inputs).sum(axis=0)).astype(np.int16))
     for array in table:
         array.setflags(write=False)
     return table
 
 
+@cache
+def _multiset_groups() -> np.ndarray:
+    """Row c lists the label groups of multiset code c as bitmasks, padded with 0.
+
+    The spanning group comes first, then each input's one-input groups in
+    input order.  Codes no combination takes decode to rows of no meaning.
+    """
+    code = np.arange(6 ** 4)
+    singles = code[:, None] // 3 ** np.arange(4) % 3
+    copies = np.where(singles[:, :, None] > np.arange(2), 1 << np.arange(4)[:, None], 0)
+    slots = np.concatenate([code[:, None] // 81, copies.reshape(-1, 8)], axis=1)
+    # move each row's groups to its front, keeping their order
+    filled = slots != 0
+    rows, _ = np.nonzero(filled)
+    groups = np.zeros(slots.shape, dtype=np.uint8)
+    groups[rows, np.cumsum(filled, axis=1)[filled] - 1] = slots[filled]
+    groups.setflags(write=False)
+    return groups
+
+
 @dataclass(frozen=True)
 class LabelGroups:
     """Input terms aggregated by their multiset of label groups.
 
-    A label group is the sorted tuple of input modes whose photons share one
-    internal label; photons of different groups never interfere, and the
-    modes of one group are distinct.  Row ``t`` of ``index`` lists the
-    groups of multiset ``t`` as positions in ``groups``, padded with
-    ``len(groups)``; ``weights[t]`` is the summed weight of its terms.
-    ``by_size`` holds, for each group size in ascending order, the
-    positions of the groups of that size and their modes as one array.
+    A label group is a set of inputs whose photons share one internal
+    label, coded as its bitmask (bit i for input i, so one of 1..15);
+    photons of different groups never interfere.  Row ``t`` of ``index``
+    lists the groups of multiset ``t``, padded with 0, and ``weights[t]``
+    is the summed weight of its terms.
     """
 
-    groups: tuple
     weights: np.ndarray
     index: np.ndarray
-    by_size: tuple
 
 
 @dataclass(frozen=True)
@@ -340,47 +346,17 @@ class JointInputEnumeration:
     label_groups: LabelGroups
 
 
-def _first_appearances(ids: np.ndarray, size: int) -> np.ndarray:
-    """Ascending positions in ``ids`` where each of its values first appears.
+def _label_groups(codes: np.ndarray, weights: np.ndarray) -> LabelGroups:
+    """Terms with multiset ``codes`` and ``weights``, aggregated by multiset.
 
-    ``ids`` holds integers below ``size``.  Sorting is avoided on purpose:
-    the first call of numpy's sort family maps in its sizable sort kernels.
+    Multisets come in ascending code order, and each one's weight is summed
+    in term order.
     """
-    positions = np.arange(len(ids))
-    first = np.full(size, len(ids), dtype=np.intp)
-    np.minimum.at(first, ids, positions)
-    return np.flatnonzero(first[ids] == positions)
-
-
-def _label_groups(table: _CombinationTable, rows: np.ndarray,
-                  weights: np.ndarray) -> LabelGroups:
-    """The combinations ``rows`` with ``weights``, aggregated by label-group multiset.
-
-    Groups and multisets are numbered in order of first appearance, and
-    each multiset's weight is summed in row order.
-    """
-    slots = table.groups[rows].ravel()
-    order = slots[_first_appearances(slots, 16)]
-    order = order[order != 0]
-    position = np.full(16, len(order), dtype=np.intp)
-    position[order] = np.arange(len(order))
-    keys = table.multiset[rows]
-    starts = _first_appearances(keys, 6 ** 4)
-    multiset_position = np.zeros(6 ** 4, dtype=np.intp)
-    multiset_position[keys[starts]] = np.arange(len(starts))
+    present = np.flatnonzero(np.bincount(codes, minlength=6 ** 4))
     # .astype: bincount of no terms at all is an integer array
-    summed = np.bincount(multiset_position[keys], weights=weights,
-                         minlength=len(starts)).astype(float, copy=False)
-    sorted_rows = [sorted(row) for row in position[table.groups[rows[starts]]].tolist()]
-    index = np.array(sorted_rows, dtype=np.intp).reshape(len(starts), 8)
-    index = index[:, :int((index < len(order)).sum(axis=1).max(initial=1))]
-    groups = tuple(tuple(mode for i, mode in enumerate(_INPUT_MODES) if g >> i & 1)
-                   for g in order.tolist())
-    by_size = []
-    for size in sorted({len(g) for g in groups}):
-        members = [r for r, g in enumerate(groups) if len(g) == size]
-        by_size.append((np.array(members), np.array([groups[r] for r in members])))
-    return LabelGroups(groups, summed, index, tuple(by_size))
+    summed = np.bincount(codes, weights=weights, minlength=6 ** 4).astype(float, copy=False)
+    index = _multiset_groups()[present]
+    return LabelGroups(summed[present], index[:, index.any(axis=0)])
 
 
 def enumerate_joint_inputs(spec: SourceSpec, fractions: MasterFractions,
@@ -406,4 +382,4 @@ def enumerate_joint_inputs(spec: SourceSpec, fractions: MasterFractions,
         terms=table.entries[rows], raw_term_count=len(weights),
         photon_filtered_count=int(np.count_nonzero(four_photon)),
         retained_weight=float(np.cumsum(kept)[-1]) if len(kept) else 0.0,
-        label_groups=_label_groups(table, rows, kept))
+        label_groups=_label_groups(table.multiset[rows], kept))

@@ -5,8 +5,9 @@ matrices are hardcoded entry by entry, permanents expand over explicit
 permutations, and qubit probabilities come from 16-dimensional state
 vectors.  The occupation-histogram oracle scatters each term into its full
 output histogram, thins it binomially and thresholds every occupation; it
-shares only the Ryser permanent with the click-mask path of
-`qubit_distribution`, and that is checked against explicit permutations.
+shares only the permutation-table permanent with the click-mask path of
+`qubit_distribution`, and that is checked against an explicit loop over
+permutations and against closed forms.
 The heater oracle solves one linear program per 2*pi lift vector with
 HiGHS, where the package enumerates the vertices of every lift's program
 at once; the vertex oracle is that enumeration as it stood before it
@@ -30,8 +31,9 @@ package takes accelerated projected gradient steps on rho itself; its
 certificate and the fit's deviance are summed outcome by outcome.  The
 enumeration oracle multiplies the four input mixtures term by term into
 (mode, label) photon tuples and groups each term's photons by label in a
-dict, where the package looks every combination's label groups up in one
-fixed table and sums the weights with one bincount.
+dict and names each group by the bitmask of its inputs, where the package
+codes every combination's multiset in one fixed table, sums the weights
+with one bincount and decodes the codes with a second table.
 """
 
 import itertools
@@ -212,27 +214,26 @@ class OracleEnumeration:
 
     @cached_property
     def label_groups(self) -> LabelGroups:
-        """The terms aggregated by label-group multiset, built on first use."""
-        positions: dict = {}
+        """The terms aggregated by label-group multiset, built on first use.
+
+        A group is the bitmask of the inputs its photons enter, bit i for
+        mode 2i; a multiset is the sorted tuple of its groups.
+        """
         multisets: dict = {}
         for term in self.terms:
             by_label = defaultdict(list)
             for mode, label in term.photons:
                 by_label[label].append(mode)
-            key = tuple(sorted(positions.setdefault(tuple(sorted(modes)), len(positions))
+            if any(len(set(modes)) < len(modes) for modes in by_label.values()):
+                raise ValueError("a label group holds one photon per input")
+            key = tuple(sorted(sum(1 << mode // 2 for mode in modes)
                                for modes in by_label.values()))
             multisets[key] = multisets.get(key, 0.0) + term.weight
         width = max((len(key) for key in multisets), default=1)
-        index = np.full((len(multisets), width), len(positions), dtype=np.intp)
+        index = np.zeros((len(multisets), width), dtype=np.intp)
         for row, key in enumerate(multisets):
             index[row, :len(key)] = key
-        groups = tuple(positions)
-        by_size = []
-        for size in sorted({len(g) for g in groups}):
-            rows = [r for r, g in enumerate(groups) if len(g) == size]
-            by_size.append((np.array(rows), np.array([groups[r] for r in rows])))
-        return LabelGroups(groups, np.array(list(multisets.values()), dtype=float),
-                           index, tuple(by_size))
+        return LabelGroups(np.array(list(multisets.values()), dtype=float), index)
 
 
 def oracle_enumerate_joint_inputs(spec, fractions, input_modes=(0, 2, 4, 6),

@@ -1,18 +1,27 @@
 """Digest every result file of the ten CLI commands, exact and sampled.
 
 Usage: python tests/result_digests.py TREE OUTDIR
+       python tests/result_digests.py --compare OUT_A OUT_B
 
 Runs ``config-init`` and then each command with the package in ``TREE/src``,
 once on the default config and once with ``exact_probabilities: false``,
 writing into ``OUTDIR``.  Prints one line ``mode command exit file sha256``
 per result file (manifests excluded, since they carry a timestamp), and
 ``mode command exit - -`` for a command that wrote none, so the output of
-two trees can be compared with ``diff``.  pytest does not collect this file.
+two trees can be compared with ``diff``.
+
+With ``--compare`` it reads two such output directories instead and prints,
+for each result file of either, the largest absolute difference between
+corresponding numbers of the two copies, followed by ``text differs`` when
+the text around the numbers differs too, or ``missing in A``/``missing in
+B``.  pytest does not collect this file.
 """
 
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +37,35 @@ def _cli(env, *args) -> int:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
+
+
+def _max_difference(a: str, b: str) -> str:
+    """The largest |x_a - x_b| over corresponding numbers of two texts."""
+    xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
+    largest = 0.0
+    for x, y in zip(xs, ys):
+        x, y = float(x.replace("Infinity", "inf")), float(y.replace("Infinity", "inf"))
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            # a NaN against a number counts as an infinite difference
+            largest = max(largest, math.inf if math.isnan(x - y) else abs(x - y))
+    same_text = len(xs) == len(ys) and _NUMBER.split(a) == _NUMBER.split(b)
+    return f"{largest:.3g}" + ("" if same_text else " text differs")
+
+
+def compare(out_a: str, out_b: str) -> int:
+    """Print ``file max_abs_difference`` for each result file of two outputs."""
+    a, b = Path(out_a), Path(out_b)
+    names = sorted({p.relative_to(root) for root in (a, b) for p in root.rglob("*")
+                    if p.is_file() and p.name != "manifest.json"})
+    for name in names:
+        if not (a / name).exists() or not (b / name).exists():
+            print(f"{name} missing in {'A' if not (a / name).exists() else 'B'}")
+        else:
+            print(f"{name} {_max_difference((a / name).read_text(), (b / name).read_text())}")
+    return 0
 
 
 def main(tree: str, outdir: str) -> int:
@@ -54,6 +92,8 @@ def main(tree: str, outdir: str) -> int:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(*sys.argv[2:]))
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     sys.exit(main(*sys.argv[1:]))

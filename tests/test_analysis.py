@@ -718,6 +718,20 @@ def test_newton_on_a_face_below_the_optimum_falls_back(monkeypatch):
     assert np.linalg.eigvalsh(res.rho)[0] > 1e-6
 
 
+def test_pure_start_at_the_exact_fit_projects():
+    """From the pure top eigenvector of the exact `config-init` fit, some
+    observed probabilities are about 1e-33, so R(rho) reaches about 1e29 and
+    the first step projects a matrix whose largest eigenvalue swamps the
+    unit trace; the fit still returns a density matrix."""
+    ts = _config_init_tomography()
+    psi = np.linalg.eigh(mle_reconstruct(ts).rho)[1][:, -1]
+    start = np.outer(psi, psi.conj())
+    res = mle_reconstruct(ts, start=start)
+    assert res.iterations >= 1
+    assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-12)
+    assert res.log_likelihood >= mle_log_likelihood(ts, start) - 1e-6
+
+
 def test_mle_steps_per_fit_stay_few():
     """Through the pipeline of `tests/mle_steps.py`: at most 10 steps per
     fit on the two seed-1 tomo-sampled datasets and at most 30 on the

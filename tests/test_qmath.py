@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzlab.qmath import (PauliLabel, fidelity_to_pure, ghz4, pauli_operator,
                           permanent, project_to_physical, purity)
@@ -25,9 +28,9 @@ class TestPermanent:
         rng = np.random.default_rng(42 + n)
         for _ in range(100):
             m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            ryser = permanent(m)
+            table = permanent(m)
             naive = permanent_by_permutations(m)
-            assert abs(ryser - naive) <= 1e-12 * max(abs(naive), 1.0)
+            assert abs(table - naive) <= 1e-12 * max(abs(naive), 1.0)
 
     def test_row_multilinearity(self):
         rng = np.random.default_rng(7)
@@ -38,6 +41,21 @@ class TestPermanent:
             i = rng.integers(0, 4)
             scaled[i] *= c
             assert permanent(scaled) == pytest.approx(c * permanent(m), rel=1e-10)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_closed_forms(self, n):
+        # perm(u v^T) = n! prod(u) prod(v); perm(diag(d)) = prod(d)
+        rng = np.random.default_rng(70 + n)
+        u, v, d = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3))
+        expected = math.factorial(n) * np.prod(u) * np.prod(v)
+        assert abs(permanent(np.outer(u, v)) - expected) <= 1e-12 * max(abs(expected), 1.0)
+        assert abs(permanent(np.diag(d)) - np.prod(d)) <= 1e-14 * max(abs(np.prod(d)), 1.0)
+
+    def test_more_than_eight_rejected(self):
+        with pytest.raises(ValueError, match="n <= 8"):
+            permanent(np.ones((9, 9)))
+        with pytest.raises(ValueError, match="n <= 8"):
+            permanent(np.ones((2, 9, 9)))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -171,6 +189,33 @@ class TestProjectToPhysical:
         twice = project_to_physical(once)
         assert np.max(np.abs(once - twice)) < 1e-12
         assert np.trace(once).real == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-8])
+    def test_huge_eigenvalue_projects(self, floor):
+        # the largest eigenvalue minus the unit trace rounds to itself, so
+        # the shift is found from the gaps below it
+        q, _ = np.linalg.qr(np.random.default_rng(8).normal(size=(16, 16)))
+        rotated = q @ np.diag([1e17, -1e17] + [3.0] * 14) @ q.T
+        for h in (np.diag([1e17] + [0.0] * 15), np.diag([1e300, -1e300] + [3.0] * 14),
+                  (rotated + rotated.T) / 2):
+            out = project_to_physical(h, min_eigenvalue=floor)
+            w = np.linalg.eigvalsh(out)
+            assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+            assert w.min() >= floor - 1e-15
+            assert w.max() == pytest.approx(1.0 - 15 * floor, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)),
+                    min_size=1, max_size=16),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from((0.0, 1e-9)))
+    def test_any_eigenvalue_scale_projects(self, eigenvalues, seed, floor):
+        rng = np.random.default_rng(seed)
+        n = len(eigenvalues)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        h = (q * [sign * 10.0 ** e for sign, e in eigenvalues]) @ q.conj().T
+        out = project_to_physical((h + h.conj().T) / 2, min_eigenvalue=floor)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(out).min() >= floor - 1e-12
 
     def test_negative_input_gives_maximally_mixed(self):
         out = project_to_physical(-np.eye(4))

@@ -179,12 +179,19 @@ def _term_weights(spec, fractions, terms):
 
 
 def _term_groups(spec, fractions, row):
-    """The sorted input-mode tuples of one term's label groups, as a sorted tuple."""
+    """The input bitmasks of one term's label groups, as a sorted tuple."""
     groups = {}
     for i, e in enumerate(row):
         for label in input_mixture(spec, fractions, i)[e][1]:
-            groups.setdefault(label, []).append(2 * i)
-    return tuple(sorted(tuple(g) for g in groups.values()))
+            groups[label] = groups.get(label, 0) | 1 << i
+    return tuple(sorted(groups.values()))
+
+
+def _multisets(table):
+    """Each multiset of ``table`` as its sorted groups, mapped to its weight."""
+    keys = [tuple(sorted(g for g in row if g)) for row in table.index.tolist()]
+    assert len(set(keys)) == len(keys)
+    return dict(zip(keys, table.weights.tolist()))
 
 
 class TestEnumeration:
@@ -192,7 +199,7 @@ class TestEnumeration:
         enum = enumerate_joint_inputs(SourceSpec.ideal(), MasterFractions.perfect())
         assert enum.terms.tolist() == [[1, 1, 1, 1]]  # each input's master photon
         table = enum.label_groups
-        assert table.groups == ((0, 2, 4, 6),)
+        assert table.index.tolist() == [[0b1111]]
         assert table.weights.tolist() == pytest.approx([1.0])
         assert enum.retained_weight == pytest.approx(1.0)
 
@@ -225,15 +232,15 @@ class TestEnumeration:
         enum = enumerate_joint_inputs(spec, spec.fractions)
         table = enum.label_groups
         assert len(enum.terms) == 410 and len(table.weights) == 162
-        assert len(table.groups) <= 15
-        assert all(len(set(g)) == len(g) and set(g) <= {0, 2, 4, 6}
-                   for g in table.groups)
+        assert table.index.shape[0] == 162 and table.index.max() <= 15
+        # each row lists its groups first, then the 0 padding
+        filled = table.index != 0
+        assert filled[:, 0].all() and not (~filled[:, :-1] & filled[:, 1:]).any()
         assert table.weights.sum() == pytest.approx(enum.retained_weight, rel=1e-12)
-        # every term's groups, as sets of input modes, appear in its row
-        rows = {tuple(sorted(table.groups[i] for i in row if i < len(table.groups)))
-                for row in table.index}
+        # every term's groups, as input bitmasks, make up one row
+        multisets = _multisets(table)
         for row in enum.terms.tolist():
-            assert _term_groups(spec, spec.fractions, row) in rows
+            assert _term_groups(spec, spec.fractions, row) in multisets
 
     def test_weight_pruning_threshold(self):
         spec = SourceSpec()
@@ -260,14 +267,10 @@ def assert_matches_oracle_enumeration(spec, weight_cutoff):
     assert new.retained_weight == old.retained_weight
     assert len(new.terms) == len(old.terms)
     assert _term_weights(spec, spec.fractions, new.terms) == [t.weight for t in old.terms]
-    a, b = new.label_groups, old.label_groups
-    assert a.groups == b.groups
-    _assert_same_bits(a.weights, b.weights)
-    _assert_same_bits(a.index, b.index)
-    assert len(a.by_size) == len(b.by_size)
-    for (rows_a, modes_a), (rows_b, modes_b) in zip(a.by_size, b.by_size):
-        _assert_same_bits(rows_a, rows_b)
-        _assert_same_bits(modes_a, modes_b)
+    a, b = _multisets(new.label_groups), _multisets(old.label_groups)
+    keys = sorted(b)
+    assert sorted(a) == keys
+    _assert_same_bits(np.array([a[k] for k in keys]), np.array([b[k] for k in keys]))
 
 
 _unit = st.floats(0.0, 1.0)
@@ -396,3 +399,18 @@ class TestSpecOwnsFractions:
         assert other.enumeration is other.enumeration
         assert len(fit_calls) == 1
         assert len(enumeration_calls) == 2
+
+
+class TestBellSweepOverlap:
+    def test_partner_scales_enter_the_minimum(self):
+        ctx = measured_noise_context()
+        x = ctx.spec.fractions.x
+        blind_b = replace(ctx, spec=replace(ctx.spec,
+                                            distinguishability_scale=(1.0, 0.0, 1.0, 1.0)))
+        rows = run_bell_sweep(blind_b, 2, (1.0, 0.5))
+        assert [r["min_pairwise_overlap"] for r in rows] == [0.0, 0.0]
+        half_b = replace(ctx, spec=replace(ctx.spec,
+                                           distinguishability_scale=(1.0, 0.5, 1.0, 1.0)))
+        [row] = run_bell_sweep(half_b, 2, (1.0,))
+        assert row["min_pairwise_overlap"] == pytest.approx(
+            min(x[2] * x[0], x[2] * x[1] * 0.5, x[2] * x[3]), rel=1e-15)
