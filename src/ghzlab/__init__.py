@@ -8,9 +8,8 @@ from .chip import (HeaterCalibration, PreparationStage, full_unitary,
 from .qmath import (PauliLabel, fidelity_to_pure, ghz4, pauli_operator,
                     permanent, project_to_physical, purity)
 from .simulator import (DetectorModel, LossBudget, OutcomeDistribution,
-                        apply_detector_efficiency, coincidence_rate,
-                        outcome_distribution, qubit_distribution, sample_counts,
-                        scatter_distribution)
+                        coincidence_rate, outcome_distribution, qubit_distribution,
+                        sample_counts)
 from .source import (EmissionProbabilities, MasterFractions, SourceSpec,
                      enumerate_joint_inputs, fit_master_fractions, input_mixture,
                      solve_pair_probabilities)

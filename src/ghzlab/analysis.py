@@ -113,9 +113,8 @@ class PhaseScanFit:
 
 
 # Grid frequencies per gap between scan nodes in the global search of the
-# phase-scan fit; the best one is refined by golden-section search.
+# phase-scan fit; the best one is refined by bisection on the slope's sign.
 PHASE_SCAN_GRID_PER_POINT = 64
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _normal_fit(z1, z2, n: int):
@@ -171,15 +170,16 @@ def fit_phase_scan(points) -> PhaseScanFit:
     c*cos(a*x) + s*sin(a*x), linear in (c, s) for a fixed frequency a, so
     the fit is a search over a alone (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413, 1973):
     an FFT grid over the band (0, pi/spacing] (`_search_bracket`), then a
-    golden-section refinement of the best grid cell, on sums over the exact
-    x, to a few ulps; `_normal_fit` gives (c, s) at every frequency.  The m
-    distinct powers (closer than 1e-9*span count as one, so powers may
-    repeat) must lie on an even grid of m nodes, to 1e-6 of a gap or to a
-    few ulps of the powers, whichever is larger; higher frequencies alias
-    into the band.  An uneven scan raises `FitError`, and so does a best fit
-    in the bottom or top grid cell of the band with an amplitude above ten
-    times the witness's range: there a column vanishes, and the frequency
-    is not identifiable.  A >= 0, a > 0, b lies in (-pi, pi], and
+    bisection of the best grid cell on the sign of the projected residual's
+    slope -2 sum r_i x_i (s*cos(a*x_i) - c*sin(a*x_i)), on sums over the
+    exact x, down to adjacent floats; `_normal_fit` gives (c, s) at every
+    frequency.  The m distinct powers (closer than 1e-9*span count as one,
+    so powers may repeat) must lie on an even grid of m nodes, to 1e-6 of a
+    gap or to a few ulps of the powers, whichever is larger; higher
+    frequencies alias into the band.  An uneven scan raises `FitError`, and
+    so does a best fit in the bottom or top grid cell of the band with an
+    amplitude above ten times the witness's range: there a column vanishes,
+    and the frequency is not identifiable.  A >= 0, a > 0, b lies in (-pi, pi], and
     ``power_at_max`` is the fitted-cosine argmax closest to the mean power.
     """
     pts = np.array([(float(p), float(w)) for p, w in points])
@@ -206,21 +206,23 @@ def fit_phase_scan(points) -> PhaseScanFit:
     if np.any(np.abs(pos - node) > max(1e-6, ulps)):
         raise FitError("scan powers are not evenly spaced")
 
-    def residual(a):
-        """(c, s) at each frequency in ``a``, and their residual sums of squares."""
-        e = np.exp(-1j * np.multiply.outer(a, x))
-        c, s = _normal_fit(e @ wit, (e * e).sum(axis=-1), len(x))[1:]
-        r = wit - c[..., None] * e.real + s[..., None] * e.imag
-        return c, s, np.einsum("...i,...i->...", r, r)
+    def projection(a: float):
+        """(c, s) at frequency ``a``, and the slope of the residual sum of squares."""
+        e = np.exp(-1j * a * x)
+        c, s = map(float, _normal_fit(e @ wit, e @ e, len(x))[1:])
+        r = wit - c * e.real + s * e.imag
+        return c, s, -2.0 * float(r @ (x * (s * e.real + c * e.imag)))
 
     band = math.pi * (m - 1) / span
     lo, hi, step = _search_bracket(node.astype(np.intp), wit, m, band)
-    while hi - lo > 4.0 * math.ulp(hi):
-        gap = _INV_GOLDEN * (hi - lo)
-        r1, r2 = residual(np.array([hi - gap, lo + gap]))[2]
-        lo, hi = (lo, lo + gap) if r1 <= r2 else (hi - gap, hi)
-    a = (lo + hi) / 2.0
-    c, s = map(float, residual(a)[:2])
+    # Down to adjacent floats; hi > 0 is the frequency.
+    while lo < (a := (lo + hi) / 2.0) < hi:
+        if projection(a)[2] < 0.0:
+            lo = a
+        else:
+            hi = a
+    a = hi
+    c, s = projection(a)[:2]
     amplitude, shift = math.hypot(c, s), math.atan2(s, c)
     if (a <= step or a >= band - step) and amplitude > 10.0 * np.ptp(wit):
         raise FitError("frequency not identifiable: the best fit sits at the edge of the band")
@@ -517,7 +519,7 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
     from `_frame_adjoint` (the p_k) and `_frame_sum` (the operator sum),
     on the counts regrouped once by `_by_pairs`; outcomes with n_k = 0 add
     nothing.  Each FISTA step projects y + R(y) / L onto the density
-    matrices (`nearest_density_matrix`), from the momentum point
+    matrices (`_projected_eigensystem`), from the momentum point
     y = x + beta (x - x_prev), whose p_k follow from those of x and x_prev
     by linearity, and backtracks by doubling L until the step passes the
     sufficient-decrease test; L shrinks by 0.9 after each accepted step.

@@ -162,9 +162,7 @@ def cmd_bell_sweep(cfg: ExperimentConfig, outdir: Path) -> list:
 
 
 def cmd_ablation(cfg: ExperimentConfig, outdir: Path) -> list:
-    rows = experiments.run_ablation(detector_pattern=cfg.ablation_detector_pattern,
-                                    n_resamples=cfg.ablation_resamples,
-                                    seed=cfg.seed)
+    rows = experiments.run_ablation(cfg.context)
     csv_path = outdir / "ablation.csv"
     csv_path.write_text("row,fidelity,purity\n" + "".join(
         f"{r['row']},{r['fidelity']!r},{r['purity']!r}\n" for r in rows))

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .chip import HeaterCalibration, PreparationStage
 from .errors import ConfigError
-from .experiments import MEASURED_REFLECTIVITIES
 from .qmath import PauliLabel
 from .simulator import DetectorModel, LossBudget, SimContext
 from .source import SourceSpec
@@ -43,7 +42,7 @@ def default_config() -> dict:
         },
         "chip": {
             "path_phases": [0.0] * 8,
-            "reflectivities": list(MEASURED_REFLECTIVITIES),
+            "reflectivities": [0.500, 0.505, 0.4905, 0.503],
         },
         "detectors": {"efficiencies": [1.0] * 8},
         "simulate": {"settings": ["z", "z", "z", "z"]},
@@ -56,7 +55,6 @@ def default_config() -> dict:
         },
         "bell_sweep": {"photon": "C", "scales": [1.0, 0.75, 0.5, 0.25, 0.0]},
         "qss": {"rounds": 2000, "public_fraction": 0.0},
-        "ablation": {"detector_pattern": None, "resamples": 0},
         "tomography": {"resamples": 25},
         "calibrate": {
             "alpha_targets_rad": [0.0, 0.0, 0.0, 0.0],
@@ -119,8 +117,6 @@ class ExperimentConfig:
     qss_rounds: int
     qss_public_fraction: float
     tomography_resamples: int
-    ablation_resamples: int
-    ablation_detector_pattern: tuple | None
 
     @property
     def shots(self) -> int | None:
@@ -249,12 +245,6 @@ def parse_config(data: dict) -> ExperimentConfig:
                                   "qss.public_fraction", (0.0, 1.0))
         tomography_resamples = _integer(merged["tomography"]["resamples"],
                                         "tomography.resamples", 0)
-        ablation_resamples = _integer(merged["ablation"]["resamples"],
-                                      "ablation.resamples", 0)
-        pattern = merged["ablation"]["detector_pattern"]
-        detector_pattern = None if pattern is None else _build(
-            DetectorModel, "ablation.detector_pattern",
-            efficiencies=_numbers(pattern, "ablation.detector_pattern")).efficiencies
         seed = _integer(merged["seed"], "seed", 0)
         shots = _integer(merged["shots_per_setting"], "shots_per_setting", 1)
         exact = merged["exact_probabilities"]
@@ -271,9 +261,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                             phase_scan=phase_scan, bell_sweep_photon=photon.upper(),
                             bell_sweep_scales=scales, qss_rounds=qss_rounds,
                             qss_public_fraction=public_fraction,
-                            tomography_resamples=tomography_resamples,
-                            ablation_resamples=ablation_resamples,
-                            ablation_detector_pattern=detector_pattern)
+                            tomography_resamples=tomography_resamples)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

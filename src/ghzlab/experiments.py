@@ -20,12 +20,10 @@ from .analysis import (PHASE_WITNESS_SETTINGS, BellResult, CountTable, MleResult
                        fit_phase_scan, max_fidelity_over_phase, mle_reconstruct,
                        monte_carlo_error, phase_witness, stabilizer_witness,
                        tomography_settings)
-from .chip import PreparationStage, preparation_unitary
+from .chip import preparation_unitary
 from .qmath import PauliLabel, fidelity_to_pure, ghz4, purity
 from .simulator import DetectorModel, SimContext, qubit_distribution, sample_counts
-from .source import MEASURED_PAIRS, SourceSpec
-
-MEASURED_REFLECTIVITIES = (0.500, 0.505, 0.4905, 0.503)
+from .source import MEASURED_PAIRS
 
 
 def _count_table(ctx: SimContext, label_tuples: list, shots: int | None, seeds,
@@ -169,29 +167,8 @@ def run_phase_scan(ctx: SimContext, powers_mw, rad_per_mw: float,
     return points, fit_phase_scan(points)
 
 
-def measured_noise_context(include_multiphoton: bool = True,
-                        include_distinguishability: bool = True,
-                        include_couplers: bool = True,
-                        detector_efficiencies=None) -> SimContext:
-    """Noise configuration built from the measured source and chip parameters.
-
-    Without distinguishability the source has unit overlaps, so its photons
-    are identical.
-    """
-    base = SourceSpec()
-    g2 = base.g2 if include_multiphoton else 0.0
-    overlaps = (base.measured_overlaps if include_distinguishability
-                else {p: 1.0 for p in MEASURED_PAIRS})
-    spec = SourceSpec(g2=g2, measured_overlaps=overlaps, eta=base.eta)
-    stage = PreparationStage(
-        reflectivities=MEASURED_REFLECTIVITIES if include_couplers else (0.5,) * 4)
-    det = DetectorModel.ideal() if detector_efficiencies is None else \
-        DetectorModel(efficiencies=tuple(detector_efficiencies))
-    return SimContext(spec=spec, stage=stage, detectors=det)
-
-
 # (row, multiphoton, distinguishability, couplers, detectors); the rows with
-# detectors run only when a detector pattern is given.
+# detectors run only when the context's detectors are not ideal.
 ABLATION_ROWS = (
     ("couplers_only", False, False, True, False),
     ("multiphoton_only", True, False, False, False),
@@ -202,19 +179,28 @@ ABLATION_ROWS = (
 )
 
 
-def run_ablation(detector_pattern=None, n_resamples: int = 0, seed=0) -> list:
-    """Fidelity/purity grid with each noise source toggled, via exact tomography."""
+def run_ablation(ctx: SimContext) -> list:
+    """Fidelity/purity grid, via exact tomography, with the noise sources of
+    ``ctx`` switched on alone or together.
+
+    A source switched off is ideal: multiphoton g2 = 0; distinguishability
+    unit overlaps and scales; couplers reflectivity 0.5; ideal detectors.
+    ``eta`` and the path phases stay as ``ctx`` has them in every row.
+    """
+    unit_overlaps = {p: 1.0 for p in MEASURED_PAIRS}
     rows = []
     for name, multiphoton, distinguishability, couplers, detectors in ABLATION_ROWS:
-        if detectors and detector_pattern is None:
+        if detectors and ctx.detectors.is_ideal:
             continue
-        ctx = measured_noise_context(
-            include_multiphoton=multiphoton,
-            include_distinguishability=distinguishability,
-            include_couplers=couplers,
-            detector_efficiencies=detector_pattern if detectors else None)
-        report, _ = tomography_report(run_tomography(ctx), n_resamples=n_resamples,
-                                      seed=seed)
+        spec = ctx.spec if multiphoton else replace(ctx.spec, g2=0.0)
+        if not distinguishability:
+            spec = replace(spec, measured_overlaps=unit_overlaps,
+                           distinguishability_scale=(1.0,) * 4)
+        row_ctx = SimContext(
+            spec=spec,
+            stage=ctx.stage if couplers else replace(ctx.stage, reflectivities=(0.5,) * 4),
+            detectors=ctx.detectors if detectors else DetectorModel.ideal())
+        report, _ = tomography_report(run_tomography(row_ctx), n_resamples=0)
         rows.append({"row": name, "fidelity": report.fidelity,
                      "purity": report.purity})
     return rows

@@ -203,24 +203,14 @@ def project_to_physical(h: np.ndarray, herm_tol: float = 1e-8,
     n = a.shape[0]
     if not 0.0 <= min_eigenvalue * n < 1.0:
         raise ValueError(f"eigenvalue floor {min_eigenvalue} leaves no trace to share")
-    return nearest_density_matrix((a + a.conj().T) / 2.0, min_eigenvalue)
-
-
-def nearest_density_matrix(h: np.ndarray, min_eigenvalue: float = 0.0) -> np.ndarray:
-    """The core of `project_to_physical`, with no checks of its input.
-
-    ``h`` must be a finite Hermitian n x n matrix (only its lower triangle is
-    read) and 0 <= ``min_eigenvalue`` * n < 1, as for a caller whose input is
-    Hermitian by construction.
-    """
-    w, v = _projected_eigensystem(h, min_eigenvalue)
+    w, v = _projected_eigensystem((a + a.conj().T) / 2.0, min_eigenvalue)
     return (v * w) @ v.conj().T
 
 
 def _projected_eigensystem(h: np.ndarray, min_eigenvalue: float = 0.0):
     """(w, v): the eigenvectors v of ``h`` (columns, ascending eigenvalues)
     and its eigenvalues projected onto the simplex, so that
-    `nearest_density_matrix` is (v * w) @ v^dag.  The eigenvalues the
+    `project_to_physical` is (v * w) @ v^dag.  The eigenvalues the
     projection clamps are exactly ``min_eigenvalue`` (zero by default).
     """
     n = h.shape[0]

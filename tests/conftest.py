@@ -6,7 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import ghzlab.source
-from ghzlab.experiments import SimContext, measured_noise_context
+from ghzlab.config import default_config, parse_config
+from ghzlab.experiments import SimContext
 from ghzlab.source import SourceSpec, fit_master_fractions
 
 
@@ -27,8 +28,8 @@ def fitted_fractions(measured_overlaps_default):
 
 @pytest.fixture(scope="session")
 def noise_ctx():
-    """Full measured-noise configuration, ideal detectors."""
-    return measured_noise_context()
+    """Full measured-noise configuration, ideal detectors: the ``config-init`` device."""
+    return parse_config(default_config()).context
 
 
 def _count_calls(monkeypatch, name: str) -> list:

@@ -4,11 +4,12 @@ Usage: python tests/result_digests.py TREE OUTDIR
        python tests/result_digests.py --compare OUT_A OUT_B
 
 Runs ``config-init`` and then each command with the package in ``TREE/src``,
-once on the default config and once with ``exact_probabilities: false``,
-writing into ``OUTDIR``.  Prints one line ``mode command exit file sha256``
-per result file (manifests excluded, since they carry a timestamp), and
-``mode command exit - -`` for a command that wrote none, so the output of
-two trees can be compared with ``diff``.
+once on the default config, once with ``exact_probabilities: false`` and once
+on the fixed non-default device `VARIANT`, writing into ``OUTDIR``.  Prints
+one line ``mode command exit file sha256`` per result file (manifests
+excluded, since they carry a timestamp), and ``mode command exit - -`` for a
+command that wrote none, so the output of two trees can be compared with
+``diff``.
 
 With ``--compare`` it reads two such output directories instead and prints,
 for each result file of either, the largest absolute difference between
@@ -28,6 +29,17 @@ from pathlib import Path
 
 COMMANDS = ("simulate", "phase-scan", "tomography", "witness", "bell", "bell-sweep",
             "ablation", "qss", "calibrate", "rate")
+
+# Exact runs on a device unlike the default one, so that a comparison covers
+# the paths that depend on the config: multiphoton emission, one photon made
+# partly distinguishable, and lossy detectors.
+VARIANT = {"source": {"g2": 0.03, "distinguishability_scale": [1.0, 1.0, 0.8, 1.0]},
+           "detectors": {"efficiencies": [1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7]}}
+
+# (mode, the blocks and keys it sets in the default config)
+MODES = (("exact", {"exact_probabilities": True}),
+         ("sampled", {"exact_probabilities": False}),
+         ("variant", VARIANT))
 
 
 def _cli(env, *args) -> int:
@@ -75,10 +87,14 @@ def main(tree: str, outdir: str) -> int:
     init = out / "config.json"
     code = _cli(env, "config-init", "--out", str(init))
     print(f"- config-init {code} config.json {_sha256(init)}")
-    for mode, exact in (("exact", True), ("sampled", False)):
+    for mode, update in MODES:
         config = out / f"config-{mode}.json"
         cfg = json.loads(init.read_text())
-        cfg["exact_probabilities"] = exact
+        for key, value in update.items():
+            if isinstance(value, dict):
+                cfg[key].update(value)
+            else:
+                cfg[key] = value
         config.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
         for command in COMMANDS:
             results = out / mode / command

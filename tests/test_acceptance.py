@@ -14,8 +14,8 @@ import pytest
 from ghzlab.analysis import (CountTable, bell_settings, mle_reconstruct,
                              tomography_settings)
 from ghzlab.chip import HeaterCalibration, heater_forward, heater_solve
-from ghzlab.experiments import (SimContext, measured_noise_context, run_bell,
-                                run_bell_sweep, run_phase_witness,
+from ghzlab.config import default_config, parse_config
+from ghzlab.experiments import (SimContext, run_bell, run_bell_sweep, run_phase_witness,
                                 run_tomography, run_witness, tomography_report)
 from ghzlab.qmath import PauliLabel, fidelity_to_pure, ghz4, permanent, purity
 from ghzlab.qss import classify_bases, run_qss
@@ -42,7 +42,7 @@ def ideal():
 
 @pytest.fixture(scope="module")
 def noisy():
-    return measured_noise_context()
+    return parse_config(default_config()).context
 
 
 def test_criterion_01_ideal_generation(ideal):
@@ -125,7 +125,8 @@ TABLE_TARGETS = {
 
 def test_criterion_06_noise_table():
     from ghzlab.experiments import run_ablation
-    rows = {r["row"]: (r["fidelity"], r["purity"]) for r in run_ablation()}
+    rows = {r["row"]: (r["fidelity"], r["purity"])
+            for r in run_ablation(parse_config(default_config()).context)}
     details = []
     ok = True
     for name, (f_target, p_target) in TABLE_TARGETS.items():

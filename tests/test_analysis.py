@@ -238,6 +238,18 @@ class TestPhaseScanFit:
         assert residual(fit.amplitude, fit.rad_per_unit, fit.phase_offset) <= \
             residual(*oracle_fit_phase_scan(points)) * (1.0 + 1e-9)
 
+    def test_sampled_init_scan_frequency_to_2_ulps(self):
+        """The ``config-init`` scan sampled at its seed, as the ``phase-scan``
+        command runs it, against the frequency of a 40-digit mpmath refit of
+        its points (the root of the projected residual's slope)."""
+        cfg = parse_config(default_config())
+        scan = cfg.phase_scan
+        powers = np.linspace(scan.power_min_mw, scan.power_max_mw, scan.points)
+        _, fit = run_phase_scan(cfg.context, powers, scan.rad_per_mw, scan.offset_rad,
+                                shots=cfg.shots_per_setting, seed=cfg.seed)
+        reference = 0.1223103575833427105186335852513677821540
+        assert abs(fit.rad_per_unit - reference) <= 2.0 * math.ulp(reference)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(5, 40), spacing=st.floats(0.1, 10.0),
            start=st.floats(-100.0, 100.0), amp=st.floats(0.05, 2.0),

@@ -20,7 +20,6 @@ from ghzlab.cli import COMMANDS, _density_matrix_text, build_parser, main
 from ghzlab.config import (MAX_COUNT, PhaseScanSpec, default_config, dump_config,
                            load_config, parse_config)
 from ghzlab.errors import ConfigError
-from ghzlab.experiments import measured_noise_context
 from ghzlab.qmath import PauliLabel
 
 
@@ -73,7 +72,7 @@ class TestConfig:
         ("tomography", "resamples", True),
         ("tomography", "resamples", 2.0),
         ("tomography", "resamples", -1),
-        ("ablation", "resamples", "3"),
+        ("tomography", "resamples", "3"),
         ("qss", "rounds", 0),
         ("bell_sweep", "photon", 2),
         ("simulate", "settings", ["z", "z", "z"]),
@@ -87,8 +86,6 @@ class TestConfig:
         ("bell_sweep", "scales", 0.5),
         ("qss", "public_fraction", "x"),
         ("qss", "public_fraction", True),
-        ("ablation", "detector_pattern", [1.0] * 7 + [0.0]),
-        ("ablation", "detector_pattern", [1.0] * 9),
         ("phase_scan", "points", MAX_COUNT + 1),
         ("qss", "rounds", 2 ** 70),
         ("phase_scan", "rad_per_mw", 1e307),
@@ -105,24 +102,19 @@ class TestConfig:
         cfg["bell_sweep"]["photon"] = "b"
         cfg["qss"]["rounds"] = 7
         cfg["tomography"]["resamples"] = 0
-        cfg["ablation"]["resamples"] = 3
         cfg["phase_scan"]["points"] = 5
         cfg["bell_sweep"]["scales"] = [1, 0.5, 0]
         cfg["qss"]["public_fraction"] = 1
-        cfg["ablation"]["detector_pattern"] = [1, 0.5, 0.9, 1, 0.6, 1, 1, 0.7]
         parsed = parse_config(cfg)
         assert parsed.simulate_labels == (PauliLabel.X, PauliLabel.MINUS_Z,
                                           PauliLabel.Y, PauliLabel.XPZ)
         assert parsed.bell_sweep_photon == "B"
         assert parsed.qss_rounds == 7
         assert parsed.tomography_resamples == 0
-        assert parsed.ablation_resamples == 3
         assert parsed.phase_scan == PhaseScanSpec(28.0, 78.0, 5, 0.126264,
                                                   -0.3848165328204134)
         assert parsed.bell_sweep_scales == (1.0, 0.5, 0.0)
         assert parsed.qss_public_fraction == 1.0
-        assert parsed.ablation_detector_pattern == (1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7)
-        assert parse_config(default_config()).ablation_detector_pattern is None
 
     def test_counts_accepted_up_to_max(self):
         cfg = default_config()
@@ -139,8 +131,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="exact_probabilities"):
             parse_config(cfg)
 
-    def test_default_is_the_measured_noise_context(self):
-        assert parse_config(default_config()).context == measured_noise_context()
+    def test_stale_ablation_block_is_ignored(self):
+        """Older configs carry an ``ablation`` block; like any unknown key it is not read."""
+        cfg = default_config()
+        cfg["ablation"] = {"detector_pattern": [1, 2], "resamples": "3"}
+        assert parse_config(cfg).context == parse_config(default_config()).context
 
     def test_config_init_command(self, tmp_path, capsys):
         out = tmp_path / "emitted.json"
@@ -327,6 +322,53 @@ class TestCommands:
         assert (outs[0] / "sweep.json").read_bytes() == \
             (outs[1] / "sweep.json").read_bytes()
 
+    @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"calibrate", "rate"}))
+    def test_source_g2_moves_a_result(self, tmp_path, command):
+        """Every command that reads the source reads the configured one."""
+        results = []
+        for source in ({}, {"g2": 0.03}):
+            cfg = default_config()
+            cfg["source"].update(source)
+            cfg["qss"]["rounds"] = 50
+            cfg["tomography"]["resamples"] = 0
+            cfg["phase_scan"]["points"] = 5
+            cfg["bell_sweep"]["scales"] = [1.0, 0.5]
+            path = tmp_path / f"config-{len(results)}.json"
+            path.write_text(dump_config(cfg))
+            out = tmp_path / f"out-{len(results)}"
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            results.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+        assert results[0].keys() == results[1].keys()
+        assert any(results[0][name] != results[1][name] for name in results[0])
+
+    # The ablation fits exact probabilities times 1e6, the command times
+    # shots_per_setting; both fits stop at the same step, and on the lossy
+    # device, whose fit stops with a certificate of 7e-7 against the 1e-6
+    # tolerance, that rounding moves F by 2.1e-8 and P by 4.2e-8.
+    @pytest.mark.parametrize("update, tol", [
+        ({}, 1e-9),
+        ({"source": {"g2": 0.03},
+          "detectors": {"efficiencies": [1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7]}}, 1e-7),
+    ], ids=["config-init", "lossy-g2"])
+    def test_ablation_all_noise_row_is_the_tomography(self, tmp_path, update, tol):
+        """The ablation's last row switches on every noise source of the
+        configured device, so it is the exact ``tomography`` command's state."""
+        cfg = default_config()
+        for block, values in update.items():
+            cfg[block].update(values)
+        cfg["tomography"]["resamples"] = 0
+        path = tmp_path / "config.json"
+        path.write_text(dump_config(cfg))
+        for command in ("tomography", "ablation"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        rows = read_json(tmp_path / "ablation" / "ablation.json")["rows"]
+        report = read_json(tmp_path / "tomography" / "report.json")
+        assert rows[-1]["row"] == ("combined_all" if update else "combined_no_detectors")
+        assert len(rows) == (6 if update else 4)
+        assert rows[-1]["fidelity"] == pytest.approx(report["fidelity"], abs=tol)
+        assert rows[-1]["purity"] == pytest.approx(report["purity"], abs=tol)
+
 
 class TestDeterminismAndExitCodes:
     @pytest.mark.parametrize("command", ["simulate", "witness", "bell", "phase-scan",
@@ -438,14 +480,13 @@ class TestDeterminismAndExitCodes:
         ("qss", {"qss": {"public_fraction": 1.5}}),
         ("qss", {"qss": {"public_fraction": -0.5}}),
         ("bell-sweep", {"bell_sweep": {"scales": ["a"]}}),
-        ("ablation", {"ablation": {"detector_pattern": [1, 2]}}),
         ("phase-scan", {"phase_scan": {"points": 2 ** 70}}),
         ("qss", {"qss": {"rounds": 2 ** 70}}),
         ("phase-scan", {"phase_scan": {"power_min_mw": -1e308, "power_max_mw": 1e308}}),
     ], ids=["tomography-resamples", "qss-rounds", "bell-sweep-photon",
             "simulate-label", "phase-scan-points", "phase-scan-rad-per-mw",
             "qss-public-fraction-high", "qss-public-fraction-negative",
-            "bell-sweep-scales", "ablation-detector-pattern",
+            "bell-sweep-scales",
             "phase-scan-points-huge", "qss-rounds-huge", "phase-scan-span-overflow"])
     def test_bad_command_block_exit_2(self, ideal_config, tmp_path, capsys,
                                       command, update):
@@ -641,8 +682,7 @@ def _int_above(value, cap) -> bool:
 # they are capped; counts above the parser's ``limit`` are left for it to
 # reject.
 _CAPPED_COUNTS = (("qss", "rounds", 20, MAX_COUNT), ("phase_scan", "points", 13, MAX_COUNT),
-                  ("tomography", "resamples", 0, math.inf),
-                  ("ablation", "resamples", 0, math.inf))
+                  ("tomography", "resamples", 0, math.inf))
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from ghzlab.analysis import bell_settings, tomography_settings
 from ghzlab.chip import PreparationStage, full_unitary
-from ghzlab.experiments import (SimContext, measured_noise_context, run_bell,
-                                run_phase_scan, run_tomography, run_witness)
+from ghzlab.config import default_config, parse_config
+from ghzlab.experiments import (SimContext, run_bell, run_phase_scan, run_tomography,
+                                run_witness)
 from ghzlab.qss import run_qss
 from ghzlab.qmath import PauliLabel
 from ghzlab.simulator import (DetectorModel, LossBudget, OutcomeDistribution,
@@ -228,8 +229,8 @@ class TestOracleAgreement:
         assert np.max(np.abs(new.conditional() - ref.conditional())) <= 1e-12
 
     @pytest.mark.parametrize("labels", [X4, Z4], ids=["XXXX", "ZZZZ"])
-    def test_imbalanced_detectors(self, noisy_enumeration, labels):
-        ctx = measured_noise_context(detector_efficiencies=LOSSY_EFFICIENCIES)
+    def test_imbalanced_detectors(self, noise_ctx, noisy_enumeration, labels):
+        ctx = replace(noise_ctx, detectors=DetectorModel(efficiencies=LOSSY_EFFICIENCIES))
         u = full_unitary(ctx.stage, labels)
         assert_matches_oracle(u, ctx.spec.enumeration.label_groups, noisy_enumeration,
                               ctx.detectors)
@@ -332,7 +333,8 @@ class TestSimContext:
 
     def test_phase_scan_enumerates_once(self, enumeration_calls):
         powers = np.linspace(28.0, 78.0, 13)
-        points, _ = run_phase_scan(measured_noise_context(), powers, 0.126264, -0.385)
+        points, _ = run_phase_scan(parse_config(default_config()).context, powers,
+                                   0.126264, -0.385)
         assert len(points) == 13
         assert len(enumeration_calls) == 1
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghzlab.errors import FitError
-from ghzlab.experiments import measured_noise_context, run_ablation, run_bell_sweep
-from ghzlab.simulator import scatter_distribution
+from ghzlab import experiments
+from ghzlab.config import default_config, parse_config
+from ghzlab.experiments import run_ablation, run_bell_sweep
+from ghzlab.simulator import DetectorModel, scatter_distribution
 from ghzlab.source import (MEASURED_PAIRS, MasterFractions, SourceSpec,
                            enumerate_joint_inputs, fit_master_fractions,
                            input_mixture, noise_label, solve_pair_probabilities,
@@ -369,18 +371,46 @@ class TestSpecOwnsFractions:
     """The spec fits its master fractions once per overlap set and enumerates lazily."""
 
     def test_bell_sweep_fits_once(self, fit_calls):
-        rows = run_bell_sweep(measured_noise_context(), 2, (1.0, 0.75, 0.5, 0.25, 0.0))
+        rows = run_bell_sweep(parse_config(default_config()).context, 2,
+                              (1.0, 0.75, 0.5, 0.25, 0.0))
         assert len(rows) == 5
         assert len(fit_calls) == 1
 
     def test_ablation_fits_once(self, fit_calls):
-        assert len(run_ablation()) == 4
+        assert len(run_ablation(parse_config(default_config()).context)) == 4
         assert len(fit_calls) == 1
 
-    def test_rows_without_distinguishability_are_perfect(self):
-        spec = measured_noise_context(include_distinguishability=False).spec
-        assert spec.measured_overlaps == {p: 1.0 for p in MEASURED_PAIRS}
-        assert spec.fractions == MasterFractions.perfect()
+    def test_rows_without_distinguishability_are_perfect(self, monkeypatch):
+        """Each row keeps the switched-on sources of the configured device, and
+        makes the others ideal; eta and the path phases never change."""
+        cfg = default_config()
+        cfg["source"].update(g2=0.03, distinguishability_scale=[1.0, 0.9, 1.0, 1.0])
+        cfg["chip"]["path_phases"] = [0.1] + [0.0] * 7
+        cfg["detectors"]["efficiencies"] = [1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7]
+        ctx = parse_config(cfg).context
+        contexts = []
+        run_tomography = experiments.run_tomography
+        monkeypatch.setattr(experiments, "run_tomography",
+                            lambda c: contexts.append(c) or run_tomography(c))
+        rows = run_ablation(ctx)
+        assert [r["row"] for r in rows] == [r[0] for r in experiments.ABLATION_ROWS]
+        for (_, multiphoton, distinguishability, couplers, detectors), row_ctx in zip(
+                experiments.ABLATION_ROWS, contexts):
+            spec = row_ctx.spec
+            assert (spec.eta, row_ctx.stage.path_phases) == (ctx.spec.eta,
+                                                            ctx.stage.path_phases)
+            assert spec.g2 == (0.03 if multiphoton else 0.0)
+            if distinguishability:
+                assert spec.measured_overlaps == ctx.spec.measured_overlaps
+                assert spec.distinguishability_scale == (1.0, 0.9, 1.0, 1.0)
+            else:
+                assert spec.measured_overlaps == {p: 1.0 for p in MEASURED_PAIRS}
+                assert spec.distinguishability_scale == (1.0,) * 4
+                assert spec.fractions == MasterFractions.perfect()
+            assert row_ctx.stage.reflectivities == (
+                ctx.stage.reflectivities if couplers else (0.5,) * 4)
+            assert row_ctx.detectors == (ctx.detectors if detectors
+                                         else DetectorModel.ideal())
 
     def test_unit_overlaps_skip_the_fit(self, fit_calls):
         assert SourceSpec.ideal().fractions == MasterFractions.perfect()
@@ -403,7 +433,7 @@ class TestSpecOwnsFractions:
 
 class TestBellSweepOverlap:
     def test_partner_scales_enter_the_minimum(self):
-        ctx = measured_noise_context()
+        ctx = parse_config(default_config()).context
         x = ctx.spec.fractions.x
         blind_b = replace(ctx, spec=replace(ctx.spec,
                                             distinguishability_scale=(1.0, 0.0, 1.0, 1.0)))
