@@ -522,8 +522,9 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
     matrices (`_projected_eigensystem`), from the momentum point
     y = x + beta (x - x_prev), whose p_k follow from those of x and x_prev
     by linearity, and backtracks by doubling L until the step passes the
-    sufficient-decrease test; L shrinks by 0.9 after each accepted step.
-    The momentum restarts when the likelihood falls.
+    sufficient-decrease test, however far (up to overflow); L shrinks by
+    0.9 after each accepted step.  The momentum restarts when the
+    likelihood falls.
 
     The projection sets the eigenvalues it clamps exactly to zero, so each
     accepted step has a rank r.  Once r has stayed the same for
@@ -627,9 +628,9 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
             if ratio is not None:
                 y, ll_y = x + beta * (x - x_prev), ll_try
                 r_y = _frame_sum(ratio / n_total, _PAIR_FRAME)
-        # L grows to 2**60 times its value at most; past that no step from y
-        # passes the test, and the fit stops uncertified.
-        for _ in range(60):
+        # L doubles until the step passes; once it overflows, no step from y
+        # can pass, and the fit stops uncertified.
+        while math.isfinite(lipschitz):
             w, v = _projected_eigensystem(y + r_y / lipschitz)
             z = (v * w) @ v.conj().T
             p_z = _frame_adjoint(z)
@@ -653,7 +654,7 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
             face = v[:, -rank:] * np.sqrt(w[-rank:])
     if cert > MLE_CERTIFICATE_TOL:
         cert = max(cert, _lambda_excess(r_x))
-    return MleResult(rho=check_density_matrix(x, eig_tol=1e-9), log_likelihood=ll_x,
+    return MleResult(rho=check_density_matrix(x), log_likelihood=ll_x,
                      iterations=iteration, converged=cert <= MLE_CERTIFICATE_TOL,
                      certificate=cert, newton_steps=newton_steps,
                      cg_products=cg_products)

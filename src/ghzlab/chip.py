@@ -60,7 +60,8 @@ class PreparationStage:
     ``path_phases`` are the optical phases (radians) accumulated on each of
     the 8 modes between the couplers and the measurement stage;
     ``reflectivities`` are the power fractions remaining in the BAR mode of
-    the four couplers.
+    the four couplers.  The stage owns its ``unitary``, built on first use;
+    a stage made with ``dataclasses.replace`` builds its own.
     """
 
     path_phases: tuple = (0.0,) * 8
@@ -89,6 +90,13 @@ class PreparationStage:
         """
         p = -self.phase_combination
         return float(np.angle(np.exp(1j * p)))
+
+    @functools.cached_property
+    def unitary(self) -> np.ndarray:
+        """`preparation_unitary` of this stage, read-only."""
+        u = preparation_unitary(self)
+        u.flags.writeable = False
+        return u
 
     @classmethod
     def with_state_phase(cls, theta: float,
@@ -147,16 +155,9 @@ def measurement_unitary(labels: Sequence[PauliLabel]) -> np.ndarray:
     return u
 
 
-def full_unitary(stage: PreparationStage, labels: Sequence[PauliLabel],
-                 preparation: np.ndarray | None = None) -> np.ndarray:
-    """The measurement MZIs after the preparation stage.
-
-    ``preparation`` is `preparation_unitary` of ``stage``, passed by a caller
-    that reads many settings of one stage so that it is built once.
-    """
-    if preparation is None:
-        preparation = preparation_unitary(stage)
-    return measurement_unitary(labels) @ preparation
+def full_unitary(stage: PreparationStage, labels: Sequence[PauliLabel]) -> np.ndarray:
+    """The measurement MZIs after the preparation stage."""
+    return measurement_unitary(labels) @ stage.unitary
 
 
 # --------------------------------------------------------------------------

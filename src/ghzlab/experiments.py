@@ -2,11 +2,11 @@
 
 Every run takes one `SimContext` (source, chip stage, detectors), imported
 here from the simulator.  The source owns its master fractions and input
-enumeration, so the settings of a run, and the points of a phase scan,
-share one enumeration.  Every run's counts are one `CountTable`, a row per
-setting.  All runs are deterministic given a master seed: a sampled run
-gives its i-th setting the i-th child of that seed, and an exact run needs
-none.
+enumeration, and the stage its unitary, so the settings of a run share one
+of each, and the points of a phase scan one enumeration.  Every run's
+counts are one `CountTable`, a row per setting.  All runs are deterministic
+given a master seed: a sampled run gives its i-th setting the i-th child of
+that seed, and an exact run needs none.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .analysis import (PHASE_WITNESS_SETTINGS, BellResult, CountTable, MleResult
                        fit_phase_scan, max_fidelity_over_phase, mle_reconstruct,
                        monte_carlo_error, phase_witness, stabilizer_witness,
                        tomography_settings)
-from .chip import preparation_unitary
 from .qmath import PauliLabel, fidelity_to_pure, ghz4, purity
 from .simulator import DetectorModel, SimContext, qubit_distribution, sample_counts
 from .source import MEASURED_PAIRS
@@ -31,10 +30,9 @@ def _count_table(ctx: SimContext, label_tuples: list, shots: int | None, seeds,
     """Row i: setting i's exact conditional probabilities scaled by
     ``effective_counts``, or with ``shots`` set a multinomial sample of that
     many post-selected events drawn from ``seeds[i]``."""
-    preparation = preparation_unitary(ctx.stage)
     rows = []
     for labels, seed in zip(label_tuples, seeds):
-        dist = qubit_distribution(ctx, labels, preparation)
+        dist = qubit_distribution(ctx, labels)
         rows.append(dist.conditional() * effective_counts if shots is None
                     else sample_counts(dist, shots, seed))
     return CountTable(label_tuples, rows)

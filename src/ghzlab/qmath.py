@@ -101,15 +101,15 @@ def check_square(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
-                         trace_tol: float = 1e-10, eig_tol: float = 1e-10) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """``rho``, checked Hermitian and of unit trace to 1e-10, eigenvalues >= -1e-9."""
     a = check_square(rho)
-    if np.linalg.norm(a - a.conj().T) > herm_tol:
+    if np.linalg.norm(a - a.conj().T) > 1e-10:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(a).real - 1.0) > trace_tol:
+    if abs(np.trace(a).real - 1.0) > 1e-10:
         raise ValueError(f"density matrix trace {np.trace(a).real} != 1")
     wmin = float(np.linalg.eigvalsh(a).min())
-    if wmin < -eig_tol:
+    if wmin < -1e-9:
         raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
     return a
 
@@ -185,8 +185,7 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(r @ r).real)
 
 
-def project_to_physical(h: np.ndarray, herm_tol: float = 1e-8,
-                        min_eigenvalue: float = 0.0) -> np.ndarray:
+def project_to_physical(h: np.ndarray, min_eigenvalue: float = 0.0) -> np.ndarray:
     """The Frobenius-nearest density matrix to a Hermitian matrix.
 
     Keeps the eigenvectors and projects the eigenvalues onto the probability
@@ -194,11 +193,11 @@ def project_to_physical(h: np.ndarray, herm_tol: float = 1e-8,
     shifted by one common amount and clamped at zero, the shift chosen so
     the trace is one.  With ``min_eigenvalue`` > 0 the eigenvalues are
     projected onto the simplex shifted by that floor instead, which gives
-    the nearest density matrix with no eigenvalue below it.  Any Hermitian
-    input has a projection.
+    the nearest density matrix with no eigenvalue below it.  Any finite
+    input with |h - h^dag|_F <= 1e-8 has a projection.
     """
     a = check_square(h)
-    if not np.all(np.isfinite(a)) or np.linalg.norm(a - a.conj().T) > herm_tol:
+    if not np.all(np.isfinite(a)) or np.linalg.norm(a - a.conj().T) > 1e-8:
         raise ValueError("input is not a finite Hermitian matrix")
     n = a.shape[0]
     if not 0.0 <= min_eigenvalue * n < 1.0:

@@ -321,16 +321,14 @@ def outcome_distribution(u: np.ndarray, table: LabelGroups,
     return OutcomeDistribution(probs=probs, discard_mass=1.0 - mass)
 
 
-def qubit_distribution(ctx: SimContext, labels,
-                       preparation: np.ndarray | None = None) -> OutcomeDistribution:
+def qubit_distribution(ctx: SimContext, labels) -> OutcomeDistribution:
     """End-to-end outcome distribution of one setting, four measurement labels.
 
     The weight that the input enumeration dropped (fewer than four photons,
     or negligible terms) is accounted to the discard mass, so the total
-    probability including discards is one.  ``preparation`` is as for
-    `full_unitary`.
+    probability including discards is one.
     """
-    return outcome_distribution(full_unitary(ctx.stage, labels, preparation),
+    return outcome_distribution(full_unitary(ctx.stage, labels),
                                 ctx.spec.enumeration.label_groups, ctx.detectors)
 
 

@@ -16,7 +16,7 @@ by the balanced-gauge convention x_A*x_D = x_B*x_C.
 A `SourceSpec` owns what derives from it alone: its master fractions
 (perfect for four unit overlaps, otherwise fitted, once per overlap set per
 process) and, built on first use, its weighted enumeration of labeled
-inputs.
+inputs.  The mixture and the enumeration read the spec's own fractions.
 
 The labels are structural.  The master label is shared, and every other
 label belongs to one input, so which label groups a joint term holds (the
@@ -100,7 +100,7 @@ class SourceSpec:
     @cached_property
     def enumeration(self) -> JointInputEnumeration:
         """The weighted labeled inputs of this source, built on first use."""
-        return enumerate_joint_inputs(self, self.fractions)
+        return enumerate_joint_inputs(self)
 
 
 @dataclass(frozen=True)
@@ -233,16 +233,16 @@ def _master_fractions(ab: float, ac: float, bd: float, cd: float) -> MasterFract
 _ENTRY_STATES = ("", "M", "S", "N", "MN", "SN")
 
 
-def input_mixture(spec: SourceSpec, fractions: MasterFractions, input_index: int
-                  ) -> list[tuple[float, tuple]]:
+def input_mixture(spec: SourceSpec, input_index: int) -> list[tuple[float, tuple]]:
     """Six-term labeled mixture for one input, as (weight, photon labels).
 
-    Weights are exact polynomials in (eta, p1, p2, x_i) and sum to one.
+    Weights are exact polynomials in (eta, p1, p2, x_i), x_i the spec's
+    master fraction of the input, and sum to one.
     """
     probs = solve_pair_probabilities(spec.g2)
     p1, p2 = probs.p1, probs.p2
     eta = spec.eta
-    xi = fractions.x[input_index] * spec.distinguishability_scale[input_index]
+    xi = spec.fractions.x[input_index] * spec.distinguishability_scale[input_index]
     w_vac = 1.0 - (eta * p1 + eta ** 2 * p2 + 2.0 * eta * (1.0 - eta) * p2)
     w_master = eta * xi * p1 + eta * (1.0 - eta) * xi * p2
     w_dist = eta * (1.0 - xi) * p1 + eta * (1.0 - eta) * (1.0 - xi) * p2
@@ -359,8 +359,8 @@ def _label_groups(codes: np.ndarray, weights: np.ndarray) -> LabelGroups:
     return LabelGroups(summed[present], index[:, index.any(axis=0)])
 
 
-def enumerate_joint_inputs(spec: SourceSpec, fractions: MasterFractions,
-                           weight_cutoff: float = 1e-8) -> JointInputEnumeration:
+def enumerate_joint_inputs(spec: SourceSpec, weight_cutoff: float = 1e-8
+                           ) -> JointInputEnumeration:
     """Weighted product of the four input mixtures, pruned for simulation.
 
     Terms with fewer than four photons can never pass post-selection and
@@ -369,8 +369,7 @@ def enumerate_joint_inputs(spec: SourceSpec, fractions: MasterFractions,
     conditional probabilities can be normalized downstream.
     """
     table = _combination_table()
-    a, b, c, d = (np.array([w for w, _ in input_mixture(spec, fractions, i)])
-                  for i in range(4))
+    a, b, c, d = (np.array([w for w, _ in input_mixture(spec, i)]) for i in range(4))
     # a term's weight is its four factors multiplied in input order
     weights = np.multiply.outer(np.multiply.outer(np.multiply.outer(a, b), c), d).ravel()
     four_photon = table.photons >= 4

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import ghzlab.chip
 import ghzlab.source
 from ghzlab.config import default_config, parse_config
 from ghzlab.experiments import SimContext
@@ -32,16 +33,16 @@ def noise_ctx():
     return parse_config(default_config()).context
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """Records the arguments of every call of ``ghzlab.source.<name>``."""
+def _count_calls(monkeypatch, name: str, module=ghzlab.source) -> list:
+    """Records the arguments of every call of ``module.<name>``."""
     calls = []
-    original = getattr(ghzlab.source, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ghzlab.source, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -49,6 +50,13 @@ def _count_calls(monkeypatch, name: str) -> list:
 def enumeration_calls(monkeypatch):
     """Counts the source's calls of ``enumerate_joint_inputs``."""
     return _count_calls(monkeypatch, "enumerate_joint_inputs")
+
+
+@pytest.fixture()
+def preparation_calls(monkeypatch):
+    """Counts the chip's calls of ``preparation_unitary``; a stage that has
+    already built its unitary makes none, so count on fresh contexts."""
+    return _count_calls(monkeypatch, "preparation_unitary", ghzlab.chip)
 
 
 @pytest.fixture()

@@ -236,10 +236,10 @@ class OracleEnumeration:
         return LabelGroups(np.array(list(multisets.values()), dtype=float), index)
 
 
-def oracle_enumerate_joint_inputs(spec, fractions, input_modes=(0, 2, 4, 6),
+def oracle_enumerate_joint_inputs(spec, input_modes=(0, 2, 4, 6),
                                   weight_cutoff=1e-8) -> OracleEnumeration:
     """The four input mixtures multiplied out term by term, pruned as the package does."""
-    mixtures = [input_mixture(spec, fractions, i) for i in range(4)]
+    mixtures = [input_mixture(spec, i) for i in range(4)]
     raw_count = 1
     for m in mixtures:
         raw_count *= len(m)

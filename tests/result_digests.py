@@ -15,7 +15,10 @@ With ``--compare`` it reads two such output directories instead and prints,
 for each result file of either, the largest absolute difference between
 corresponding numbers of the two copies, followed by ``text differs`` when
 the text around the numbers differs too, or ``missing in A``/``missing in
-B``.  pytest does not collect this file.
+B``.  Numbers of a JSON file correspond by key path (list entries by index),
+and a key path that only one copy has is named after ``only in A:`` or
+``only in B:``; numbers of any other file correspond by position.  pytest
+does not collect this file.
 """
 
 import hashlib
@@ -54,17 +57,50 @@ def _sha256(path: Path) -> str:
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
 
 
+def _difference(x: float, y: float) -> float:
+    """|x - y|, zero for two NaNs; a NaN against a number counts as infinite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return math.inf if math.isnan(x - y) else abs(x - y)
+
+
 def _max_difference(a: str, b: str) -> str:
-    """The largest |x_a - x_b| over corresponding numbers of two texts."""
+    """The largest |x_a - x_b| over corresponding numbers of two texts, by position."""
     xs, ys = _NUMBER.findall(a), _NUMBER.findall(b)
-    largest = 0.0
-    for x, y in zip(xs, ys):
-        x, y = float(x.replace("Infinity", "inf")), float(y.replace("Infinity", "inf"))
-        if x != y and not (math.isnan(x) and math.isnan(y)):
-            # a NaN against a number counts as an infinite difference
-            largest = max(largest, math.inf if math.isnan(x - y) else abs(x - y))
+    largest = max((_difference(float(x.replace("Infinity", "inf")),
+                               float(y.replace("Infinity", "inf")))
+                   for x, y in zip(xs, ys)), default=0.0)
     same_text = len(xs) == len(ys) and _NUMBER.split(a) == _NUMBER.split(b)
     return f"{largest:.3g}" + ("" if same_text else " text differs")
+
+
+def _leaves(value, path=""):
+    """(key path, value) for each leaf of a parsed JSON value, list entries by index."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _leaves(item, f"{path}/{key}")
+    else:
+        yield path or "/", value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _max_json_difference(a: str, b: str) -> str:
+    """The largest |x_a - x_b| over the numbers of two JSON texts at the same key
+    path, then the key paths that only one of them has."""
+    leaves_a, leaves_b = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
+    shared = [(leaves_a[k], leaves_b[k]) for k in leaves_a.keys() & leaves_b.keys()]
+    largest = max((_difference(x, y) for x, y in shared
+                   if _is_number(x) and _is_number(y)), default=0.0)
+    same_text = all(x == y for x, y in shared if not (_is_number(x) and _is_number(y)))
+    line = f"{largest:.3g}" + ("" if same_text else " text differs")
+    for side, own, other in (("A", leaves_a, leaves_b), ("B", leaves_b, leaves_a)):
+        if own.keys() - other.keys():
+            line += f" only in {side}: " + ", ".join(sorted(own.keys() - other.keys()))
+    return line
 
 
 def compare(out_a: str, out_b: str) -> int:
@@ -76,7 +112,9 @@ def compare(out_a: str, out_b: str) -> int:
         if not (a / name).exists() or not (b / name).exists():
             print(f"{name} missing in {'A' if not (a / name).exists() else 'B'}")
         else:
-            print(f"{name} {_max_difference((a / name).read_text(), (b / name).read_text())}")
+            texts = (a / name).read_text(), (b / name).read_text()
+            difference = _max_json_difference if name.suffix == ".json" else _max_difference
+            print(f"{name} {difference(*texts)}")
     return 0
 
 

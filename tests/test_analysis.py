@@ -734,7 +734,8 @@ def test_pure_start_at_the_exact_fit_projects():
     """From the pure top eigenvector of the exact `config-init` fit, some
     observed probabilities are about 1e-33, so R(rho) reaches about 1e29 and
     the first step projects a matrix whose largest eigenvalue swamps the
-    unit trace; the fit still returns a density matrix."""
+    unit trace; L doubles far past 2**60 before a step passes, and the fit
+    goes on to a certified maximum."""
     ts = _config_init_tomography()
     psi = np.linalg.eigh(mle_reconstruct(ts).rho)[1][:, -1]
     start = np.outer(psi, psi.conj())
@@ -742,6 +743,8 @@ def test_pure_start_at_the_exact_fit_projects():
     assert res.iterations >= 1
     assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-12)
     assert res.log_likelihood >= mle_log_likelihood(ts, start) - 1e-6
+    assert res.converged
+    assert oracle_mle_certificate(ts, res.rho) <= MLE_CERTIFICATE_TOL
 
 
 def test_mle_steps_per_fit_stay_few():

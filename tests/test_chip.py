@@ -7,7 +7,9 @@ import pytest
 from ghzlab.chip import (HeaterCalibration, PreparationStage, full_unitary,
                          heater_forward, heater_solve, measurement_unitary,
                          mzi_block, preparation_unitary, _solve_block)
+from ghzlab.config import default_config, parse_config
 from ghzlab.errors import SolverError
+from ghzlab.experiments import run_bell_sweep, run_phase_scan, run_tomography
 from ghzlab.qmath import PauliLabel
 
 from oracles import (assignment_distribution, mzi_phase_unitary, mzi_reference,
@@ -135,6 +137,41 @@ class TestFullUnitary:
         assert probs[0b1010] == pytest.approx(1 / 16, abs=1e-12)
         others = probs.sum() - probs[0b0101] - probs[0b1010]
         assert others == pytest.approx(0.0, abs=1e-12)
+
+    def test_equals_measurement_after_preparation_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        labels = list(PauliLabel)
+        for _ in range(20):
+            stage = PreparationStage(path_phases=tuple(rng.uniform(0, TWO_PI, 8)),
+                                     reflectivities=tuple(rng.uniform(0.1, 0.9, 4)))
+            setting = [labels[k] for k in rng.integers(len(labels), size=4)]
+            expected = measurement_unitary(setting) @ preparation_unitary(stage)
+            assert full_unitary(stage, setting).tobytes() == expected.tobytes()
+
+
+class TestStageOwnsUnitary:
+    """The stage builds its preparation unitary once, on first use."""
+
+    def test_bell_sweep_builds_once(self, preparation_calls):
+        run_bell_sweep(parse_config(default_config()).context, 2,
+                       (1.0, 0.75, 0.5, 0.25, 0.0))
+        assert len(preparation_calls) == 1
+
+    def test_phase_scan_builds_once_per_point(self, preparation_calls):
+        run_phase_scan(parse_config(default_config()).context,
+                       np.linspace(0.0, 12.0, 13), 0.2, 0.0)
+        assert len(preparation_calls) == 13
+
+    def test_tomography_builds_once(self, preparation_calls):
+        run_tomography(parse_config(default_config()).context)
+        assert len(preparation_calls) == 1
+
+    def test_unitary_is_cached_and_read_only(self):
+        stage = PreparationStage.with_state_phase(0.3)
+        assert stage.unitary is stage.unitary
+        assert stage.unitary.tobytes() == preparation_unitary(stage).tobytes()
+        with pytest.raises(ValueError):
+            stage.unitary[0, 0] = 1.0
 
 
 class TestStatePhase:

@@ -32,9 +32,9 @@ def test_traced_function_resolves(name, module_name, attr):
 
 def test_enumeration_observer_reads_a_real_enumeration(noise_ctx):
     spec = noise_ctx.spec
-    enumeration = enumerate_joint_inputs(spec, spec.fractions)
+    enumeration = enumerate_joint_inputs(spec)
     counters = {}
-    _LAYERS._observe_enumeration(counters, (spec, spec.fractions), enumeration)
+    _LAYERS._observe_enumeration(counters, (spec,), enumeration)
     prefix = "source.enumerate_joint_inputs"
     assert counters[f"{prefix}.terms_raw"] == 1296
     assert counters[f"{prefix}.terms_four_photon"] == 1041

@@ -216,7 +216,7 @@ class TestOracleAgreement:
 
     @pytest.fixture(scope="class")
     def noisy_enumeration(self, noise_ctx):
-        return oracle_enumerate_joint_inputs(noise_ctx.spec, noise_ctx.spec.fractions)
+        return oracle_enumerate_joint_inputs(noise_ctx.spec)
 
     @pytest.mark.parametrize("labels", COMMAND_SETTINGS,
                              ids=["".join(lab.token for lab in s)

@@ -132,20 +132,19 @@ class TestMasterFractionFitOracle:
 class TestInputMixture:
     def test_perfect_source_single_term(self):
         spec = SourceSpec.ideal()
-        terms = input_mixture(spec, MasterFractions.perfect(), 0)
+        terms = input_mixture(spec, 0)
         live = [(w, labels) for w, labels in terms if w > 0]
         assert live == [(1.0, (MASTER_LABEL,))]
 
     def test_zero_eta_means_vacuum(self):
-        spec = SourceSpec(g2=0.005, eta=1e-12)
-        terms = input_mixture(spec, MasterFractions.perfect(), 0)
+        spec = SourceSpec(g2=0.005, eta=1e-12, measured_overlaps=_products((1.0,) * 4))
+        terms = input_mixture(spec, 0)
         weights = {labels: w for w, labels in terms}
         assert weights[()] == pytest.approx(1.0, abs=1e-10)
 
     def test_default_parameters_weights(self):
-        spec = SourceSpec()
-        frac = MasterFractions(x=(0.95, 0.95, 0.95, 0.95))
-        terms = input_mixture(spec, frac, 0)
+        spec = SourceSpec(measured_overlaps=_products((0.95, 0.95, 0.95, 0.95)))
+        terms = input_mixture(spec, 0)
         weights = [w for w, _ in terms]
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
         p = solve_pair_probabilities(spec.g2)
@@ -156,35 +155,36 @@ class TestInputMixture:
     def test_normalized_over_random_parameters(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            spec = SourceSpec(g2=rng.uniform(0, 0.4), eta=rng.uniform(0.01, 1.0),
-                              measured_overlaps={p: 0.9 for p in MEASURED_PAIRS},
-                              distinguishability_scale=tuple(rng.uniform(0, 1, 4)))
-            frac = MasterFractions(x=tuple(rng.uniform(0, 1, 4)))
+            g2, eta = rng.uniform(0, 0.4), rng.uniform(0.01, 1.0)
+            scale = tuple(rng.uniform(0, 1, 4))
+            spec = SourceSpec(g2=g2, eta=eta,
+                              measured_overlaps=_products(tuple(rng.uniform(0, 1, 4))),
+                              distinguishability_scale=scale)
             for i in range(4):
-                terms = input_mixture(spec, frac, i)
+                terms = input_mixture(spec, i)
                 assert all(w >= -1e-15 for w, _ in terms)
                 assert sum(w for w, _ in terms) == pytest.approx(1.0, abs=1e-12)
 
     def test_distinguishability_scale_moves_weight(self):
-        spec = SourceSpec(distinguishability_scale=(0.0, 1.0, 1.0, 1.0))
-        frac = MasterFractions.perfect()
-        terms = input_mixture(spec, frac, 0)
+        spec = SourceSpec(measured_overlaps=_products((1.0,) * 4),
+                          distinguishability_scale=(0.0, 1.0, 1.0, 1.0))
+        terms = input_mixture(spec, 0)
         weights = {labels: w for w, labels in terms}
         assert weights[(MASTER_LABEL,)] == pytest.approx(0.0, abs=1e-15)
         assert weights[(subsidiary_label(0),)] > 0.0
 
 
-def _term_weights(spec, fractions, terms):
+def _term_weights(spec, terms):
     """Each term's weight, its four inputs' entry weights multiplied in order."""
-    mixtures = [input_mixture(spec, fractions, i) for i in range(4)]
+    mixtures = [input_mixture(spec, i) for i in range(4)]
     return [math.prod(mixtures[i][e][0] for i, e in enumerate(row)) for row in terms.tolist()]
 
 
-def _term_groups(spec, fractions, row):
+def _term_groups(spec, row):
     """The input bitmasks of one term's label groups, as a sorted tuple."""
     groups = {}
     for i, e in enumerate(row):
-        for label in input_mixture(spec, fractions, i)[e][1]:
+        for label in input_mixture(spec, i)[e][1]:
             groups[label] = groups.get(label, 0) | 1 << i
     return tuple(sorted(groups.values()))
 
@@ -198,7 +198,7 @@ def _multisets(table):
 
 class TestEnumeration:
     def test_ideal_source_single_term(self):
-        enum = enumerate_joint_inputs(SourceSpec.ideal(), MasterFractions.perfect())
+        enum = enumerate_joint_inputs(SourceSpec.ideal())
         assert enum.terms.tolist() == [[1, 1, 1, 1]]  # each input's master photon
         table = enum.label_groups
         assert table.index.tolist() == [[0b1111]]
@@ -208,30 +208,29 @@ class TestEnumeration:
     def test_no_multiphoton_gives_sixteen_label_terms(self):
         spec = SourceSpec(g2=0.0, eta=0.5,
                           measured_overlaps={p: 0.81 for p in MEASURED_PAIRS})
-        frac = MasterFractions(x=(0.9,) * 4)
-        enum = enumerate_joint_inputs(spec, frac)
+        enum = enumerate_joint_inputs(spec)
         assert len(enum.terms) == 16
         for row in enum.terms.tolist():
-            labels = [input_mixture(spec, frac, i)[e][1] for i, e in enumerate(row)]
+            labels = [input_mixture(spec, i)[e][1] for i, e in enumerate(row)]
             assert all(lab in ((MASTER_LABEL,), (subsidiary_label(i),))
                        for i, lab in enumerate(labels))
 
     def test_raw_and_filtered_counts(self):
-        spec = SourceSpec()
-        enum = enumerate_joint_inputs(spec, MasterFractions(x=(0.95,) * 4))
+        spec = SourceSpec(measured_overlaps=_products((0.95,) * 4))
+        enum = enumerate_joint_inputs(spec)
         assert enum.raw_term_count == 6 ** 4 == 1296
         assert enum.photon_filtered_count == 1041
 
     def test_retained_weight_matches_terms(self, noise_ctx):
         spec = noise_ctx.spec
-        enum = enumerate_joint_inputs(spec, spec.fractions)
+        enum = enumerate_joint_inputs(spec)
         assert enum.retained_weight == pytest.approx(
-            sum(_term_weights(spec, spec.fractions, enum.terms)), abs=1e-15)
+            sum(_term_weights(spec, enum.terms)), abs=1e-15)
         assert enum.retained_weight < 1.0
 
     def test_label_groups_aggregate_terms(self, noise_ctx):
         spec = noise_ctx.spec
-        enum = enumerate_joint_inputs(spec, spec.fractions)
+        enum = enumerate_joint_inputs(spec)
         table = enum.label_groups
         assert len(enum.terms) == 410 and len(table.weights) == 162
         assert table.index.shape[0] == 162 and table.index.max() <= 15
@@ -242,15 +241,14 @@ class TestEnumeration:
         # every term's groups, as input bitmasks, make up one row
         multisets = _multisets(table)
         for row in enum.terms.tolist():
-            assert _term_groups(spec, spec.fractions, row) in multisets
+            assert _term_groups(spec, row) in multisets
 
     def test_weight_pruning_threshold(self):
-        spec = SourceSpec()
-        frac = MasterFractions(x=(0.95,) * 4)
-        enum = enumerate_joint_inputs(spec, frac, weight_cutoff=1e-8)
-        weights = _term_weights(spec, frac, enum.terms)
+        spec = SourceSpec(measured_overlaps=_products((0.95,) * 4))
+        enum = enumerate_joint_inputs(spec, weight_cutoff=1e-8)
+        weights = _term_weights(spec, enum.terms)
         assert all(w >= 1e-8 * max(weights) for w in weights)
-        loose = enumerate_joint_inputs(spec, frac, weight_cutoff=0.0)
+        loose = enumerate_joint_inputs(spec, weight_cutoff=0.0)
         assert len(loose.terms) == 1041
         assert len(enum.terms) < len(loose.terms)
 
@@ -262,13 +260,13 @@ def _assert_same_bits(new, old):
 
 def assert_matches_oracle_enumeration(spec, weight_cutoff):
     """The table enumeration equals the term-by-term oracle bit for bit."""
-    new = enumerate_joint_inputs(spec, spec.fractions, weight_cutoff=weight_cutoff)
-    old = oracle_enumerate_joint_inputs(spec, spec.fractions, weight_cutoff=weight_cutoff)
+    new = enumerate_joint_inputs(spec, weight_cutoff=weight_cutoff)
+    old = oracle_enumerate_joint_inputs(spec, weight_cutoff=weight_cutoff)
     assert new.raw_term_count == old.raw_term_count
     assert new.photon_filtered_count == old.photon_filtered_count
     assert new.retained_weight == old.retained_weight
     assert len(new.terms) == len(old.terms)
-    assert _term_weights(spec, spec.fractions, new.terms) == [t.weight for t in old.terms]
+    assert _term_weights(spec, new.terms) == [t.weight for t in old.terms]
     a, b = _multisets(new.label_groups), _multisets(old.label_groups)
     keys = sorted(b)
     assert sorted(a) == keys
@@ -308,10 +306,10 @@ class TestEnumerationMatchesOracle:
         assert_matches_oracle_enumeration(spec, weight_cutoff)
 
 
-def _hom_coincidence(spec, fractions, i, j):
+def _hom_coincidence(spec, i, j):
     """P(both detectors click) for inputs i, j through a balanced coupler."""
     dc = np.array([[1, 1j], [1j, 1]], dtype=complex) / math.sqrt(2)
-    mixtures = (input_mixture(spec, fractions, i), input_mixture(spec, fractions, j))
+    mixtures = (input_mixture(spec, i), input_mixture(spec, j))
     total = 0.0
     for (wa, la), (wb, lb) in itertools.product(*mixtures):
         w = wa * wb
@@ -326,44 +324,41 @@ def _hom_coincidence(spec, fractions, i, j):
 class TestHomConsistency:
     def test_pure_single_photons_reproduce_overlap(self):
         # no multiphoton noise: visibility equals the pairwise product x_i*x_j
-        frac = MasterFractions(x=(0.97, 0.90, 0.95, 0.92))
-        spec = SourceSpec(g2=0.0, eta=0.3,
-                          measured_overlaps={p: 0.9 for p in MEASURED_PAIRS})
-        blind = SourceSpec(g2=0.0, eta=0.3,
-                           measured_overlaps={p: 0.9 for p in MEASURED_PAIRS},
+        overlaps = _products((0.97, 0.90, 0.95, 0.92))
+        spec = SourceSpec(g2=0.0, eta=0.3, measured_overlaps=overlaps)
+        blind = SourceSpec(g2=0.0, eta=0.3, measured_overlaps=overlaps,
                            distinguishability_scale=(0.0,) * 4)
+        frac = spec.fractions
         for (i, j) in ((0, 1), (0, 2), (1, 3), (2, 3)):
-            c_ind = _hom_coincidence(spec, frac, i, j)
-            c_dist = _hom_coincidence(blind, frac, i, j)
+            c_ind = _hom_coincidence(spec, i, j)
+            c_dist = _hom_coincidence(blind, i, j)
             visibility = 1.0 - c_ind / c_dist
             assert visibility == pytest.approx(frac.x[i] * frac.x[j], abs=1e-9)
 
     def test_multiphoton_noise_lowers_visibility(self):
-        frac = MasterFractions(x=(0.96,) * 4)
-        clean = SourceSpec(g2=0.0, eta=0.039,
-                           measured_overlaps={p: 0.9 for p in MEASURED_PAIRS})
-        noisy = SourceSpec(g2=0.01, eta=0.039,
-                           measured_overlaps={p: 0.9 for p in MEASURED_PAIRS})
-        blind = SourceSpec(g2=0.0, eta=0.039,
-                           measured_overlaps={p: 0.9 for p in MEASURED_PAIRS},
+        overlaps = _products((0.96,) * 4)
+        clean = SourceSpec(g2=0.0, eta=0.039, measured_overlaps=overlaps)
+        noisy = SourceSpec(g2=0.01, eta=0.039, measured_overlaps=overlaps)
+        blind = SourceSpec(g2=0.0, eta=0.039, measured_overlaps=overlaps,
                            distinguishability_scale=(0.0,) * 4)
-        c_dist = _hom_coincidence(blind, frac, 0, 1)
-        v_clean = 1.0 - _hom_coincidence(clean, frac, 0, 1) / c_dist
-        v_noisy = 1.0 - _hom_coincidence(noisy, frac, 0, 1) / c_dist
+        frac = clean.fractions
+        c_dist = _hom_coincidence(blind, 0, 1)
+        v_clean = 1.0 - _hom_coincidence(clean, 0, 1) / c_dist
+        v_noisy = 1.0 - _hom_coincidence(noisy, 0, 1) / c_dist
         assert v_noisy < v_clean
         assert v_clean == pytest.approx(frac.x[0] * frac.x[1], abs=1e-9)
 
     def test_blinding_one_photon_zeroes_its_overlaps_only(self):
-        frac = MasterFractions(x=(0.97, 0.90, 0.95, 0.92))
         base = dict(g2=0.0, eta=0.3,
-                    measured_overlaps={p: 0.9 for p in MEASURED_PAIRS})
+                    measured_overlaps=_products((0.97, 0.90, 0.95, 0.92)))
         spec = SourceSpec(**base, distinguishability_scale=(1, 1, 0, 1))
         blind = SourceSpec(**base, distinguishability_scale=(0,) * 4)
+        frac = spec.fractions
         for (i, j) in ((0, 2), (2, 3)):  # pairs involving photon C
-            v = 1 - _hom_coincidence(spec, frac, i, j) / _hom_coincidence(blind, frac, i, j)
+            v = 1 - _hom_coincidence(spec, i, j) / _hom_coincidence(blind, i, j)
             assert v == pytest.approx(0.0, abs=1e-9)
         for (i, j) in ((0, 1), (1, 3)):  # pairs without photon C
-            v = 1 - _hom_coincidence(spec, frac, i, j) / _hom_coincidence(blind, frac, i, j)
+            v = 1 - _hom_coincidence(spec, i, j) / _hom_coincidence(blind, i, j)
             assert v == pytest.approx(frac.x[i] * frac.x[j], abs=1e-9)
 
 
