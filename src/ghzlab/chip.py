@@ -293,6 +293,8 @@ def heater_forward(cal: HeaterCalibration, currents: Sequence[float]
     c = np.asarray(currents, dtype=float)
     if c.shape != (16,):
         raise ValueError("need 16 currents")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("currents must be finite")
     if np.any(c < 0.0):
         raise ValueError("currents must be nonnegative")
     dead = cal.dead_mask()
@@ -333,6 +335,15 @@ def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
     a (basis, row, lift) array in one matmul, and one more matmul with each
     basis's costs gives their powers.  The basis and lift tables depend only
     on the number of live columns and on max_lift, so they are built once.
+
+    Most lifts are pruned first by weak duality.  The lift-0 program is
+    solved from the same inverses; if its cheapest basis B has a dual
+    vector y = R_B B^-1 with M^T y <= R (to a relative 1e-12), every lift k
+    costs at least P(0) + 2*pi*y.k, so only the lifts with
+    2*pi*y.k <= 1e-9*|P(0)| are enumerated, in table order.  The slack
+    covers rounding in the powers.  If lift 0 has no vertex with
+    u >= -1e-12, or its basis is not dual feasible, every lift is.
+
     The cheapest vertex with u >= -1e-12 wins; the argmin runs over the
     transposed (lift, basis) powers, so ties go to the first lift in
     lexicographic order and within it to the first basis.  Least squares on
@@ -346,8 +357,18 @@ def _solve_block(matrix_krad: np.ndarray, base_rad: np.ndarray,
     columns = m[:, bases].transpose(1, 0, 2)
     keep = np.linalg.matrix_rank(columns) == 4
     bases = bases[keep]
-    targets = base_rad[:, None] + TWO_PI * _lifts(max_lift)
-    vertices = np.linalg.inv(columns[keep]) @ targets
+    inverses = np.linalg.inv(columns[keep])
+    lifts = _lifts(max_lift)
+    vertex0 = inverses @ base_rad
+    power0 = np.where((vertex0 >= -1e-12).all(axis=1),
+                      (cost[bases] * vertex0).sum(axis=1), np.inf)
+    if np.isfinite(power0).any():
+        best = np.argmin(power0)
+        dual = cost[bases[best]] @ inverses[best]
+        if np.all(dual @ m <= cost * (1.0 + 1e-12)):
+            lifts = lifts[:, TWO_PI * (dual @ lifts) <= 1e-9 * abs(power0[best])]
+    targets = base_rad[:, None] + TWO_PI * lifts
+    vertices = inverses @ targets
     feasible = (vertices >= -1e-12).all(axis=1)
     if not feasible.any():
         raise SolverError("no nonnegative heater solution reaches the target phases")

@@ -12,9 +12,10 @@ The heater oracle solves one linear program per 2*pi lift vector with
 HiGHS, where the package enumerates the vertices of every lift's program
 at once; the vertex oracle is that enumeration as it stood before it
 became stacked matmuls over cached tables, with einsum over tables built
-per call.  The tomography oracles build the projector kets one outcome at a
-time, sum the log-likelihood over them, and invert by summing all 256 Pauli
-strings' averaged expectations, where the package contracts a fixed dual
+per call.  The lift-0 dual oracle reads HiGHS's equality marginals, where
+the package takes the dual from the inverse of the cheapest basis.  The
+tomography oracles build the projector kets one outcome at a time, sum
+the log-likelihood over them, and invert by summing all 256 Pauli strings' averaged expectations, where the package contracts a fixed dual
 frame; each expectation is a loop over one setting's parties, where the
 package multiplies the whole count table by one parity table.  The master-fraction oracle sorts an 11^4 grid point by point with
 a Python objective and refines its best points with finite-difference
@@ -335,6 +336,14 @@ def oracle_heater_block(matrix_krad, base_rad, resistances, usable, max_lift=4):
     full = np.zeros(8)
     full[usable] = best_u
     return full
+
+
+def oracle_lift0_dual(matrix_krad, base_rad, resistances, usable):
+    """HiGHS dual vector of a heater block's lift-0 program, None if infeasible."""
+    m = 1e3 * matrix_krad[:, usable]
+    res = linprog(resistances[usable], A_eq=m, b_eq=base_rad,
+                  bounds=[(0, None)] * m.shape[1], method="highs")
+    return res.eqlin.marginals if res.success else None
 
 
 def oracle_vertex_block(matrix_krad, base_rad, resistances, usable, max_lift=4):

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzlab.chip import (HeaterCalibration, PreparationStage, full_unitary,
                          heater_forward, heater_solve, measurement_unitary,
@@ -13,7 +15,7 @@ from ghzlab.experiments import run_bell_sweep, run_phase_scan, run_tomography
 from ghzlab.qmath import PauliLabel
 
 from oracles import (assignment_distribution, mzi_phase_unitary, mzi_reference,
-                     oracle_heater_block, oracle_vertex_block,
+                     oracle_heater_block, oracle_lift0_dual, oracle_vertex_block,
                      preparation_matrix_reference)
 
 TWO_PI = 2 * math.pi
@@ -230,6 +232,11 @@ class TestHeaterForward:
         currents[14] = 0.001  # resistor 15
         with pytest.raises(ValueError):
             heater_forward(cal, currents)
+        for bad in (np.nan, np.inf):
+            currents = np.zeros(16)
+            currents[0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                heater_forward(cal, currents)
 
 
 class TestHeaterSolve:
@@ -278,6 +285,23 @@ class TestHeaterSolve:
         cal = HeaterCalibration(dead_channels=frozenset({1, 2, 3, 4, 5, 15}))
         with pytest.raises(SolverError):
             heater_solve(cal, [1.0, 2.0, 3.0, 4.0], cal.phi_offset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=8),
+           st.sampled_from([frozenset({15}), frozenset({3, 15})]))
+    def test_any_finite_target_solves_or_raises_solver_error(self, targets, dead):
+        cal = HeaterCalibration(dead_channels=dead)
+        alpha_t, phi_t = np.array(targets[:4]), np.array(targets[4:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                currents = heater_solve(cal, alpha_t, phi_t)
+            except SolverError:
+                return
+            alpha, phi = heater_forward(cal, currents)
+        assert np.all(currents >= 0.0) and np.all(currents[cal.dead_mask()] == 0.0)
+        miss = np.angle(np.exp(1j * (np.concatenate([alpha, phi]) - targets)))
+        assert np.abs(miss).max() <= 1e-6
 
 
 def _heater_blocks(cal, alpha_target, phi_target):
@@ -344,6 +368,26 @@ def _solve_or_error(solve, block, max_lift):
         return SolverError
 
 
+def _assert_matches_vertex_oracle(block, max_lift):
+    """`_solve_block` equals the einsum enumeration bit for bit, or both raise."""
+    got = _solve_or_error(_solve_block, block, max_lift)
+    want = _solve_or_error(oracle_vertex_block, block, max_lift)
+    if want is SolverError:
+        assert got is SolverError
+    else:
+        assert got is not SolverError and np.array_equal(got, want)
+
+
+# Heater 1's current also raises qubit 4's alpha phase, which heater 8 can
+# only pull back down; a 2*pi higher qubit-4 target is then cheaper to reach.
+_CROSSTALK_UP = HeaterCalibration(alpha_matrix=np.array([
+    [50.0, -50.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 50.0, -50.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 50.0, -50.0, 0.0, 0.0],
+    [40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0, -50.0],
+]))
+
+
 class TestVertexEnumeration:
     """Stacked matmuls over cached tables against the per-call einsum enumeration."""
 
@@ -355,12 +399,7 @@ class TestVertexEnumeration:
         for _ in range(30):
             for block in _heater_blocks(cal, rng.uniform(0, TWO_PI, 4),
                                         rng.uniform(0, TWO_PI, 4)):
-                got = _solve_or_error(_solve_block, block, max_lift)
-                want = _solve_or_error(oracle_vertex_block, block, max_lift)
-                if want is SolverError:
-                    assert got is SolverError
-                else:
-                    assert got is not SolverError and np.array_equal(got, want)
+                _assert_matches_vertex_oracle(block, max_lift)
 
     def test_tied_bases_go_to_first_basis(self):
         # columns 0 and 1 are identical at equal resistance, so every basis
@@ -384,7 +423,69 @@ class TestVertexEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 2 ** 20
+        assert peak <= 256 * 2 ** 10
+
+    @pytest.mark.parametrize("max_lift", [2, 4])
+    def test_perturbed_calibrations_match_einsum_oracle_bit_for_bit(self, max_lift):
+        # crosstalk scaled entry by entry, resistances across their range,
+        # and targets several turns outside [0, 2*pi)
+        default = HeaterCalibration()
+        rng = np.random.default_rng([36, max_lift])
+        for _ in range(6):
+            cal = HeaterCalibration(
+                alpha_matrix=default.alpha_matrix * rng.uniform(0.8, 1.2, (4, 8)),
+                phi_matrix=default.phi_matrix * rng.uniform(0.8, 1.2, (4, 8)),
+                resistances=rng.uniform(400.0, 440.0, 16))
+            for _ in range(8):
+                alpha_t, phi_t = rng.uniform(-3 * TWO_PI, 3 * TWO_PI, (2, 4))
+                for block in _heater_blocks(cal, alpha_t, phi_t):
+                    _assert_matches_vertex_oracle(block, max_lift)
+
+    @pytest.mark.parametrize("alpha_t", [[-1.0, -20.0, 7.5, 13.0],
+                                         [1e6, -1e6, 12345.678, -0.5]],
+                             ids=["few-turns", "many-turns"])
+    def test_targets_outside_one_turn_match_einsum_oracle(self, alpha_t):
+        cal = HeaterCalibration()
+        phi_t = cal.phi_offset - np.array([TWO_PI, 2.5, -9.0, 40.0])
+        blocks = _heater_blocks(cal, np.array(alpha_t), phi_t)
+        want = np.sqrt(np.concatenate([oracle_vertex_block(*block) for block in blocks]))
+        assert np.array_equal(heater_solve(cal, alpha_t, phi_t), want)
+
+    # Alpha blocks that reach each branch of the lift-0 bound, told apart by
+    # the HiGHS dual of the lift-0 program: none when it is infeasible; with
+    # every component positive only lift 0 survives the bound; a component
+    # <= 0 keeps every lift along it.
+    @pytest.mark.parametrize("cal, alpha_t, branch", [
+        (HeaterCalibration(dead_channels=frozenset({1, 8, 15})), [1.0, 2.0, 3.0, 4.0],
+         "unreachable"),
+        (HeaterCalibration(dead_channels=frozenset({2, 3, 4, 15})),
+         [5.309761521575608, 1.0114237612850128, 3.5044123451676454, 2.3127144813324683],
+         "lift-0-infeasible"),
+        (HeaterCalibration(),
+         [3.2158701122134374, 5.971939531762716, 0.9057815605287021, 5.960540267916768],
+         "lift-0-only"),
+        (HeaterCalibration(),
+         [4.002148315014479, 1.6951199159934145, 0.25744424357926954, 0.10384619671527331],
+         "several-lifts"),
+        (_CROSSTALK_UP, [6.0, 0.0, 0.0, 0.1], "higher-lift-wins"),
+    ], ids=["lift-0-infeasible-unreachable", "lift-0-infeasible-reachable",
+            "bound-keeps-lift-0", "bound-keeps-several-lifts", "kept-lift-wins"])
+    def test_lift_bound_branches_match_einsum_oracle_bit_for_bit(self, cal, alpha_t, branch):
+        block = _heater_blocks(cal, np.array(alpha_t), cal.phi_offset)[0]
+        dual = oracle_lift0_dual(*block)
+        if branch in ("unreachable", "lift-0-infeasible"):
+            assert dual is None
+        elif branch == "lift-0-only":
+            assert dual.min() > 0.0
+        else:
+            assert dual.min() <= 0.0
+        unreachable = _solve_or_error(oracle_vertex_block, block, 4) is SolverError
+        assert unreachable == (branch == "unreachable")
+        if branch == "higher-lift-wins":
+            assert not np.array_equal(oracle_vertex_block(*block, max_lift=0),
+                                      oracle_vertex_block(*block))
+        for max_lift in (2, 4):
+            _assert_matches_vertex_oracle(block, max_lift)
 
 
 class TestHeaterCalibrationType:
