@@ -423,6 +423,9 @@ class MleResult:
     # Hessian-vector products of their CG solves.
     newton_steps: int
     cg_products: int
+    # A (16 x r), rho = A A^dag up to round-off: the last Newton step's A,
+    # else the last projection's nonzero eigenpairs, else the start's.
+    factor: np.ndarray
 
 
 # Stop when the KKT certificate of the fit is at most this.  Round-off can
@@ -504,7 +507,8 @@ def _newton_direction(a: np.ndarray, r: np.ndarray, w2: np.ndarray,
 
 
 def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
-                    start: np.ndarray | None = None) -> MleResult:
+                    start: np.ndarray | None = None,
+                    factor: np.ndarray | None = None) -> MleResult:
     """Maximum-likelihood density matrix from the 81-setting design's counts.
 
     Maximizes the log-likelihood sum_k n_k ln Tr(Pi_k rho) over density
@@ -553,14 +557,18 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
     fit starts at ``start`` (a density matrix at which every observed
     outcome has a positive probability), by default the linear inversion
     projected onto the density matrices with no eigenvalue below
-    `MLE_START_FLOOR`.
+    `MLE_START_FLOOR`; or, given a ``factor`` A (16 x r) in its place, at
+    AA^dag / |A|_F^2 with Newton steps on that face at once.
     """
     _check_design(ts)
     counts = _by_pairs(ts.counts)
     n_total = float(counts.sum())
     if n_total <= 0.0:
         raise ValueError("tomography set has no counts")
-    if start is None:
+    if factor is not None:
+        factor = np.asarray(factor, dtype=complex) / np.linalg.norm(factor)
+        start = factor @ factor.conj().T
+    elif start is None:
         start = project_to_physical(linear_inversion(ts),
                                     min_eigenvalue=MLE_START_FLOOR)
     observed = counts > 0.0
@@ -600,24 +608,25 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
 
     cert, _ = certificate(x, r_x)
     x_prev, p_prev, momentum, lipschitz = x, p_x, 1.0, 1.0
-    # face: A while the fit takes Newton steps, else None; steady counts
-    # the accepted FISTA steps since the projection's rank last changed.
-    face, rank, steady = None, 0, 0
+    # newton: the next step is a Newton step on the face of factor (A with
+    # x = AA^dag); steady: accepted FISTA steps since the rank last changed.
+    newton = factor is not None
+    rank, steady = (factor.shape[1], MLE_FACE_STEPS) if newton else (0, 0)
     iteration = newton_steps = cg_products = 0
     while cert > MLE_CERTIFICATE_TOL and iteration < max_iterations:
         iteration += 1
-        if face is not None:
-            step = newton_step(face)
+        if newton:
+            step = newton_step(factor)
             if step is not None:
                 newton_steps += 1
-                face, x, p_x, ll_x, ratio_x = step
+                factor, x, p_x, ll_x, ratio_x = step
                 r_x = _frame_sum(ratio_x / n_total, _PAIR_FRAME)
                 cert, stationary = certificate(x, r_x)
                 if not stationary or cert <= MLE_CERTIFICATE_TOL:
                     continue
             # No step length kept the likelihood, or the maximum lies off
             # this face: back to FISTA, in this iteration if no step was taken.
-            face, x_prev, p_prev, momentum = None, x, p_x, 1.0
+            newton, x_prev, p_prev, momentum = False, x, p_x, 1.0
             if step is not None:
                 continue
         next_momentum = (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum)) / 2.0
@@ -650,14 +659,17 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
         z_rank = int(np.count_nonzero(w))
         steady = steady + 1 if z_rank == rank else 1
         rank = z_rank
-        if steady == MLE_FACE_STEPS:
-            face = v[:, -rank:] * np.sqrt(w[-rank:])
+        factor = v[:, -rank:] * np.sqrt(w[-rank:])
+        newton = steady == MLE_FACE_STEPS
     if cert > MLE_CERTIFICATE_TOL:
         cert = max(cert, _lambda_excess(r_x))
+    if factor is None:
+        w, v = np.linalg.eigh(x)
+        factor = v[:, w > 0.0] * np.sqrt(w[w > 0.0])
     return MleResult(rho=check_density_matrix(x), log_likelihood=ll_x,
                      iterations=iteration, converged=cert <= MLE_CERTIFICATE_TOL,
                      certificate=cert, newton_steps=newton_steps,
-                     cg_products=cg_products)
+                     cg_products=cg_products, factor=factor)
 
 
 def monte_carlo_error(ts: CountTable, statistic, n_resamples: int, seed):

@@ -242,20 +242,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ghzlab",
         description="Simulated four-photon GHZ chip: generation, tomography, "
                     "entanglement tests, and quantum secret sharing.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    init = sub.add_parser("config-init", help="print the default configuration")
-    init.add_argument("--out", type=Path, default=None,
-                      help="write to a file instead of stdout")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, required=True)
-        p.add_argument("--out", type=Path, required=True,
-                       help="output directory (created if missing)")
+    parser.add_argument("command", choices=("config-init", *COMMANDS))
+    parser.add_argument("--config", type=Path, help="config file (not for config-init)")
+    parser.add_argument("--out", type=Path, help="output directory, created if missing "
+                        "(config-init: file to write instead of stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "config-init" and args.config is not None:
+        parser.error("config-init takes no --config")
+    if args.command != "config-init" and None in (args.config, args.out):
+        parser.error(f"{args.command} needs --config and --out")
     if args.command == "config-init" and args.out is None:
         sys.stdout.write(dump_config(default_config()))
         return 0
@@ -264,8 +264,7 @@ def main(argv=None) -> int:
             args.out.write_text(dump_config(default_config()))
             return 0
         cfg = load_config(args.config)
-        outdir = args.out
-        outdir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -274,7 +273,7 @@ def main(argv=None) -> int:
         return 2
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            results = COMMANDS[args.command](cfg, outdir)
+            results = COMMANDS[args.command](cfg, args.out)
     except (SolverError, FitError, FloatingPointError, OverflowError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -282,7 +281,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    _write_manifest(outdir, args.command, args.config, cfg, results)
+    _write_manifest(args.out, args.command, args.config, cfg, results)
     return 0
 
 

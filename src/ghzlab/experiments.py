@@ -74,17 +74,13 @@ class TomographyReport:
     mle_resamples_converged: int
 
 
-# Share of I/16 in the start point of each Monte-Carlo resample's fit.
-RESAMPLE_START_MIX = 0.02
-
-
 def tomography_report(ts: CountTable, n_resamples: int = 50,
                       seed=12345) -> tuple[TomographyReport, MleResult]:
     """MLE reconstruction plus fidelity/purity and their Monte-Carlo errors.
 
-    Each resample's fit starts from the central estimate mixed with
-    `RESAMPLE_START_MIX` of I/16, which gives every outcome a positive
-    probability, so a resample that empties a setting still has a fit.
+    Each resample's fit starts on the central fit's face, at its
+    ``factor``: a Poisson draw of a zero count is zero, so the central fit
+    gives every outcome a resample observes a positive probability.
     ``mle_resamples_converged`` counts the resample fits that met the
     certificate.
     """
@@ -93,12 +89,11 @@ def tomography_report(ts: CountTable, n_resamples: int = 50,
     fid = fidelity_to_pure(mle.rho, target)
     pur = purity(mle.rho)
     theta_star, fid_star = max_fidelity_over_phase(mle.rho)
-    start = (1.0 - RESAMPLE_START_MIX) * mle.rho + RESAMPLE_START_MIX * np.eye(16) / 16
     resamples_converged = 0
 
     def fid_pur_stat(resampled):
         nonlocal resamples_converged
-        fit = mle_reconstruct(resampled, start=start)
+        fit = mle_reconstruct(resampled, factor=mle.factor)
         resamples_converged += fit.converged
         return fidelity_to_pure(fit.rho, target), purity(fit.rho)
 

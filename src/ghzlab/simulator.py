@@ -17,8 +17,9 @@ label groups.  Evaluated on the 81 masks S that hold at most one mode per
 qubit pair, these values give each outcome's probability by
 inclusion-exclusion over the subsets of its four clicked detectors (Quesada
 et al., PRA 98, 062322, 2018); the discard mass is the rest.  A label group
-is a set of inputs, one of 15, so every setting evaluates all 15 with one
-stacked permanent per group size (at most 4x4, a sum over permutations).
+is a set of inputs, one of 15; a setting evaluates those its table holds,
+with one stacked permanent per group size (at most 4x4, a sum over
+permutations) over the masks' Grams of the four input columns.
 
 A `SimContext` is the simulator's one input: source, chip stage and
 detectors.  The source owns its weighted enumeration of labeled inputs,
@@ -274,9 +275,9 @@ _CANCELLATION_TOL = 1e-6
 
 
 # For each group size k, the label groups of k inputs (bit i for input i,
-# in mode 2i) and their modes, one row per group.
+# in mode 2i) and their inputs, one row per group.
 _GROUPS_BY_SIZE = tuple(
-    (np.array([sum(1 << i for i in c) for c in combos]), 2 * np.array(combos))
+    (np.array([sum(1 << i for i in c) for c in combos]), np.array(combos))
     for combos in (list(itertools.combinations(range(4), k)) for k in range(1, 5)))
 
 
@@ -285,21 +286,27 @@ def outcome_distribution(u: np.ndarray, table: LabelGroups,
                          ) -> OutcomeDistribution:
     """Post-selected outcomes of the label-group table's terms scattered by ``u``.
 
-    Evaluates all 15 label groups on all 81 masks with one stacked
-    permanent per group size (row 0 of the values, for padding, is ones),
-    multiplies the groups of each label-group multiset, and applies
-    inclusion-exclusion.  The discard mass is one minus the post-selected
-    mass, so the weight missing from the table is counted as discarded.
+    Evaluates the table's label groups on all 81 masks, with one stacked
+    permanent per group size over the masks' Grams of the input columns
+    (row 0 of the values, for padding, is ones), multiplies the groups of
+    each label-group multiset, and applies inclusion-exclusion.  The
+    discard mass is one minus the post-selected mass, so the weight missing
+    from the table is counted as discarded.
     Raises ``FloatingPointError`` when round-off leaves a probability below
     tolerance, no post-selected mass at all, or a round-off bound above
     ``_CANCELLATION_TOL`` of the post-selected mass.
     """
-    u = np.asarray(u, dtype=complex)
+    a = np.asarray(u, dtype=complex)[:, 0::2]
     d = np.where(_MASK_MODES, 1.0, 1.0 - np.asarray(det.efficiencies, dtype=float))
-    gram = (u.conj().T * d[:, None, :]) @ u
+    # Each mask's A^dag D_S A as rows of one (81*4, 8) @ (8, 4) product.
+    gram = ((a.conj().T * d[:, None, :]).reshape(-1, 8) @ a).reshape(-1, 4, 4)
+    used = np.bincount(table.index.ravel(), minlength=16) > 0
     values = np.ones((16, len(_MASK_MODES)))
-    for groups, modes in _GROUPS_BY_SIZE:
-        values[groups] = permanent(gram[:, modes[:, :, None], modes[:, None, :]]).real.T
+    for groups, inputs in _GROUPS_BY_SIZE:
+        held = used[groups]
+        if held.any():
+            values[groups[held]] = permanent(
+                gram[:, inputs[held, :, None], inputs[held, None, :]]).real.T
     products = np.ones((len(table.weights), len(_MASK_MODES)))
     for column in table.index.T:
         products *= values[column]

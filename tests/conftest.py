@@ -6,10 +6,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import ghzlab.chip
+import ghzlab.simulator
 import ghzlab.source
 from ghzlab.config import default_config, parse_config
 from ghzlab.experiments import SimContext
 from ghzlab.source import SourceSpec, fit_master_fractions
+from result_digests import VARIANT
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,16 @@ def noise_ctx():
     return parse_config(default_config()).context
 
 
+@pytest.fixture(scope="session")
+def variant_ctx():
+    """The fixed non-default device of `tests/result_digests.py`: multiphoton
+    emission, one partly distinguishable photon and lossy detectors."""
+    cfg = default_config()
+    for key, value in VARIANT.items():
+        cfg[key].update(value)
+    return parse_config(cfg).context
+
+
 def _count_calls(monkeypatch, name: str, module=ghzlab.source) -> list:
     """Records the arguments of every call of ``module.<name>``."""
     calls = []
@@ -50,6 +62,12 @@ def _count_calls(monkeypatch, name: str, module=ghzlab.source) -> list:
 def enumeration_calls(monkeypatch):
     """Counts the source's calls of ``enumerate_joint_inputs``."""
     return _count_calls(monkeypatch, "enumerate_joint_inputs")
+
+
+@pytest.fixture()
+def permanent_calls(monkeypatch):
+    """Records the simulator's calls of ``permanent``."""
+    return _count_calls(monkeypatch, "permanent", ghzlab.simulator)
 
 
 @pytest.fixture()

@@ -34,7 +34,11 @@ enumeration oracle multiplies the four input mixtures term by term into
 (mode, label) photon tuples and groups each term's photons by label in a
 dict and names each group by the bitmask of its inputs, where the package
 codes every combination's multiset in one fixed table, sums the weights
-with one bincount and decodes the codes with a second table.
+with one bincount and decodes the codes with a second table.  The
+all-groups click-mask oracle is the package's click-mask evaluation as it
+stood before it read only what its result uses: the full 8 x 8 Gram of
+every mask, and a permanent for each of the 15 label groups whether the
+table holds it or not.
 """
 
 import itertools
@@ -49,12 +53,13 @@ from scipy.optimize import curve_fit, linprog, minimize
 from ghzlab.analysis import tomography_settings
 from ghzlab.chip import TWO_PI, mzi_block, preparation_unitary
 from ghzlab.errors import SolverError
-from ghzlab.qmath import PauliLabel
+from ghzlab.qmath import PauliLabel, permanent
 from ghzlab.qss import QssReport, classify_bases
 from ghzlab.source import (_PAIR_INDEX, LabelGroups, MasterFractions,
                            _balance_gauge, input_mixture)
-from ghzlab.simulator import (OutcomeDistribution, apply_detector_efficiency,
-                              qubit_distribution, scatter_distribution)
+from ghzlab.simulator import (_INCLUSION_EXCLUSION, _MASK_MODES, OutcomeDistribution,
+                              apply_detector_efficiency, qubit_distribution,
+                              scatter_distribution)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -298,6 +303,30 @@ def oracle_qubit_distribution(u, enumeration, det) -> OutcomeDistribution:
         discard += term.weight * od.discard_mass
     return OutcomeDistribution(probs=probs,
                                discard_mass=discard + (1.0 - enumeration.retained_weight))
+
+
+# For each group size k, the label groups of k inputs (bit i for input i)
+# and their modes (input i in mode 2i), one row per group.
+_ALL_GROUPS_BY_SIZE = tuple(
+    (np.array([sum(1 << i for i in c) for c in combos]), 2 * np.array(combos))
+    for combos in (list(itertools.combinations(range(4), k)) for k in range(1, 5)))
+
+
+def oracle_all_groups_distribution(u, table: LabelGroups, det) -> OutcomeDistribution:
+    """`outcome_distribution` from the 8 x 8 Gram of each click mask and all
+    15 label groups, with the round-off clamp and none of the guards."""
+    u = np.asarray(u, dtype=complex)
+    d = np.where(_MASK_MODES, 1.0, 1.0 - np.asarray(det.efficiencies, dtype=float))
+    gram = (u.conj().T * d[:, None, :]) @ u
+    values = np.ones((16, len(_MASK_MODES)))
+    for groups, modes in _ALL_GROUPS_BY_SIZE:
+        values[groups] = permanent(gram[:, modes[:, :, None], modes[:, None, :]]).real.T
+    products = np.ones((len(table.weights), len(_MASK_MODES)))
+    for column in table.index.T:
+        products *= values[column]
+    probs = _INCLUSION_EXCLUSION @ (table.weights @ products)
+    probs = np.where(probs < 0.0, 0.0, probs)
+    return OutcomeDistribution(probs=probs, discard_mass=1.0 - float(probs.sum()))
 
 
 def oracle_heater_block(matrix_krad, base_rad, resistances, usable, max_lift=4):

@@ -643,6 +643,33 @@ class TestMle:
         with pytest.raises(ValueError, match="zero probability"):
             mle_reconstruct(ts, start=np.diag(np.eye(16)[0]).astype(complex))
 
+    @pytest.mark.parametrize("name", ["ideal-450", "config-init-exact"])
+    def test_factor_spans_the_fit(self, name):
+        """The factor of a fit ended by Newton steps, of one ended by FISTA
+        (capped at 2 steps) and of one certified at its start reproduces rho."""
+        ts = _MLE_DATASETS[name]()
+        central = mle_reconstruct(ts)
+        capped = mle_reconstruct(ts, max_iterations=2)
+        warm = mle_reconstruct(ts, start=central.rho)
+        assert central.newton_steps > 0 and capped.newton_steps == 0
+        assert warm.iterations == 0
+        for res in (central, capped, warm):
+            assert res.factor.shape[0] == 16
+            assert np.abs(res.factor @ res.factor.conj().T - res.rho).max() <= 1e-12
+        assert capped.factor.shape[1] == np.count_nonzero(
+            np.linalg.eigvalsh(capped.rho) > 1e-12)
+
+    def test_factor_start_takes_newton_steps_at_once(self, ideal_ctx):
+        ts = run_tomography(ideal_ctx, shots=450, seed=3)
+        central = mle_reconstruct(ts)
+        again = mle_reconstruct(ts, factor=2.0 * central.factor)
+        assert again.iterations == 0 and again.converged
+        assert np.abs(again.rho - central.rho).max() <= 1e-12
+        resampled = CountTable(ts.settings, np.random.default_rng(5).poisson(ts.counts)
+                               .astype(float))
+        first = mle_reconstruct(resampled, factor=central.factor, max_iterations=1)
+        assert first.newton_steps == 1
+
 
 def _config_init_tomography(shots=None, seed=None):
     cfg = parse_config(default_config())
@@ -760,6 +787,33 @@ def test_mle_steps_per_fit_stay_few():
         assert max(fit.iterations for fit in fits) <= bounds[name], name
 
 
+@pytest.mark.parametrize("name", ["ideal-450", "config-init-exact", "variant-exact"])
+def test_face_start_agrees_with_mixed_start(name, variant_ctx):
+    """On 10 Poisson resamples of the ideal source sampled, the `config-init`
+    device exact and the fixed non-default device of `tests/result_digests.py`
+    exact (both at 450 counts per setting), fits started on the central
+    fit's face and from 0.98 rho_hat + 0.02 I/16 are both certified, agree
+    to 1e-5 in fidelity and purity, and the face start takes no more steps
+    in total."""
+    ts = (run_tomography(variant_ctx, effective_counts=450) if name == "variant-exact"
+          else _MLE_DATASETS[name]())
+    central = mle_reconstruct(ts)
+    mixed_start = 0.98 * central.rho + 0.02 * np.eye(16) / 16
+    steps = {"face": 0, "mixed": 0}
+    for child in np.random.SeedSequence(31).spawn(10):
+        t = CountTable(ts.settings,
+                       np.random.default_rng(child).poisson(ts.counts).astype(float))
+        face = mle_reconstruct(t, factor=central.factor)
+        mixed = mle_reconstruct(t, start=mixed_start)
+        assert face.converged and mixed.converged
+        assert abs(fidelity_to_pure(face.rho, ghz4())
+                   - fidelity_to_pure(mixed.rho, ghz4())) <= 1e-5
+        assert abs(purity(face.rho) - purity(mixed.rho)) <= 1e-5
+        steps["face"] += face.iterations
+        steps["mixed"] += mixed.iterations
+    assert steps["face"] <= steps["mixed"]
+
+
 def test_resample_that_empties_a_setting_still_fits(monkeypatch):
     """Ideal source, 10 shots per setting, seed 10: a Poisson resample empties
     a setting, and every resample's warm-started fit still converges."""
@@ -859,12 +913,11 @@ class TestMonteCarloError:
     def test_report_errors_match_two_pass_computation(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=450, seed=3)
         report, mle = tomography_report(ts, n_resamples=3, seed=11)
-        start = 0.98 * mle.rho + 0.02 * np.eye(16) / 16
         fid = monte_carlo_error(
-            ts, lambda t: fidelity_to_pure(mle_reconstruct(t, start=start).rho, ghz4()),
-            3, 11)
+            ts, lambda t: fidelity_to_pure(mle_reconstruct(t, factor=mle.factor).rho,
+                                           ghz4()), 3, 11)
         pur = monte_carlo_error(
-            ts, lambda t: purity(mle_reconstruct(t, start=start).rho), 3, 11)
+            ts, lambda t: purity(mle_reconstruct(t, factor=mle.factor).rho), 3, 11)
         assert report.fidelity_error == fid
         assert report.purity_error == pur
 

@@ -576,6 +576,31 @@ def test_repeated_main_calls(tmp_path, capsys):
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rate"], "rate needs --config and --out"),
+    (["rate", "--config", "{config}"], "rate needs --config and --out"),
+    (["tomography", "--out", "{out}"], "tomography needs --config and --out"),
+    (["config-init", "--config", "{config}"], "config-init takes no --config"),
+    (["config-init", "--config", "{config}", "--out", "{out}"],
+     "config-init takes no --config"),
+    (["bogus", "--config", "{config}", "--out", "{out}"], "invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+], ids=["no-flags", "no-out", "no-config", "init-config", "init-config-out",
+        "unknown-command", "no-command"])
+def test_misused_flags_exit_2(tmp_path, capsys, argv, message):
+    """A missing or misplaced flag exits 2 with a usage message, writes nothing."""
+    config = tmp_path / "config.json"
+    assert main(["config-init", "--out", str(config)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(config=config, out=tmp_path / "o") for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ghzlab") and message in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_commands_run_without_scipy(tmp_path):
     """Every command runs with ``import scipy`` failing; numpy is the only dependency."""
     script = """

@@ -21,8 +21,8 @@ from ghzlab.source import MasterFractions, SourceSpec
 
 from oracles import (JointInputTerm, OracleEnumeration, assignment_distribution,
                      born_probabilities, ghz_state, mzi_phase_unitary,
-                     oracle_enumerate_joint_inputs, oracle_qubit_distribution,
-                     threshold_and_postselect)
+                     oracle_all_groups_distribution, oracle_enumerate_joint_inputs,
+                     oracle_qubit_distribution, threshold_and_postselect)
 
 Z4 = (PauliLabel.Z,) * 4
 X4 = (PauliLabel.X,) * 4
@@ -234,6 +234,45 @@ class TestOracleAgreement:
         u = full_unitary(ctx.stage, labels)
         assert_matches_oracle(u, ctx.spec.enumeration.label_groups, noisy_enumeration,
                               ctx.detectors)
+
+
+class TestHeldGroupsOnly:
+    """`outcome_distribution` reads only the Gram blocks of the input columns
+    and the label groups its table holds, and gives the same bits as the full
+    8 x 8 Grams and all 15 groups of `oracle_all_groups_distribution`."""
+
+    @pytest.mark.parametrize("device", ["ideal_ctx", "noise_ctx", "variant_ctx"])
+    def test_bit_identical_to_all_groups(self, device, request):
+        """The device's own detectors and, per setting, random efficiencies
+        down to 1e-3, on the tomography and Bell settings; a setting whose
+        cancellation guard trips has nothing to compare."""
+        ctx = request.getfixturevalue(device)
+        table = ctx.spec.enumeration.label_groups
+        rng = np.random.default_rng(31)
+        compared = 0
+        for labels in tomography_settings() + list(bell_settings()):
+            u = full_unitary(ctx.stage, labels)
+            lossy = DetectorModel(tuple(10.0 ** rng.uniform(-3.0, 0.0, 8)))
+            for det in (ctx.detectors, lossy):
+                ref = oracle_all_groups_distribution(u, table, det)
+                try:
+                    new = outcome_distribution(u, table, det)
+                except FloatingPointError:
+                    continue
+                compared += 1
+                assert np.array_equal(new.probs, ref.probs)
+                assert new.discard_mass == ref.discard_mass
+        assert compared >= 160
+
+    def test_permanent_census(self, ideal_ctx, noise_ctx, permanent_calls):
+        """One setting: the ideal source's one group, the default source's 15
+        in one call per group size, each over the 81 masks."""
+        qubit_distribution(ideal_ctx, X4)
+        assert [args[0].shape for args in permanent_calls] == [(81, 1, 4, 4)]
+        permanent_calls.clear()
+        qubit_distribution(noise_ctx, X4)
+        assert [args[0].shape for args in permanent_calls] == [
+            (81, 4, 1, 1), (81, 6, 2, 2), (81, 4, 3, 3), (81, 1, 4, 4)]
 
 
 @st.composite
