@@ -11,10 +11,16 @@ A round is two 4-bit indices, party 1 most significant: the basis choice
 table over them, built once at import: the eigenvalue ``_SIGN[b]``, the
 case ``_CASE[b]``, the inferred dealer bit ``_INFERRED[b, o]`` (-1 when
 discarded) and the error flag ``_ERROR[b, o]``.
+
+All of a run's randomness is one stdlib ``random.Random(seed)`` stream
+(MT19937), read 64 bits per round and then 64 bits per sifted bit of the
+public subset.  It is loaded with ``numpy`` already, so a run without
+sampled probabilities never imports ``numpy.random``.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,137 +109,19 @@ def expected_qber(ctx: SimContext) -> float:
     return _error_rate(_conditionals(ctx))
 
 
-# Round r draws from child r of ``SeedSequence(seed)``: its basis bits and
-# uniform are read off the first three outputs of that child's PCG64, which
-# are computed for many children at once.  Both algorithms are fixed by
-# NumPy (NEP 19); the constants are theirs.
-_MASK32 = 0xFFFFFFFF
-_XSHIFT = 16
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
-# A child index is one 32-bit spawn-key word.
-_MAX_ROUNDS = 1 << 32
-
-# Rounds drawn at a time; memory holds one chunk of 64-bit intermediates.
+# Rounds drawn at a time; memory holds one chunk of 64-bit words.
 DRAW_CHUNK_ROUNDS = 1 << 13
+_MASK53 = (1 << 53) - 1
 
 
-def _hashmix(value, hash_const: int):
-    """SeedSequence's ``hashmix`` of a word; returns it and the next constant."""
-    value = value ^ hash_const
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> _XSHIFT, hash_const
+def _words(rng: random.Random, n: int) -> np.ndarray:
+    """The next ``n`` outputs of ``rng.getrandbits(64)``, as ``uint64``.
 
-
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two words, both Python ints or both arrays."""
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ value >> _XSHIFT
-
-
-def _absorb(pool: list, word, hash_const: int) -> int:
-    """Mix an entropy word beyond the pool size into every pool word."""
-    for dst in range(len(pool)):
-        value, hash_const = _hashmix(word, hash_const)
-        pool[dst] = _mix(pool[dst], value)
-    return hash_const
-
-
-def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products of ``uint64`` words ``a`` and ``b``."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    p_lh, p_hl = a_lo * b_hi, a_hi * b_lo
-    mid = (a_lo * b_lo >> 32) + (p_lh & _MASK32) + (p_hl & _MASK32)
-    return a_hi * b_hi + (p_lh >> 32) + (p_hl >> 32) + (mid >> 32)
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, ``state * MULT + inc`` mod 2**128, on (hi, lo) words."""
-    lo_mult = lo * _PCG_MULT_LO
-    hi = hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi(lo, _PCG_MULT_LO) + inc_hi
-    lo = lo_mult + inc_lo
-    return hi + (lo < inc_lo), lo
-
-
-def _child_pools(seed: int, first: int, n: int) -> list:
-    """SeedSequence's pool of children ``first`` to ``first + n - 1``, four ``uint32`` arrays.
-
-    The entropy is the seed's little-endian 32-bit words, zero-padded to the
-    pool size of 4, then the child index.  Only that last word differs
-    between children, so the words before it are mixed once, as Python ints.
+    ``randbytes(8 * n)`` is ``getrandbits(64 * n)`` in little-endian bytes,
+    and that fills its 32-bit words in the order of ``n`` calls of
+    ``getrandbits(64)``, so the words do not depend on how they are chunked.
     """
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:4]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[4:]:
-        hash_const = _absorb(pool, word, hash_const)
-    pool = [np.full(n, word, dtype=np.uint32) for word in pool]
-    _absorb(pool, np.arange(first, first + n, dtype=np.uint32), hash_const)
-    return pool
-
-
-def _generate_state(pool: list) -> list:
-    """SeedSequence's ``generate_state(4, np.uint64)`` of each child's pool.
-
-    Eight 32-bit words cycle over the pool and pair little-endian into four
-    ``uint64`` words.
-    """
-    hash_const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state.append((value ^ value >> _XSHIFT).astype(np.uint64))
-    return [state[k] | state[k + 1] << 32 for k in range(0, 8, 2)]
-
-
-def _child_draws(seed: int, first: int, n: int) -> np.ndarray:
-    """The first three PCG64 outputs of children ``first`` to ``first + n - 1``.
-
-    Row i equals ``PCG64(SeedSequence(seed).spawn(first + n)[first + i])
-    .random_raw(3)``, as an ``(n, 3)`` ``uint64`` array.
-    """
-    seed_hi, seed_lo, seq_hi, seq_lo = _generate_state(_child_pools(seed, first, n))
-    # PCG64's set-seq seeding, then three steps, each with its XSL-RR output:
-    # the xor of the state's halves rotated right by its top six bits.
-    inc_hi = seq_hi << 1 | seq_lo >> 63
-    inc_lo = seq_lo << 1 | 1
-    lo = inc_lo + seed_lo
-    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-    draws = np.empty((n, 3), dtype=np.uint64)
-    for k in range(3):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        xored, rot = hi ^ lo, hi >> 58
-        draws[:, k] = xored >> rot | xored << ((64 - rot) & 63)
-    return draws
-
-
-def _round_draws(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis index and uniform of each round, from its child's three outputs.
-
-    They equal ``integers(0, 2, size=4) @ (8, 4, 2, 1)`` and ``random()`` of
-    the child's ``Generator``.  ``integers`` reads the low and then the high
-    32-bit half of the first two outputs, and Lemire's method with range 2
-    never rejects, so each bit is the top bit of its half.  ``random()`` is
-    the third output's top 53 bits over 2**53.
-    """
-    u0, u1, u2 = draws.T
-    basis = (u0 >> 28 & 8) | (u0 >> 61 & 4) | (u1 >> 30 & 2) | u1 >> 63
-    return basis.astype(np.uint8), (u2 >> 11) * 2.0 ** -53
+    return np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
 
 
 def run_qss(ctx: SimContext, rounds: int, seed: int,
@@ -242,13 +130,14 @@ def run_qss(ctx: SimContext, rounds: int, seed: int,
 
     Each round waits for one valid four-fold coincidence (sampling from the
     conditional outcome distribution of the chosen bases).  ``seed`` is a
-    non-negative int, and ``rounds`` is below 2**32.  Round r's basis bits
-    and uniform are read off the first three outputs of the PCG64 seeded by
-    child r of ``SeedSequence(seed)``, for many rounds at once; they equal
-    that child's ``default_rng`` draws ``integers(0, 2, size=4)`` and
-    ``random()``.  The public subset is drawn from child ``rounds``.
-    With ``public_fraction`` > 0 the error rate is evaluated on that random
-    subset of the sifted key instead of the whole key.
+    non-negative int that seeds one ``random.Random`` (MT19937) stream.
+    Round r reads the r-th ``getrandbits(64)`` word of it: the top 4 bits
+    are the basis index, and the low 53 bits over 2**53 are the uniform
+    whose inverse CDF is the outcome.  With ``public_fraction`` > 0 the
+    error rate is evaluated on a random subset of the sifted key instead of
+    the whole key: after the rounds, each sifted bit takes the next word as
+    its key, and the bits with the smallest keys are public (ties go to the
+    earlier bit).
 
     The transcript is a record array with one row per round: ``basis`` and
     ``outcome`` indices (``uint8``) and the protocol ``case``.
@@ -257,19 +146,20 @@ def run_qss(ctx: SimContext, rounds: int, seed: int,
         raise TypeError(f"seed must be a non-negative int, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed}")
-    if not 1 <= rounds < _MAX_ROUNDS:
-        raise ValueError(f"rounds must be at least 1 and below 2**32, got {rounds}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     conditionals = _conditionals(ctx)
-    # Outcomes are drawn by inverse CDF, the algorithm of ``Generator.choice``
-    # with ``p``, so a seed gives the same transcript as a draw by ``choice``.
     cdfs = conditionals.cumsum(axis=1)
     cdfs = cdfs / cdfs[:, -1:]
 
+    rng = random.Random(seed)
     transcript = np.empty(rounds, dtype=_ROUND_DTYPE).view(np.recarray)
     basis, outcome = transcript.basis, transcript.outcome
     for start in range(0, rounds, DRAW_CHUNK_ROUNDS):
         stop = min(start + DRAW_CHUNK_ROUNDS, rounds)
-        chunk_basis, uniform = _round_draws(_child_draws(seed, start, stop - start))
+        words = _words(rng, stop - start)
+        chunk_basis = (words >> 60).astype(np.uint8)
+        uniform = (words & _MASK53) * 2.0 ** -53
         basis[start:stop] = chunk_basis
         chunk_outcome = outcome[start:stop]
         for b in range(16):
@@ -282,9 +172,8 @@ def run_qss(ctx: SimContext, rounds: int, seed: int,
         raise SolverError("no rounds survived sifting")
     errors = _ERROR[basis[kept], outcome[kept]]
     if public_fraction > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rounds,)))
         n_pub = max(1, int(round(public_fraction * sifted)))
-        errors = errors[rng.choice(sifted, size=n_pub, replace=False)]
+        errors = errors[np.argsort(_words(rng, sifted), kind="stable")[:n_pub]]
     qber = float(errors.mean())
     report = QssReport(raw_length=rounds, sifted_length=sifted,
                        sift_rate=sifted / rounds, qber=qber, secure=qber <= 0.11,

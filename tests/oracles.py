@@ -43,6 +43,7 @@ table holds it or not.
 
 import itertools
 import math
+import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -713,20 +714,24 @@ def oracle_expected_qber(ctx) -> float:
 def oracle_run_qss(ctx, rounds, seed, public_fraction=0.0):
     """The protocol one round at a time, with a `RoundRecord` per round.
 
-    Same seed rule as `run_qss`: round r draws from child r of ``seed``, the
-    public subset from child ``rounds``.
+    Same stream as `run_qss`, stepped one call at a time: round r is the
+    r-th ``getrandbits(64)`` of ``random.Random(seed)``, its top 4 bits the
+    bases (party 1 first, y = 1) and its low 53 bits the uniform.  Then each
+    sifted bit takes the next word as its key, and the public subset is the
+    bits of the smallest keys, the earlier bit first on a tie.
     """
     cdfs = {}
     for bases in itertools.product("xy", repeat=4):
         cdf = qubit_distribution(ctx, xy_labels(bases)).conditional().cumsum()
         cdfs[bases] = cdf / cdf[-1]
-    master = np.random.SeedSequence(seed)
+    rng = random.Random(seed)
     transcript = []
     errors = []
     for r in range(rounds):
-        rng = np.random.default_rng(master.spawn(1)[0])
-        bases = tuple("xy"[bit] for bit in rng.integers(0, 2, size=4))
-        index = int(cdfs[bases].searchsorted(rng.random(), side="right"))
+        word = rng.getrandbits(64)
+        bases = tuple("xy"[(word >> (63 - i)) & 1] for i in range(4))
+        uniform = (word % 2 ** 53) / 2 ** 53
+        index = int(cdfs[bases].searchsorted(uniform, side="right"))
         outcomes = tuple((index >> (3 - i)) & 1 for i in range(4))
         case = classify_bases(bases)
         kept = case != "b"
@@ -739,11 +744,11 @@ def oracle_run_qss(ctx, rounds, seed, public_fraction=0.0):
     sifted = len(errors)
     if sifted == 0:
         raise SolverError("no rounds survived sifting")
-    errors = np.asarray(errors)
     if public_fraction > 0.0:
-        rng = np.random.default_rng(master.spawn(1)[0])
+        keys = [rng.getrandbits(64) for _ in range(sifted)]
         n_pub = max(1, int(round(public_fraction * sifted)))
-        errors = errors[rng.choice(sifted, size=n_pub, replace=False)]
+        errors = [errors[i] for i in sorted(range(sifted), key=keys.__getitem__)[:n_pub]]
+    errors = np.asarray(errors)
     qber = float(errors.mean())
     report = QssReport(raw_length=rounds, sifted_length=sifted, sift_rate=sifted / rounds,
                        qber=qber, secure=qber <= 0.11,

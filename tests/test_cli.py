@@ -634,7 +634,8 @@ for command in COMMANDS:
 
 
 def test_exact_commands_leave_numpy_random_unloaded(tmp_path):
-    """Exact bell, witness and qss never import ``numpy.random``; a public QSS subset does."""
+    """Exact bell, witness and qss, with or without a public QSS subset, never
+    import ``numpy.random``; a sampled witness does, so the probe can see it."""
     script = """
 import json, sys
 from pathlib import Path
@@ -649,6 +650,10 @@ cfg = json.loads(Path(config).read_text())
 cfg["qss"]["public_fraction"] = 0.5
 Path(config).write_text(json.dumps(cfg))
 assert main(["qss", "--config", config, "--out", out + "/public"]) == 0
+assert "numpy.random" not in sys.modules
+cfg["exact_probabilities"] = False
+Path(config).write_text(json.dumps(cfg))
+assert main(["witness", "--config", config, "--out", out + "/sampled"]) == 0
 assert "numpy.random" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],

@@ -1,11 +1,14 @@
+import bisect
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ghzlab import qss
 from ghzlab.config import default_config, parse_config
@@ -165,26 +168,27 @@ class TestRunQss:
         report, _ = run_qss(ideal_ctx, rounds=500, seed=3, public_fraction=0.2)
         assert report.qber == 0.0
 
-    def test_round_r_draws_from_child_r(self, ideal_ctx):
+    def test_round_r_draws_word_r(self, ideal_ctx):
         # photon A fully distinguishable, so the sifted key carries errors
         spec = replace(ideal_ctx.spec, distinguishability_scale=(0.0, 1.0, 1.0, 1.0))
         ctx = replace(ideal_ctx, spec=spec)
         rounds, seed = 40, 11
         report, transcript = run_qss(ctx, rounds=rounds, seed=seed, public_fraction=0.5)
-        children = np.random.SeedSequence(seed).spawn(rounds + 1)
+        stream = random.Random(seed)
         errors = []
-        for r, rec in enumerate(transcript):
-            rng = np.random.default_rng(children[r])
-            bases = tuple("xy"[b] for b in rng.integers(0, 2, size=4))
+        for rec in transcript:
+            word = stream.getrandbits(64)
+            bases = tuple("xy"[bit] for bit in bits(word >> 60))
             p = qubit_distribution(ctx, xy_labels(bases)).conditional()
-            index = int(rng.choice(16, p=p))
+            cdf = list(itertools.accumulate(p))
+            index = bisect.bisect_right([c / cdf[-1] for c in cdf], (word % 2 ** 53) / 2 ** 53)
             assert (rec.basis, rec.outcome) == (basis_index(bases), index)
             if rec.case != "b":
                 errors.append(infer_dealer_bit(bases, bits(index)[1:]) != bits(index)[0])
         assert 0 < sum(errors) < len(errors)
-        rng = np.random.default_rng(children[rounds])
-        public = rng.choice(len(errors), size=max(1, round(0.5 * len(errors))),
-                            replace=False)
+        keys = [stream.getrandbits(64) for _ in errors]
+        public = sorted(range(len(errors)), key=lambda i: (keys[i], i))
+        public = public[:max(1, round(0.5 * len(errors)))]
         assert report.qber == float(np.asarray(errors, dtype=float)[public].mean())
 
     def test_csv_export(self, ideal_ctx, tmp_path):
@@ -208,47 +212,64 @@ class TestSeedContract:
         with pytest.raises(ValueError, match="seed"):
             run_qss(ideal_ctx, rounds=10, seed=-1)
 
-    def test_rounds_beyond_one_spawn_key_word_rejected(self, ideal_ctx):
-        with pytest.raises(ValueError, match="rounds"):
-            run_qss(ideal_ctx, rounds=2 ** 32, seed=1)
-
 
 _DRAW_SEEDS = (0, 1, 20220901, 2 ** 32 - 1, 2 ** 32, 2 ** 128, 2 ** 200 + 3)
 
 
 class TestChildDraws:
-    """Each round's draws against its spawned child's PCG64 and Generator."""
+    """Round r's word against the r-th ``getrandbits(64)`` of ``random.Random(seed)``."""
 
     @pytest.mark.parametrize("seed", _DRAW_SEEDS)
     @pytest.mark.parametrize("start", ["first", "chunk-boundary"])
-    def test_matches_spawned_child(self, seed, start):
+    def test_matches_spawned_child(self, ideal_ctx, seed, start):
         first = 0 if start == "first" else qss.DRAW_CHUNK_ROUNDS - 3
         n = 6
-        children = np.random.SeedSequence(seed).spawn(first + n)[first:]
-        draws = qss._child_draws(seed, first, n)
-        assert draws.dtype == np.uint64 and draws.shape == (n, 3)
-        basis, uniform = qss._round_draws(draws)
-        for i, child in enumerate(children):
-            assert draws[i].tolist() == np.random.PCG64(child).random_raw(3).tolist()
-            rng = np.random.default_rng(child)
-            assert basis[i] == basis_index("xy"[v] for v in rng.integers(0, 2, size=4))
-            assert uniform[i] == rng.random()
+        stream = random.Random(seed)
+        for _ in range(first):
+            stream.getrandbits(64)
+        expected = [stream.getrandbits(64) for _ in range(n)]
+        rng = random.Random(seed)
+        words = np.concatenate([qss._words(rng, qss.DRAW_CHUNK_ROUNDS),
+                                qss._words(rng, qss.DRAW_CHUNK_ROUNDS)])
+        assert words.dtype == np.uint64
+        assert words[first:first + n].tolist() == expected
+        _, transcript = run_qss(ideal_ctx, rounds=first + n, seed=seed)
+        assert transcript.basis[first:].tolist() == [word >> 60 for word in expected]
 
 
 def test_draw_memory_is_bounded(ideal_ctx):
     run_qss(ideal_ctx, rounds=10, seed=1)  # per-process tables are built on first use
-    tracemalloc.start()
-    try:
-        run_qss(ideal_ctx, rounds=100_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
+    for rounds, public_fraction, bound in ((100_000, 0.0, 4 * 2 ** 20),
+                                           (10 ** 6, 1.0, 20 * 2 ** 20)):
+        tracemalloc.start()
+        try:
+            run_qss(ideal_ctx, rounds=rounds, seed=1, public_fraction=public_fraction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (rounds, public_fraction, peak)
 
 
 def _photon_a_distinguishable():
     ctx = SimContext.ideal()
     return replace(ctx, spec=replace(ctx.spec, distinguishability_scale=(0.0, 1.0, 1.0, 1.0)))
+
+
+# A correct stream fails one of these chi-squared tests with probability 1e-6.
+_CHI2_P_MIN = 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_draws_follow_the_protocol_distribution(seed):
+    ctx = _photon_a_distinguishable()
+    _, transcript = run_qss(ctx, rounds=100_000, seed=seed)
+    keys = 16 * transcript.basis.astype(np.intp) + transcript.outcome
+    counts = np.bincount(keys, minlength=256).reshape(16, 16)
+    per_basis = counts.sum(axis=1)
+    assert stats.chisquare(per_basis).pvalue > _CHI2_P_MIN
+    for b, p in enumerate(qss._conditionals(ctx)):
+        expected = per_basis[b] * p / p.sum()
+        assert stats.chisquare(counts[b], expected).pvalue > _CHI2_P_MIN, b
 
 
 @pytest.mark.parametrize("make_ctx, rounds, seed, public_fraction, chunk, draw_chunk", [
@@ -258,8 +279,9 @@ def _photon_a_distinguishable():
     (SimContext.ideal, 1, 2, 0.0, None, None),
     (SimContext.ideal, 1000, 1, 0.0, 96, None),
     (_photon_a_distinguishable, 700, 9, 0.4, None, 64),
+    (_photon_a_distinguishable, 300, 2 ** 200 + 3, 0.5, None, None),
 ], ids=["default-config", "photon-a-distinguishable", "ideal", "nothing-sifted",
-        "several-csv-chunks", "several-draw-chunks"])
+        "several-csv-chunks", "several-draw-chunks", "seed-beyond-64-bits"])
 def test_matches_round_by_round_oracle(monkeypatch, tmp_path, make_ctx, rounds, seed,
                                        public_fraction, chunk, draw_chunk):
     if chunk is not None:
