@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .qmath import (PauliLabel, SQRT2, _projected_eigensystem, check_density_matrix,
-                    project_to_physical)
+from .qmath import (OUTCOME_BITS, PauliLabel, SQRT2, _projected_eigensystem,
+                    check_density_matrix)
 
 TOMOGRAPHY_BASES = (PauliLabel.X, PauliLabel.Y, PauliLabel.Z)
 
@@ -90,9 +90,8 @@ def correlators(table: CountTable) -> np.ndarray:
     already in its counts.  A row without counts raises ValueError.
     """
     p = table.probabilities()
-    bits = (np.arange(16) >> np.arange(3, -1, -1)[:, None]) & 1
     measured = np.array([[lab is not PauliLabel.I for lab in s] for s in table.settings])
-    parity = np.where(measured[:, :, None], 1.0 - 2.0 * bits, 1.0).prod(axis=1)
+    parity = np.where(measured[:, :, None], 1.0 - 2.0 * OUTCOME_BITS.T, 1.0).prod(axis=1)
     # One dot product per row, summed in the order of a lone `p[s] @ parity[s]`.
     return (p[:, None, :] @ parity[:, :, None])[:, 0, 0]
 
@@ -419,25 +418,27 @@ class MleResult:
     iterations: int
     converged: bool
     certificate: float
-    # Of the iterations, those taken by the face finish, and the
-    # Hessian-vector products of their CG solves.
-    newton_steps: int
+    # Hessian-vector products of the iterations' CG solves.
     cg_products: int
-    # A (16 x r), rho = A A^dag up to round-off: the last Newton step's A,
-    # else the last projection's nonzero eigenpairs, else the start's.
-    factor: np.ndarray
+
+    @property
+    def factor(self) -> np.ndarray:
+        """A (16 x r), the eigenpairs of rho above `MLE_START_FLOOR`: A A^dag
+        is rho less the eigenvalues at or below the floor.  One
+        eigendecomposition per read."""
+        w, v = np.linalg.eigh(self.rho)
+        kept = w > MLE_START_FLOOR
+        return v[:, kept] * np.sqrt(w[kept])
 
 
 # Stop when the KKT certificate of the fit is at most this.  Round-off can
 # hold a fit's certificate near 1e-7, so a tighter value may run to the cap.
 MLE_CERTIFICATE_TOL = 1e-6
-# Eigenvalue floor of the central fit's start point, so that every outcome
-# has a positive probability there.
+# Eigenvalue floor of a fit's start from a matrix, so that every outcome
+# has a positive probability there, and of `MleResult.factor`.
 MLE_START_FLOOR = 1e-8
-# Accepted FISTA steps at one projection rank before the face finish starts.
-MLE_FACE_STEPS = 3
 # Hessian-vector products of one CG solve at most, and the shortest step of
-# the finish's line search.
+# the line search.
 _CG_MAX_PRODUCTS = 50
 _NEWTON_MIN_STEP = 1e-4
 
@@ -457,11 +458,6 @@ def _likelihood_terms(counts: np.ndarray, p: np.ndarray):
     ratio = np.zeros_like(p)
     ratio[observed] = n_obs / p_obs
     return float(n_obs @ np.log(p_obs)), ratio
-
-
-def _lambda_excess(r: np.ndarray) -> float:
-    """lambda_max(r) - 1, the certificate's second term."""
-    return float(np.linalg.eigvalsh(r)[-1]) - 1.0
 
 
 def _face_jacobian(a: np.ndarray, r: np.ndarray, w2: np.ndarray,
@@ -512,67 +508,58 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
     """Maximum-likelihood density matrix from the 81-setting design's counts.
 
     Maximizes the log-likelihood sum_k n_k ln Tr(Pi_k rho) over density
-    matrices by an accelerated projected gradient on rho (FISTA with
-    adaptive restart, as in Shang, Zhang and Ng, PRA 95, 062336, 2017),
-    finished by Newton-CG steps on the face of the density matrices that
-    the projection settles on (Nocedal and Wright, Numerical Optimization,
-    ch. 7).  The gradient is N R(rho), with
+    matrices written rho = A A^dag / |A|_F^2, A a 16 x r factor (Burer and
+    Monteiro, Math. Program. 95, 329, 2003), by Newton-CG steps on A
+    (Nocedal and Wright, Numerical Optimization, ch. 7).  The gradient is
+    N R(rho), with
 
         R(rho) = sum_k (n_k / (N p_k)) Pi_k,   p_k = Tr(Pi_k rho),
 
     from `_frame_adjoint` (the p_k) and `_frame_sum` (the operator sum),
     on the counts regrouped once by `_by_pairs`; outcomes with n_k = 0 add
-    nothing.  Each FISTA step projects y + R(y) / L onto the density
-    matrices (`_projected_eigensystem`), from the momentum point
-    y = x + beta (x - x_prev), whose p_k follow from those of x and x_prev
-    by linearity, and backtracks by doubling L until the step passes the
-    sufficient-decrease test, however far (up to overflow); L shrinks by
-    0.9 after each accepted step.  The momentum restarts when the
-    likelihood falls.
-
-    The projection sets the eigenvalues it clamps exactly to zero, so each
-    accepted step has a rank r.  Once r has stayed the same for
-    `MLE_FACE_STEPS` accepted steps, the fit takes Newton steps on
-    rho = A A^dag, A = V_r diag(sqrt(w_r)) (16 x r) from the last iterate's
-    eigenpairs: truncated CG (`_newton_direction`) solves for a root of
-    F(A) = R(AA^dag) A - A, which is zero exactly at the stationary points
-    of the likelihood on the face, and the step is retracted as
-    A <- (A + tD) / |A + tD|_F, t halved from 1 down to 1e-4 until the
-    likelihood does not fall.  When no t keeps it from falling, or when the
-    certificate's first term is met but not its second (the maximum lies
-    off this face), the fit returns to FISTA with the momentum reset, and
-    switches again only after the rank has changed.
-
-    A density matrix is the maximum exactly when R(rho) rho = rho and
-    R(rho) <= I, so the fit stops once the certificate
+    nothing.  A step solves for a root of F(A) = R(AA^dag) A - A, which is
+    zero exactly at the stationary points of the likelihood on the face of
+    rank-r matrices, by truncated CG (`_newton_direction`), and retracts it
+    as A <- (A + tD) / |A + tD|_F, t halved from 1 down to 1e-4 until the
+    likelihood does not fall; when no t keeps it from falling, the same
+    search runs along F, the ascent direction.  A density matrix is the
+    maximum exactly when R(rho) rho = rho and R(rho) <= I, so the fit stops
+    once the certificate
 
         max(|R(rho) rho - rho|_F, lambda_max(R(rho)) - 1)
 
-    is at most `MLE_CERTIFICATE_TOL`; ``converged`` says it was met within
-    ``max_iterations`` steps, FISTA and Newton steps together, and
-    ``iterations`` counts both (``newton_steps`` the latter, and
-    ``cg_products`` their Hessian-vector products).  While the first term
-    exceeds the tolerance it decides the stop alone, so lambda_max is
-    computed only once it does not, and for the certificate returned.  The
-    fit starts at ``start`` (a density matrix at which every observed
-    outcome has a positive probability), by default the linear inversion
-    projected onto the density matrices with no eigenvalue below
-    `MLE_START_FLOOR`; or, given a ``factor`` A (16 x r) in its place, at
-    AA^dag / |A|_F^2 with Newton steps on that face at once.
+    is at most `MLE_CERTIFICATE_TOL`.  When its first term is met but not
+    its second, the maximum lies off the face, and the step appends R's top
+    eigenvector u as a column instead, A <- [A, t u], t halved from 1 as
+    above: a Frank-Wolfe step toward u u^dag that raises the rank by one.
+    Where no such t keeps the likelihood, the maximum is on the face after
+    all, below the resolution of the likelihood, and the step is a Newton
+    step.  A fit whose step finds no t ends there, uncertified; it never
+    takes a step of length zero.
+
+    ``converged`` says the certificate was met within ``max_iterations``
+    steps, ``iterations`` counts the steps taken and ``cg_products`` the
+    Hessian-vector products of their CG solves.  While the certificate's
+    first term exceeds the tolerance it decides the stop alone, so
+    lambda_max is computed only once it does not, and for the certificate
+    returned.  The fit starts on ``factor`` (any 16 x r matrix at which
+    every observed outcome has a positive probability) when one is given;
+    otherwise on the eigenpairs of ``start`` (a Hermitian matrix, by
+    default the linear inversion) projected onto the density matrices with
+    no eigenvalue below `MLE_START_FLOOR`, a full-rank face.
     """
     _check_design(ts)
     counts = _by_pairs(ts.counts)
     n_total = float(counts.sum())
     if n_total <= 0.0:
         raise ValueError("tomography set has no counts")
-    if factor is not None:
-        factor = np.asarray(factor, dtype=complex) / np.linalg.norm(factor)
-        start = factor @ factor.conj().T
-    elif start is None:
-        start = project_to_physical(linear_inversion(ts),
-                                    min_eigenvalue=MLE_START_FLOOR)
+    if factor is None:
+        w, v = _projected_eigensystem(linear_inversion(ts) if start is None else start,
+                                      MLE_START_FLOOR)
+        factor = v * np.sqrt(w)
+    a = np.asarray(factor, dtype=complex) / np.linalg.norm(factor)
     observed = counts > 0.0
-    x = np.asarray(start, dtype=complex)
+    x = a @ a.conj().T
     p_x = _frame_adjoint(x)
     ll_x, ratio_x = _likelihood_terms(counts, p_x)
     if ratio_x is None:
@@ -581,22 +568,21 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
 
     def certificate(rho, r):
         """(The certificate, or its first term alone while that exceeds the
-        tolerance; whether the first term is within the tolerance)."""
+        tolerance; R's top eigenvector as a column once the first term is
+        within it, else None)."""
         stationarity = float(np.linalg.norm(r @ rho - rho))
         if stationarity > MLE_CERTIFICATE_TOL:
-            return stationarity, False
-        return max(stationarity, _lambda_excess(r)), True
+            return stationarity, None
+        w, v = np.linalg.eigh(r)
+        return max(stationarity, float(w[-1]) - 1.0), v[:, -1:]
 
-    def newton_step(a):
-        """The likelihood terms after one Newton-CG step on the face from A,
-        or None when no step length keeps the likelihood from falling."""
-        nonlocal cg_products
-        w2 = np.divide(ratio_x, n_total * p_x, out=np.zeros_like(p_x), where=observed)
-        d, products = _newton_direction(a, r_x, w2, r_x @ a - a)
-        cg_products += products
+    def search(trial_at):
+        """The first factor trial_at(t), t halved from 1 down to
+        `_NEWTON_MIN_STEP`, whose likelihood is not below the iterate's, with
+        its terms; None when there is none."""
         t = 1.0
         while t >= _NEWTON_MIN_STEP:
-            trial = a + t * d
+            trial = trial_at(t)
             trial /= np.linalg.norm(trial)
             rho = trial @ trial.conj().T
             p = _frame_adjoint(rho)
@@ -606,70 +592,27 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
             t /= 2.0
         return None
 
-    cert, _ = certificate(x, r_x)
-    x_prev, p_prev, momentum, lipschitz = x, p_x, 1.0, 1.0
-    # newton: the next step is a Newton step on the face of factor (A with
-    # x = AA^dag); steady: accepted FISTA steps since the rank last changed.
-    newton = factor is not None
-    rank, steady = (factor.shape[1], MLE_FACE_STEPS) if newton else (0, 0)
-    iteration = newton_steps = cg_products = 0
+    cert, top = certificate(x, r_x)
+    iteration = cg_products = 0
     while cert > MLE_CERTIFICATE_TOL and iteration < max_iterations:
-        iteration += 1
-        if newton:
-            step = newton_step(factor)
-            if step is not None:
-                newton_steps += 1
-                factor, x, p_x, ll_x, ratio_x = step
-                r_x = _frame_sum(ratio_x / n_total, _PAIR_FRAME)
-                cert, stationary = certificate(x, r_x)
-                if not stationary or cert <= MLE_CERTIFICATE_TOL:
-                    continue
-            # No step length kept the likelihood, or the maximum lies off
-            # this face: back to FISTA, in this iteration if no step was taken.
-            newton, x_prev, p_prev, momentum = False, x, p_x, 1.0
-            if step is not None:
-                continue
-        next_momentum = (1.0 + math.sqrt(1.0 + 4.0 * momentum * momentum)) / 2.0
-        y, ll_y, r_y = x, ll_x, r_x
-        if momentum > 1.0:
-            beta = (momentum - 1.0) / next_momentum
-            ll_try, ratio = _likelihood_terms(counts, p_x + beta * (p_x - p_prev))
-            if ratio is not None:
-                y, ll_y = x + beta * (x - x_prev), ll_try
-                r_y = _frame_sum(ratio / n_total, _PAIR_FRAME)
-        # L doubles until the step passes; once it overflows, no step from y
-        # can pass, and the fit stops uncertified.
-        while math.isfinite(lipschitz):
-            w, v = _projected_eigensystem(y + r_y / lipschitz)
-            z = (v * w) @ v.conj().T
-            p_z = _frame_adjoint(z)
-            ll_z, ratio = _likelihood_terms(counts, p_z)
-            d = z - y
-            if ratio is not None and ll_z >= ll_y + n_total * (
-                    np.vdot(r_y, d).real - 0.5 * lipschitz * np.vdot(d, d).real):
-                break
-            lipschitz *= 2.0
-        else:
+        step = None if top is None else search(lambda t: np.hstack([a, t * top]))
+        if step is None:
+            w2 = np.divide(ratio_x, n_total * p_x, out=np.zeros_like(p_x), where=observed)
+            f = r_x @ a - a
+            d, products = _newton_direction(a, r_x, w2, f)
+            cg_products += products
+            step = search(lambda t: a + t * d) or search(lambda t: a + t * f)
+        if step is None:
             break
-        momentum = 1.0 if ll_z < ll_x else next_momentum
-        x_prev, p_prev, x, p_x, ll_x, ratio_x = x, p_x, z, p_z, ll_z, ratio
+        iteration += 1
+        a, x, p_x, ll_x, ratio_x = step
         r_x = _frame_sum(ratio_x / n_total, _PAIR_FRAME)
-        cert, _ = certificate(x, r_x)
-        lipschitz *= 0.9
-        z_rank = int(np.count_nonzero(w))
-        steady = steady + 1 if z_rank == rank else 1
-        rank = z_rank
-        factor = v[:, -rank:] * np.sqrt(w[-rank:])
-        newton = steady == MLE_FACE_STEPS
-    if cert > MLE_CERTIFICATE_TOL:
-        cert = max(cert, _lambda_excess(r_x))
-    if factor is None:
-        w, v = np.linalg.eigh(x)
-        factor = v[:, w > 0.0] * np.sqrt(w[w > 0.0])
+        cert, top = certificate(x, r_x)
+    if top is None:
+        cert = max(cert, float(np.linalg.eigvalsh(r_x)[-1]) - 1.0)
     return MleResult(rho=check_density_matrix(x), log_likelihood=ll_x,
                      iterations=iteration, converged=cert <= MLE_CERTIFICATE_TOL,
-                     certificate=cert, newton_steps=newton_steps,
-                     cg_products=cg_products, factor=factor)
+                     certificate=cert, cg_products=cg_products)
 
 
 def monte_carlo_error(ts: CountTable, statistic, n_resamples: int, seed):

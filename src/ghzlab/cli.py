@@ -183,7 +183,7 @@ def cmd_qss(cfg: ExperimentConfig, outdir: Path) -> list:
         "sift_rate": report.sift_rate,
         "qber": report.qber,
         "secure": report.secure,
-        "qber_threshold": 0.11,
+        "qber_threshold": qss.QBER_THRESHOLD,
         "expected_qber": report.expected_qber,
     })
     return [csv_path, json_path]

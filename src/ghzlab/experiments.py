@@ -79,13 +79,14 @@ def tomography_report(ts: CountTable, n_resamples: int = 50,
     """MLE reconstruction plus fidelity/purity and their Monte-Carlo errors.
 
     Each resample's fit starts on the central fit's face, at its
-    ``factor``: a Poisson draw of a zero count is zero, so the central fit
-    gives every outcome a resample observes a positive probability.
-    ``mle_resamples_converged`` counts the resample fits that met the
-    certificate.
+    ``factor``, read once: a Poisson draw of a zero count is zero, so the
+    central fit gives every outcome a resample observes a positive
+    probability.  ``mle_resamples_converged`` counts the resample fits that
+    met the certificate.
     """
     target = ghz4()
     mle = mle_reconstruct(ts)
+    factor = mle.factor
     fid = fidelity_to_pure(mle.rho, target)
     pur = purity(mle.rho)
     theta_star, fid_star = max_fidelity_over_phase(mle.rho)
@@ -93,7 +94,7 @@ def tomography_report(ts: CountTable, n_resamples: int = 50,
 
     def fid_pur_stat(resampled):
         nonlocal resamples_converged
-        fit = mle_reconstruct(resampled, factor=mle.factor)
+        fit = mle_reconstruct(resampled, factor=factor)
         resamples_converged += fit.converged
         return fidelity_to_pure(fit.rho, target), purity(fit.rho)
 

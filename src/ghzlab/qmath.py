@@ -22,6 +22,11 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
+# Row o, column i: qubit i's bit of basis index (or outcome) o under the
+# ordering above, (o >> (3 - i)) & 1 for four qubits.  Read-only.
+OUTCOME_BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+OUTCOME_BITS.flags.writeable = False
+
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -196,24 +201,24 @@ def project_to_physical(h: np.ndarray, min_eigenvalue: float = 0.0) -> np.ndarra
     the nearest density matrix with no eigenvalue below it.  Any finite
     input with |h - h^dag|_F <= 1e-8 has a projection.
     """
+    w, v = _projected_eigensystem(h, min_eigenvalue)
+    return (v * w) @ v.conj().T
+
+
+def _projected_eigensystem(h: np.ndarray, min_eigenvalue: float = 0.0):
+    """(w, v): the eigenvectors v of ``h``'s Hermitian part (columns,
+    ascending eigenvalues) and its eigenvalues projected onto the simplex,
+    so that `project_to_physical` is (v * w) @ v^dag.  The eigenvalues the
+    projection clamps are exactly ``min_eigenvalue`` (zero by default).
+    Raises ValueError as `project_to_physical` does.
+    """
     a = check_square(h)
     if not np.all(np.isfinite(a)) or np.linalg.norm(a - a.conj().T) > 1e-8:
         raise ValueError("input is not a finite Hermitian matrix")
     n = a.shape[0]
     if not 0.0 <= min_eigenvalue * n < 1.0:
         raise ValueError(f"eigenvalue floor {min_eigenvalue} leaves no trace to share")
-    w, v = _projected_eigensystem((a + a.conj().T) / 2.0, min_eigenvalue)
-    return (v * w) @ v.conj().T
-
-
-def _projected_eigensystem(h: np.ndarray, min_eigenvalue: float = 0.0):
-    """(w, v): the eigenvectors v of ``h`` (columns, ascending eigenvalues)
-    and its eigenvalues projected onto the simplex, so that
-    `project_to_physical` is (v * w) @ v^dag.  The eigenvalues the
-    projection clamps are exactly ``min_eigenvalue`` (zero by default).
-    """
-    n = h.shape[0]
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     # gap: distances below the largest eigenvalue.  The k + 1 largest stay
     # positive, k the largest index with (k + 1) * gap[k] < sums[k], largest
     # first; k = 0 always qualifies, however large the eigenvalues are.

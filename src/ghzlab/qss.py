@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import SolverError
 from .experiments import measurement_records
-from .qmath import PauliLabel, ghz4, pauli_operator
+from .qmath import OUTCOME_BITS, PauliLabel, ghz4, pauli_operator
 from .simulator import SimContext
 
 BASIS_TOKENS = ("x", "y")
@@ -37,8 +37,10 @@ BASIS_TOKENS = ("x", "y")
 # same-basis pair is anti-correlated.
 _CORRELATED_PAIRS = ({0, 2}, {1, 3})
 
-_BITS = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
-_BASES = tuple("".join(BASIS_TOKENS[bit] for bit in bits) for bits in _BITS)
+_BASES = tuple("".join(BASIS_TOKENS[bit] for bit in bits) for bits in OUTCOME_BITS)
+
+# A run whose sifted error rate is at most this is reported secure.
+QBER_THRESHOLD = 0.11
 
 # Rounds per write of ``transcript.csv``; memory holds one chunk of text.
 CSV_CHUNK_ROUNDS = 1 << 14
@@ -75,13 +77,14 @@ _SIGN = np.array([np.vdot(ghz4(), pauli_operator(labels) @ ghz4()).real
                   for labels in _LABELS]).round().astype(np.int8)
 _CASE = np.array([classify_bases(bases) for bases in _BASES])
 # The dealer's bit is the parity of parties 2-4, flipped on a -1 eigenvalue.
-_INFERRED = np.where(_SIGN[:, None] == 0, -1,
-                     (_BITS[:, 1:].sum(axis=1) + (_SIGN[:, None] < 0)) % 2).astype(np.int8)
-_ERROR = (_INFERRED >= 0) & (_INFERRED != _BITS[:, 0])
+_INFERRED = np.where(
+    _SIGN[:, None] == 0, -1,
+    (OUTCOME_BITS[:, 1:].sum(axis=1) + (_SIGN[:, None] < 0)) % 2).astype(np.int8)
+_ERROR = (_INFERRED >= 0) & (_INFERRED != OUTCOME_BITS[:, 0])
 # Row text after the round number, indexed by 16 * b + o.
 _CSV_SUFFIX = tuple(
-    f"{_BASES[b]},{''.join(map(str, _BITS[o]))},{_CASE[b]},{int(_SIGN[b] != 0)},"
-    f"{'' if _INFERRED[b, o] < 0 else _INFERRED[b, o]},{_BITS[o, 0]}\n"
+    f"{_BASES[b]},{''.join(map(str, OUTCOME_BITS[o]))},{_CASE[b]},{int(_SIGN[b] != 0)},"
+    f"{'' if _INFERRED[b, o] < 0 else _INFERRED[b, o]},{OUTCOME_BITS[o, 0]}\n"
     for b in range(16) for o in range(16))
 
 
@@ -176,7 +179,7 @@ def run_qss(ctx: SimContext, rounds: int, seed: int,
         errors = errors[np.argsort(_words(rng, sifted), kind="stable")[:n_pub]]
     qber = float(errors.mean())
     report = QssReport(raw_length=rounds, sifted_length=sifted,
-                       sift_rate=sifted / rounds, qber=qber, secure=qber <= 0.11,
+                       sift_rate=sifted / rounds, qber=qber, secure=qber <= QBER_THRESHOLD,
                        expected_qber=_error_rate(conditionals))
     return report, transcript
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chip import PreparationStage, full_unitary
-from .qmath import permanent
+from .qmath import OUTCOME_BITS, permanent
 from .source import LabelGroups, SourceSpec
 
 OUTCOME_LABELS = tuple(format(k, "04b") for k in range(16))
@@ -254,8 +254,8 @@ def _mask_tables() -> tuple[np.ndarray, np.ndarray]:
     modes = np.zeros((len(choices), 8), dtype=bool)
     modes[:, 0::2] = choices == 1
     modes[:, 1::2] = choices == 2
-    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
-    inside = ((choices[None] == 0) | (choices[None] == 1 + bits[:, None])).all(axis=2)
+    inside = ((choices[None] == 0)
+              | (choices[None] == 1 + OUTCOME_BITS[:, None])).all(axis=2)
     sign = (-1.0) ** (choices == 0).sum(axis=1)
     return modes, np.where(inside, sign, 0.0)
 

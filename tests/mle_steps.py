@@ -5,13 +5,12 @@ Usage: python tests/mle_steps.py TREE
 Imports the package from ``TREE/src`` and the benchmark's workloads from
 ``TREE/perfbench``, then runs the ``tomography`` command's pipeline on the two
 seed-1 ``tomo-sampled`` datasets and on the default config with
-``exact_probabilities: false``.  Prints one line ``dataset fit fista newton cg
+``exact_probabilities: false``.  Prints one line ``dataset fit steps cg
 converged certificate`` per fit, fit 0 being the central fit and 1..25 the
-Monte-Carlo resamples: its FISTA steps, its Newton steps and the
-Hessian-vector products of their CG solves.  A line ``dataset total fista
-newton cg`` closes each dataset, so the step counts of two trees can be
-compared with ``diff``.  pytest does not collect this file; the tests call
-`dataset_fits` for its step-count bounds.
+Monte-Carlo resamples: its steps and the Hessian-vector products of their
+CG solves.  A line ``dataset total steps cg`` closes each dataset, so the
+step counts of two trees can be compared with ``diff``.  pytest does not
+collect this file; the tests call `dataset_fits` for its step-count bounds.
 """
 
 import importlib.util
@@ -66,10 +65,10 @@ def main(tree: str) -> int:
     sys.path.insert(0, str(root / "src"))
     for name, fits in dataset_fits(root / "perfbench"):
         for i, res in enumerate(fits):
-            print(f"{name} {i} {res.iterations - res.newton_steps} {res.newton_steps} "
-                  f"{res.cg_products} {res.converged} {res.certificate:.3e}")
-        print(f"{name} total {sum(r.iterations - r.newton_steps for r in fits)} "
-              f"{sum(r.newton_steps for r in fits)} {sum(r.cg_products for r in fits)}")
+            print(f"{name} {i} {res.iterations} {res.cg_products} {res.converged} "
+                  f"{res.certificate:.3e}")
+        print(f"{name} total {sum(r.iterations for r in fits)} "
+              f"{sum(r.cg_products for r in fits)}")
     return 0
 
 
