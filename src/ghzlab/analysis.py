@@ -37,10 +37,10 @@ class CountTable:
     """Outcome counts of S measurement settings, one row per setting.
 
     ``settings`` is a tuple of S four-label tuples, and ``counts`` a
-    read-only float array of shape (S, 16) whose row s holds the counts (or
-    scaled exact probabilities) of the 16 outcomes of setting s; party i's
-    bit of outcome o is (o >> (3 - i)) & 1.  Counts are finite and
-    nonnegative.
+    read-only float array of shape (S, 16) whose row s holds the counts of
+    the 16 outcomes of setting s, or in an exact run their conditional
+    probabilities; party i's bit of outcome o is (o >> (3 - i)) & 1.
+    Counts are finite and nonnegative.
     """
 
     settings: tuple
@@ -534,8 +534,9 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
     above: a Frank-Wolfe step toward u u^dag that raises the rank by one.
     Where no such t keeps the likelihood, the maximum is on the face after
     all, below the resolution of the likelihood, and the step is a Newton
-    step.  A fit whose step finds no t ends there, uncertified; it never
-    takes a step of length zero.
+    step; so is every step of a factor with 16 columns, which spans the
+    whole space already.  A fit whose step finds no t ends there,
+    uncertified; it never takes a step of length zero.
 
     ``converged`` says the certificate was met within ``max_iterations``
     steps, ``iterations`` counts the steps taken and ``cg_products`` the
@@ -543,10 +544,11 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
     first term exceeds the tolerance it decides the stop alone, so
     lambda_max is computed only once it does not, and for the certificate
     returned.  The fit starts on ``factor`` (any 16 x r matrix at which
-    every observed outcome has a positive probability) when one is given;
-    otherwise on the eigenpairs of ``start`` (a Hermitian matrix, by
-    default the linear inversion) projected onto the density matrices with
-    no eigenvalue below `MLE_START_FLOOR`, a full-rank face.
+    every observed outcome has a positive probability; any other shape
+    and a zero or non-finite one raise ValueError) when one is given; otherwise on the
+    eigenpairs of ``start`` (a Hermitian matrix, by default the linear
+    inversion) projected onto the density matrices with no eigenvalue
+    below `MLE_START_FLOOR`, a full-rank face.
     """
     _check_design(ts)
     counts = _by_pairs(ts.counts)
@@ -557,7 +559,16 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
         w, v = _projected_eigensystem(linear_inversion(ts) if start is None else start,
                                       MLE_START_FLOOR)
         factor = v * np.sqrt(w)
-    a = np.asarray(factor, dtype=complex) / np.linalg.norm(factor)
+    a = np.asarray(factor, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != 16:
+        raise ValueError(f"factor must be 16 x r, got shape {a.shape}")
+    largest = max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0))
+    if not 0.0 < largest < math.inf:
+        raise ValueError("factor must be finite and nonzero")
+    if not 1e-150 <= largest <= 1e150:
+        # Rescaled first, so that its squared norm neither overflows nor underflows.
+        factor = a = a / largest
+    a = a / np.linalg.norm(factor)
     observed = counts > 0.0
     x = a @ a.conj().T
     p_x = _frame_adjoint(x)
@@ -595,7 +606,8 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
     cert, top = certificate(x, r_x)
     iteration = cg_products = 0
     while cert > MLE_CERTIFICATE_TOL and iteration < max_iterations:
-        step = None if top is None else search(lambda t: np.hstack([a, t * top]))
+        step = (None if top is None or a.shape[1] >= 16
+                else search(lambda t: np.hstack([a, t * top])))
         if step is None:
             w2 = np.divide(ratio_x, n_total * p_x, out=np.zeros_like(p_x), where=observed)
             f = r_x @ a - a

@@ -96,10 +96,10 @@ def _density_matrix_text(rho: np.ndarray) -> str:
 
 
 def cmd_tomography(cfg: ExperimentConfig, outdir: Path) -> list:
-    ts = experiments.run_tomography(cfg.context, shots=cfg.shots, seed=cfg.seed,
-                                    effective_counts=cfg.shots_per_setting)
+    ts = experiments.run_tomography(cfg.context, shots=cfg.shots, seed=cfg.seed)
     report, mle = experiments.tomography_report(
-        ts, n_resamples=cfg.tomography_resamples, seed=cfg.seed + 1)
+        ts, n_resamples=cfg.tomography_resamples, seed=cfg.seed + 1,
+        exact_shots=cfg.shots_per_setting if cfg.shots is None else None)
     counts_path = outdir / "tomography.json"
     _write_json(counts_path, ts.to_json_dict())
     rho_path = outdir / "rho.json"

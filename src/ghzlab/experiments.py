@@ -4,7 +4,8 @@ Every run takes one `SimContext` (source, chip stage, detectors), imported
 here from the simulator.  The source owns its master fractions and input
 enumeration, and the stage its unitary, so the settings of a run share one
 of each, and the points of a phase scan one enumeration.  Every run's
-counts are one `CountTable`, a row per setting.  All runs are deterministic
+counts are one `CountTable`, a row per setting; an exact run's rows are
+its conditional probabilities.  All runs are deterministic
 given a master seed: a sampled run gives its i-th setting the i-th child of
 that seed, and an exact run needs none.
 """
@@ -25,15 +26,15 @@ from .simulator import DetectorModel, SimContext, qubit_distribution, sample_cou
 from .source import MEASURED_PAIRS
 
 
-def _count_table(ctx: SimContext, label_tuples: list, shots: int | None, seeds,
-                 effective_counts: float) -> CountTable:
-    """Row i: setting i's exact conditional probabilities scaled by
-    ``effective_counts``, or with ``shots`` set a multinomial sample of that
-    many post-selected events drawn from ``seeds[i]``."""
+def _count_table(ctx: SimContext, label_tuples: list, shots: int | None,
+                 seeds) -> CountTable:
+    """Row i: setting i's exact conditional probabilities, or with ``shots``
+    set a multinomial sample of that many post-selected events drawn from
+    ``seeds[i]``."""
     rows = []
     for labels, seed in zip(label_tuples, seeds):
         dist = qubit_distribution(ctx, labels)
-        rows.append(dist.conditional() * effective_counts if shots is None
+        rows.append(dist.conditional() if shots is None
                     else sample_counts(dist, shots, seed))
     return CountTable(label_tuples, rows)
 
@@ -43,21 +44,21 @@ def _child_seeds(shots: int | None, seed, n: int) -> list:
     return [None] * n if shots is None else np.random.SeedSequence(seed).spawn(n)
 
 
-def measurement_records(ctx: SimContext, label_tuples, shots: int | None, seed,
-                        effective_counts: float = 1.0) -> CountTable:
+def measurement_records(ctx: SimContext, label_tuples, shots: int | None,
+                        seed) -> CountTable:
     """The count table of ``label_tuples``, setting i sampled from child i of ``seed``."""
     label_tuples = list(label_tuples)
     return _count_table(ctx, label_tuples, shots,
-                        _child_seeds(shots, seed, len(label_tuples)), effective_counts)
+                        _child_seeds(shots, seed, len(label_tuples)))
 
 
-def run_tomography(ctx: SimContext, shots: int | None = None, seed=None,
-                   effective_counts: float = 1e6) -> CountTable:
+def run_tomography(ctx: SimContext, shots: int | None = None, seed=None) -> CountTable:
     """Counts of the 81 tomography settings, rows in design order.
 
-    Exact, or sampled with per-setting child seeds.
+    Exact, each row a setting's conditional probabilities, or sampled with
+    per-setting child seeds.
     """
-    return measurement_records(ctx, tomography_settings(), shots, seed, effective_counts)
+    return measurement_records(ctx, tomography_settings(), shots, seed)
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,17 @@ class TomographyReport:
     mle_resamples_converged: int
 
 
-def tomography_report(ts: CountTable, n_resamples: int = 50,
-                      seed=12345) -> tuple[TomographyReport, MleResult]:
+def tomography_report(ts: CountTable, n_resamples: int = 50, seed=12345,
+                      exact_shots: float | None = None
+                      ) -> tuple[TomographyReport, MleResult]:
     """MLE reconstruction plus fidelity/purity and their Monte-Carlo errors.
 
-    Each resample's fit starts on the central fit's face, at its
-    ``factor``, read once: a Poisson draw of a zero count is zero, so the
-    central fit gives every outcome a resample observes a positive
+    The resamples are Poisson draws around ``ts`` itself, or, with
+    ``exact_shots`` set for a table of exact probabilities, around
+    ``ts.counts * exact_shots``: the events per setting that each resample
+    stands for.  Each resample's fit starts on the central fit's face, at
+    its ``factor``, read once: a Poisson draw of a zero count is zero, so
+    the central fit gives every outcome a resample observes a positive
     probability.  ``mle_resamples_converged`` counts the resample fits that
     met the certificate.
     """
@@ -99,7 +104,9 @@ def tomography_report(ts: CountTable, n_resamples: int = 50,
         return fidelity_to_pure(fit.rho, target), purity(fit.rho)
 
     if n_resamples >= 2:
-        fid_err, pur_err = monte_carlo_error(ts, fid_pur_stat, n_resamples, seed)
+        around = (ts if exact_shots is None
+                  else CountTable(ts.settings, ts.counts * exact_shots))
+        fid_err, pur_err = monte_carlo_error(around, fid_pur_stat, n_resamples, seed)
     else:
         fid_err = pur_err = 0.0
     report = TomographyReport(fidelity=fid, purity=pur, theta_star=theta_star,
@@ -119,7 +126,7 @@ def run_witness(ctx: SimContext, shots: int | None = None, seed=None) -> Witness
 
 def run_phase_witness(ctx: SimContext, shots: int | None = None, seed=None) -> float:
     """Phase witness of one setting, sampled from ``seed`` itself."""
-    return phase_witness(_count_table(ctx, [PHASE_WITNESS_SETTINGS], shots, [seed], 1.0))
+    return phase_witness(_count_table(ctx, [PHASE_WITNESS_SETTINGS], shots, [seed]))
 
 
 def run_bell(ctx: SimContext, shots: int | None = None, seed=None) -> BellResult:

@@ -1,14 +1,14 @@
-"""List every MLE fit of three sampled tomographies: steps, convergence, certificate.
+"""List every MLE fit of four tomographies: steps, convergence, certificate.
 
 Usage: python tests/mle_steps.py TREE
 
 Imports the package from ``TREE/src`` and the benchmark's workloads from
 ``TREE/perfbench``, then runs the ``tomography`` command's pipeline on the two
-seed-1 ``tomo-sampled`` datasets and on the default config with
-``exact_probabilities: false``.  Prints one line ``dataset fit steps cg
-converged certificate`` per fit, fit 0 being the central fit and 1..25 the
-Monte-Carlo resamples: its steps and the Hessian-vector products of their
-CG solves.  A line ``dataset total steps cg`` closes each dataset, so the
+seed-1 ``tomo-sampled`` datasets, on the default config with
+``exact_probabilities: false`` and on the default config itself, exact.
+Prints one line ``dataset fit steps cg converged certificate`` per fit, fit
+0 being the central fit and 1..25 the Monte-Carlo resamples: its steps and
+the Hessian-vector products of their CG solves.  A line ``dataset total steps cg`` closes each dataset, so the
 step counts of two trees can be compared with ``diff``.  pytest does not
 collect this file; the tests call `dataset_fits` for its step-count bounds.
 """
@@ -29,7 +29,7 @@ def _workloads(perfbench: Path):
 
 
 def dataset_fits(perfbench: Path) -> list:
-    """[(dataset, its MLE fits in call order)] for the three datasets, with
+    """[(dataset, its MLE fits in call order)] for the four datasets, with
     the ``ghzlab`` package that is already importable and the workloads of
     the ``perfbench`` directory."""
     from ghzlab import cli, experiments
@@ -38,7 +38,8 @@ def dataset_fits(perfbench: Path) -> list:
     base = default_config()
     datasets = [(f"tomo-sampled-{i}", step.config) for i, step in
                 enumerate(_workloads(perfbench).tomo_sampled_steps(base, 1, False))]
-    datasets.append(("default-sampled", dict(base, exact_probabilities=False)))
+    datasets += [("default-sampled", dict(base, exact_probabilities=False)),
+                 ("default-exact", base)]
 
     fit = experiments.mle_reconstruct
     fits = []

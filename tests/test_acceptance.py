@@ -30,6 +30,11 @@ SQRT2 = math.sqrt(2)
 Z4 = (PauliLabel.Z,) * 4
 
 
+def _scaled(ts: CountTable, scale: float) -> CountTable:
+    """An exact table's probabilities at ``scale`` counts per setting."""
+    return CountTable(ts.settings, ts.counts * scale)
+
+
 def report(number, ok, detail):
     print(f"ACCEPTANCE criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {number} failed: {detail}"
@@ -93,8 +98,7 @@ def test_criterion_04_witness_ideal(ideal):
 
 
 def test_criterion_05_tomography_consistency(ideal):
-    ts = run_tomography(ideal, effective_counts=1e6)
-    mle = mle_reconstruct(ts)
+    mle = mle_reconstruct(_scaled(run_tomography(ideal), 1e6))
     f_exact = fidelity_to_pure(mle.rho, ghz4())
     p_exact = purity(mle.rho)
 
@@ -140,14 +144,15 @@ def test_criterion_06_noise_table():
     # data that no state fits under the assumed projectors: the fit's
     # likelihood-ratio deviance G^2 far exceeds the balanced one.  (The MLE
     # of such data lies on the boundary, here a pure state, so P need not fall.)
+    # G^2 grows with the counts, so the three tables hold 1e6 per setting.
     base = SimContext.ideal()
-    ts = run_tomography(base)
+    ts = _scaled(run_tomography(base), 1e6)
     rep0, mle0 = tomography_report(ts, n_resamples=0)
     g2_0 = likelihood_ratio_deviance(ts, mle0.rho)
     for pattern in ((1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7),
                     (0.5, 1.0, 1.0, 0.6, 1.0, 0.8, 0.5, 1.0)):
         ctx = replace(base, detectors=DetectorModel(efficiencies=pattern))
-        ts_imb = run_tomography(ctx)
+        ts_imb = _scaled(run_tomography(ctx), 1e6)
         rep, mle = tomography_report(ts_imb, n_resamples=0)
         g2 = likelihood_ratio_deviance(ts_imb, mle.rho)
         good = (rep.fidelity < rep0.fidelity - 1e-4

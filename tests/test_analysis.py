@@ -15,7 +15,7 @@ from ghzlab.analysis import (PHASE_WITNESS_SETTINGS, CountTable, bell_settings,
                              MLE_CERTIFICATE_TOL, MLE_START_FLOOR, _PAIR_FRAME,
                              _by_pairs, _face_jacobian, _frame_adjoint, _frame_sum,
                              _likelihood_terms)
-from ghzlab import experiments
+from ghzlab import analysis, experiments
 from ghzlab.config import default_config, parse_config
 from ghzlab.errors import FitError
 from ghzlab.experiments import (SimContext, measurement_records, run_bell,
@@ -525,7 +525,7 @@ class TestLinearInversion:
                                  - oracle_linear_inversion(ts))) <= 1e-12
 
     def test_exact_ideal_probabilities(self, ideal_ctx):
-        ts = run_tomography(ideal_ctx, effective_counts=1.0)
+        ts = run_tomography(ideal_ctx)
         rho = linear_inversion(ts)
         target = np.outer(ghz4(), ghz4().conj())
         assert np.max(np.abs(rho - target)) < 1e-10
@@ -553,7 +553,7 @@ class TestLinearInversion:
 
 class TestMle:
     def test_exact_ideal_reaches_unit_fidelity(self, ideal_ctx):
-        ts = run_tomography(ideal_ctx, effective_counts=1e6)
+        ts = _exact_tomography(ideal_ctx, 1e6)
         res = mle_reconstruct(ts)
         assert res.converged
         assert fidelity_to_pure(res.rho, ghz4()) >= 0.9999
@@ -609,7 +609,7 @@ class TestMle:
         assert not res.converged
 
     def test_certificate_small_at_convergence(self, ideal_ctx):
-        res = mle_reconstruct(run_tomography(ideal_ctx, effective_counts=1e6))
+        res = mle_reconstruct(_exact_tomography(ideal_ctx, 1e6))
         assert res.converged
         assert -1e-12 <= res.certificate <= MLE_CERTIFICATE_TOL
 
@@ -685,10 +685,19 @@ class TestMle:
         assert first.iterations == 1
 
 
+def _exact_tomography(ctx, scale: float) -> CountTable:
+    """The exact tomography of ``ctx`` at ``scale`` counts per setting."""
+    ts = run_tomography(ctx)
+    return CountTable(ts.settings, ts.counts * scale)
+
+
 def _config_init_tomography(shots=None, seed=None):
+    """The `config-init` tomography sampled, or exact at `shots_per_setting`
+    counts per setting."""
     cfg = parse_config(default_config())
-    return run_tomography(cfg.context, shots=shots, seed=seed,
-                          effective_counts=cfg.shots_per_setting)
+    if shots is None:
+        return _exact_tomography(cfg.context, cfg.shots_per_setting)
+    return run_tomography(cfg.context, shots=shots, seed=seed)
 
 
 # The datasets checked against the Cholesky oracle, built on demand.
@@ -764,7 +773,7 @@ def test_pure_start_census_certifies(scale):
     """On the exact `config-init` tomography at 450 and at 1e6 counts per
     setting, a fit from each census state and from I/16 meets the oracle
     certificate within 100 steps."""
-    ts = run_tomography(parse_config(default_config()).context, effective_counts=scale)
+    ts = _exact_tomography(parse_config(default_config()).context, scale)
     starts = [np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
               for psi in _census_states(ts)] + [np.eye(16) / 16]
     for i, start in enumerate(starts):
@@ -778,12 +787,53 @@ def test_rank_one_factor_grows_to_the_optimum(scale):
     """The same data's optimum has full rank.  Started on the rank-1 factor
     of the first drawn census state, the fit reaches it only by appending
     columns, and it is still certified."""
-    ts = run_tomography(parse_config(default_config()).context, effective_counts=scale)
+    ts = _exact_tomography(parse_config(default_config()).context, scale)
     psi = _census_states(ts)[2]
     res = mle_reconstruct(ts, factor=psi[:, None])
     assert res.converged
     assert oracle_mle_certificate(ts, res.rho) <= MLE_CERTIFICATE_TOL
     assert res.factor.shape == (16, 16)
+
+
+def test_full_rank_factor_does_not_grow(monkeypatch):
+    """A factor with 16 columns spans the whole space, so from I/16 on the
+    exact `config-init` tomography at 450 counts per setting every step is
+    a Newton step on at most 16 columns."""
+    widths = []
+    newton_direction = analysis._newton_direction
+
+    def recorded(a, *args):
+        widths.append(a.shape[1])
+        return newton_direction(a, *args)
+
+    monkeypatch.setattr(analysis, "_newton_direction", recorded)
+    res = mle_reconstruct(_config_init_tomography(), start=np.eye(16) / 16)
+    assert res.converged
+    assert widths and max(widths) <= 16
+
+
+@pytest.mark.parametrize("factor, error", [
+    (0.0 * np.eye(16), "finite and nonzero"),
+    (math.nan * np.eye(16), "finite and nonzero"),
+    (1e-200 * np.eye(16), None),
+    (1e200 * np.eye(16), None),
+    (np.ones(16), "16 x r"),
+    (np.ones((15, 2)), "16 x r"),
+], ids=["zero", "nan", "tiny", "huge", "vector", "15-rows"])
+def test_unusable_factor_is_a_value_error(factor, error):
+    """A wrongly shaped, zero or non-finite factor raises ValueError.  A
+    finite nonzero one of any magnitude never warns or trips a
+    floating-point trap: I/16 at 1e-200 or 1e200 fits to the bits of the
+    fit from the unit factor."""
+    ts = run_tomography(SimContext.ideal(), shots=50, seed=0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                mle_reconstruct(ts, factor=factor)
+        else:
+            res = mle_reconstruct(ts, factor=factor)
+            assert res.converged
+            assert res.rho.tobytes() == mle_reconstruct(ts, factor=np.eye(16)).rho.tobytes()
 
 
 def test_pure_start_at_the_exact_fit_projects():
@@ -805,8 +855,9 @@ def test_pure_start_at_the_exact_fit_projects():
 def test_mle_steps_per_fit_stay_few():
     """Through the pipeline of `tests/mle_steps.py`: at most 10 steps per
     fit on the two seed-1 tomo-sampled datasets and at most 30 on the
-    sampled `config-init` one, every fit certified."""
-    bounds = {"tomo-sampled-0": 10, "tomo-sampled-1": 10, "default-sampled": 30}
+    `config-init` one, sampled and exact, every fit certified."""
+    bounds = {"tomo-sampled-0": 10, "tomo-sampled-1": 10, "default-sampled": 30,
+              "default-exact": 30}
     datasets = dataset_fits(Path(__file__).resolve().parent.parent / "perfbench")
     assert [name for name, _ in datasets] == list(bounds)
     for name, fits in datasets:
@@ -822,7 +873,7 @@ def test_face_start_agrees_with_mixed_start(name, variant_ctx):
     exact (both at 450 counts per setting), fits started on the central
     fit's face and from 0.98 rho_hat + 0.02 I/16 are both certified and
     agree to 1e-5 in fidelity and purity."""
-    ts = (run_tomography(variant_ctx, effective_counts=450) if name == "variant-exact"
+    ts = (_exact_tomography(variant_ctx, 450) if name == "variant-exact"
           else _MLE_DATASETS[name]())
     central = mle_reconstruct(ts)
     mixed_start = 0.98 * central.rho + 0.02 * np.eye(16) / 16
@@ -860,7 +911,11 @@ class TestResampleConvergence:
     """`mle_resamples_converged` counts the resample fits that met the certificate."""
 
     def test_all_converge_on_default_config(self):
-        report, _ = tomography_report(_config_init_tomography(), n_resamples=25, seed=1)
+        """As the exact `tomography` command runs it: the probabilities
+        fitted, resampled at `shots_per_setting` counts per setting."""
+        cfg = parse_config(default_config())
+        report, _ = tomography_report(run_tomography(cfg.context), n_resamples=25,
+                                      seed=1, exact_shots=cfg.shots_per_setting)
         assert report.mle_converged
         assert report.mle_resamples_converged == 25
 

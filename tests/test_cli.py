@@ -342,16 +342,12 @@ class TestCommands:
         assert results[0].keys() == results[1].keys()
         assert any(results[0][name] != results[1][name] for name in results[0])
 
-    # The ablation fits exact probabilities times 1e6, the command times
-    # shots_per_setting; both fits stop at the same step, and on the lossy
-    # device, whose fit stops with a certificate of 7e-7 against the 1e-6
-    # tolerance, that rounding moves F by 2.1e-8 and P by 4.2e-8.
-    @pytest.mark.parametrize("update, tol", [
-        ({}, 1e-9),
-        ({"source": {"g2": 0.03},
-          "detectors": {"efficiencies": [1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7]}}, 1e-7),
+    @pytest.mark.parametrize("update", [
+        {},
+        {"source": {"g2": 0.03},
+         "detectors": {"efficiencies": [1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7]}},
     ], ids=["config-init", "lossy-g2"])
-    def test_ablation_all_noise_row_is_the_tomography(self, tmp_path, update, tol):
+    def test_ablation_all_noise_row_is_the_tomography(self, tmp_path, update):
         """The ablation's last row switches on every noise source of the
         configured device, so it is the exact ``tomography`` command's state."""
         cfg = default_config()
@@ -366,8 +362,23 @@ class TestCommands:
         report = read_json(tmp_path / "tomography" / "report.json")
         assert rows[-1]["row"] == ("combined_all" if update else "combined_no_detectors")
         assert len(rows) == (6 if update else 4)
-        assert rows[-1]["fidelity"] == pytest.approx(report["fidelity"], abs=tol)
-        assert rows[-1]["purity"] == pytest.approx(report["purity"], abs=tol)
+        assert rows[-1]["fidelity"] == report["fidelity"]
+        assert rows[-1]["purity"] == report["purity"]
+
+    def test_exact_tomography_ignores_shots_per_setting(self, tmp_path):
+        """An exact table holds probabilities, so without resamples the
+        shots per setting leave the fit and its report unchanged."""
+        outs = []
+        for shots in (450, 60):
+            cfg = default_config()
+            cfg["shots_per_setting"] = shots
+            cfg["tomography"]["resamples"] = 0
+            path = tmp_path / f"config-{shots}.json"
+            path.write_text(dump_config(cfg))
+            outs.append(tmp_path / f"tomo-{shots}")
+            assert main(["tomography", "--config", str(path), "--out", str(outs[-1])]) == 0
+        for name in ("rho.json", "report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestDeterminismAndExitCodes:
