@@ -4,8 +4,9 @@ The chip has two stages acting on 8 spatial modes (two rails per qubit,
 upper rail = |0>):
 
 * a preparation stage -- four directional couplers on mode pairs (1,2),
-  (3,4), (5,6), (7,8), a fixed network of waveguide crossings, and one
-  static path phase per output mode;
+  (3,4), (5,6), (7,8), a fixed network of waveguide crossings, and static
+  path phases, of which one signed sum, the state phase, reaches an
+  outcome;
 * a measurement stage -- four thermally tuned Mach-Zehnder interferometers
   (MZI), one per qubit, each implementing a single-qubit projective
   measurement selected by two phases (alpha before the first coupler on the
@@ -53,43 +54,40 @@ def phase_on_upper(x: float) -> np.ndarray:
     return np.array([[np.exp(1j * x), 0.0], [0.0, 1.0]], dtype=complex)
 
 
+def state_phase_of(path_phases: Sequence[float]) -> float:
+    """Minus th1-th2-th3+th4+th5-th6-th7+th8 of the eight static path phases.
+
+    The rest is gauge: a phase common to one coupler's outputs or to one
+    qubit's mode pair is global to a source term or an output state, and
+    through the crossings these eight gauges span all but this sum.
+    """
+    t = path_phases
+    return -t[0] + t[1] + t[2] - t[3] - t[4] + t[5] + t[6] - t[7]
+
+
 @dataclass(frozen=True)
 class PreparationStage:
     """Static preparation-stage parameters.
 
-    ``path_phases`` are the optical phases (radians) accumulated on each of
-    the 8 modes between the couplers and the measurement stage;
+    ``state_phase`` (radians) is theta of the post-selected state
+    (|0101> + e^{i*theta}|1010>)/sqrt(2), carried on mode 2 between the
+    couplers and the measurement stage (see `state_phase_of`);
     ``reflectivities`` are the power fractions remaining in the BAR mode of
     the four couplers.  The stage owns its ``unitary``, built on first use;
     a stage made with ``dataclasses.replace`` builds its own.
     """
 
-    path_phases: tuple = (0.0,) * 8
+    state_phase: float = 0.0
     reflectivities: tuple = (0.5, 0.5, 0.5, 0.5)
 
     def __post_init__(self):
-        if len(self.path_phases) != 8:
-            raise ValueError("need 8 path phases")
+        if not math.isfinite(self.state_phase):
+            raise ValueError(f"state phase must be finite, got {self.state_phase}")
         if len(self.reflectivities) != 4:
             raise ValueError("need 4 coupler reflectivities")
         for r in self.reflectivities:
             if not 0.0 < float(r) < 1.0:
                 raise ValueError(f"reflectivity must lie in (0,1), got {r}")
-
-    @property
-    def phase_combination(self) -> float:
-        """Signed sum th1-th2-th3+th4+th5-th6-th7+th8 of the path phases."""
-        t = self.path_phases
-        return t[0] - t[1] - t[2] + t[3] + t[4] - t[5] - t[6] + t[7]
-
-    @property
-    def state_phase(self) -> float:
-        """Relative phase of |1010> vs |0101> in the post-selected state.
-
-        Equals minus the path-phase combination, wrapped to (-pi, pi].
-        """
-        p = -self.phase_combination
-        return float(np.angle(np.exp(1j * p)))
 
     @functools.cached_property
     def unitary(self) -> np.ndarray:
@@ -98,25 +96,17 @@ class PreparationStage:
         u.flags.writeable = False
         return u
 
-    @classmethod
-    def with_state_phase(cls, theta: float,
-                         reflectivities: Sequence[float] = (0.5, 0.5, 0.5, 0.5)
-                         ) -> "PreparationStage":
-        """Stage whose post-selected state is (|0101> + e^{i*theta}|1010>)/sqrt(2)."""
-        phases = [0.0] * 8
-        phases[1] = float(theta)
-        return cls(path_phases=tuple(phases), reflectivities=tuple(reflectivities))
-
 
 def preparation_unitary(stage: PreparationStage) -> np.ndarray:
-    """8x8 scattering matrix of the preparation stage (couplers, crossings, phases)."""
+    """8x8 scattering matrix of the preparation stage (couplers, crossings, phase)."""
     c = np.zeros((8, 8), dtype=complex)
     for k in range(4):
         c[2 * k:2 * k + 2, 2 * k:2 * k + 2] = coupler(stage.reflectivities[k])
     perm = np.zeros((8, 8), dtype=complex)
     for out, pc in enumerate(CROSSING):
         perm[out, pc] = 1.0
-    phases = np.exp(1j * np.asarray(stage.path_phases, dtype=float))
+    phases = np.ones(8, dtype=complex)
+    phases[1] = np.exp(1j * stage.state_phase)
     return (phases[:, None] * perm) @ c
 
 

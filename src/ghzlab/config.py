@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .chip import HeaterCalibration, PreparationStage
+from .chip import HeaterCalibration, PreparationStage, state_phase_of
 from .errors import ConfigError
 from .qmath import PauliLabel
 from .simulator import DetectorModel, LossBudget, SimContext
@@ -74,7 +74,9 @@ def default_config() -> dict:
                           "map of the scanned shifter",
             "shots_per_setting": "post-selected events per measurement setting "
                                  "when sampling; exact_probabilities=true uses "
-                                 "noiseless probabilities instead",
+                                 "noiseless probabilities instead, and an exact "
+                                 "tomography draws its Monte-Carlo resamples "
+                                 "at this many events per setting",
             "rate": "loss-budget factors entering the four-fold coincidence "
                     "rate estimate",
         },
@@ -199,9 +201,11 @@ def parse_config(data: dict) -> ExperimentConfig:
             eta=_number(src["eta"], "source.eta"),
             distinguishability_scale=_numbers(src["distinguishability_scale"],
                                               "source.distinguishability_scale"))
+        path_phases = _numbers(merged["chip"]["path_phases"], "chip.path_phases", 8)
         stage = _build(
             PreparationStage, "chip",
-            path_phases=_numbers(merged["chip"]["path_phases"], "chip.path_phases"),
+            state_phase=_number(state_phase_of(path_phases),
+                                "chip.path_phases (signed sum)"),
             reflectivities=_numbers(merged["chip"]["reflectivities"],
                                     "chip.reflectivities"))
         det = _build(DetectorModel, "detectors", efficiencies=_numbers(
@@ -245,6 +249,8 @@ def parse_config(data: dict) -> ExperimentConfig:
                                   "qss.public_fraction", (0.0, 1.0))
         tomography_resamples = _integer(merged["tomography"]["resamples"],
                                         "tomography.resamples", 0)
+        _require(tomography_resamples != 1,
+                 "tomography.resamples must be 0 or at least 2, got 1")
         seed = _integer(merged["seed"], "seed", 0)
         shots = _integer(merged["shots_per_setting"], "shots_per_setting", 1)
         exact = merged["exact_probabilities"]

@@ -101,8 +101,8 @@ _TOKEN_LABELS = {
 
 def check_square(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     return a
 
 

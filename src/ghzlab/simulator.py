@@ -120,8 +120,7 @@ class SimContext:
                    detectors=DetectorModel.ideal())
 
     def with_state_phase(self, theta: float) -> "SimContext":
-        stage = PreparationStage.with_state_phase(theta, self.stage.reflectivities)
-        return replace(self, stage=stage)
+        return replace(self, stage=replace(self.stage, state_phase=float(theta)))
 
 
 @dataclass(frozen=True)

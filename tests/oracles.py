@@ -90,16 +90,21 @@ def mzi_reference(alpha, phi):
     return dc @ pp @ dc @ pa
 
 
-def mzi_phase_unitary(stage, phases):
-    """Chip unitary with MZI k at ``phases[k]`` = (alpha, phi), phases no label names.
-
-    The four `mzi_block` blocks after `preparation_unitary`, for tests that
-    drive the simulator at random MZI phases.
-    """
+def mzi_measurement(phases):
+    """Measurement stage with MZI k at ``phases[k]`` = (alpha, phi), phases no
+    label names: the four `mzi_block` blocks on the diagonal."""
     measurement = np.zeros((8, 8), dtype=complex)
     for k, (alpha, phi) in enumerate(phases):
         measurement[2 * k:2 * k + 2, 2 * k:2 * k + 2] = mzi_block(alpha, phi)
-    return measurement @ preparation_unitary(stage)
+    return measurement
+
+
+def mzi_phase_unitary(stage, phases):
+    """Chip unitary with MZI k at ``phases[k]``: `mzi_measurement` after
+    `preparation_unitary`, for tests that drive the simulator at random MZI
+    phases.
+    """
+    return mzi_measurement(phases) @ preparation_unitary(stage)
 
 
 def xy_labels(bases):

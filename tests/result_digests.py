@@ -35,8 +35,9 @@ COMMANDS = ("simulate", "phase-scan", "tomography", "witness", "bell", "bell-swe
 
 # Exact runs on a device unlike the default one, so that a comparison covers
 # the paths that depend on the config: multiphoton emission, one photon made
-# partly distinguishable, and lossy detectors.
+# partly distinguishable, nonzero path phases, and lossy detectors.
 VARIANT = {"source": {"g2": 0.03, "distinguishability_scale": [1.0, 1.0, 0.8, 1.0]},
+           "chip": {"path_phases": [0.3, 0.1, -0.2, 0.5, 0.0, 0.7, 0.1, 0.2]},
            "detectors": {"efficiencies": [1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7]}}
 
 # (mode, the blocks and keys it sets in the default config)

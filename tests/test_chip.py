@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from ghzlab.chip import (HeaterCalibration, PreparationStage, full_unitary,
                          heater_forward, heater_solve, measurement_unitary,
-                         mzi_block, preparation_unitary, _solve_block)
+                         mzi_block, preparation_unitary, state_phase_of, _solve_block)
 from ghzlab.config import default_config, parse_config
 from ghzlab.errors import SolverError
 from ghzlab.experiments import run_bell_sweep, run_phase_scan, run_tomography
 from ghzlab.qmath import PauliLabel
+from ghzlab.simulator import DetectorModel, outcome_distribution
+from ghzlab.source import MEASURED_PAIRS, SourceSpec
 
-from oracles import (assignment_distribution, mzi_phase_unitary, mzi_reference,
-                     oracle_heater_block, oracle_lift0_dual, oracle_vertex_block,
-                     preparation_matrix_reference)
+from oracles import (assignment_distribution, mzi_measurement, mzi_phase_unitary,
+                     mzi_reference, oracle_heater_block, oracle_lift0_dual,
+                     oracle_vertex_block, preparation_matrix_reference)
 
 TWO_PI = 2 * math.pi
 
@@ -54,16 +57,16 @@ class TestPreparationUnitary:
     def test_matches_reference_with_phases_and_reflectivities(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            th = rng.uniform(-np.pi, np.pi, 8)
+            theta = rng.uniform(-np.pi, np.pi)
             r = rng.uniform(0.4, 0.6, 4)
-            stage = PreparationStage(path_phases=tuple(th), reflectivities=tuple(r))
-            assert np.max(np.abs(preparation_unitary(stage) -
-                                 preparation_matrix_reference(th, r))) < 1e-12
+            stage = PreparationStage(state_phase=theta, reflectivities=tuple(r))
+            reference = preparation_matrix_reference([0.0, theta] + [0.0] * 6, r)
+            assert np.max(np.abs(preparation_unitary(stage) - reference)) < 1e-12
 
     def test_unitarity(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            stage = PreparationStage(path_phases=tuple(rng.uniform(0, TWO_PI, 8)),
+            stage = PreparationStage(state_phase=rng.uniform(0, TWO_PI),
                                      reflectivities=tuple(rng.uniform(0.3, 0.7, 4)))
             u = preparation_unitary(stage)
             assert np.linalg.norm(u.conj().T @ u - np.eye(8)) < 1e-12
@@ -144,7 +147,7 @@ class TestFullUnitary:
         rng = np.random.default_rng(28)
         labels = list(PauliLabel)
         for _ in range(20):
-            stage = PreparationStage(path_phases=tuple(rng.uniform(0, TWO_PI, 8)),
+            stage = PreparationStage(state_phase=rng.uniform(0, TWO_PI),
                                      reflectivities=tuple(rng.uniform(0.1, 0.9, 4)))
             setting = [labels[k] for k in rng.integers(len(labels), size=4)]
             expected = measurement_unitary(setting) @ preparation_unitary(stage)
@@ -169,35 +172,85 @@ class TestStageOwnsUnitary:
         assert len(preparation_calls) == 1
 
     def test_unitary_is_cached_and_read_only(self):
-        stage = PreparationStage.with_state_phase(0.3)
+        stage = PreparationStage(state_phase=0.3)
         assert stage.unitary is stage.unitary
         assert stage.unitary.tobytes() == preparation_unitary(stage).tobytes()
         with pytest.raises(ValueError):
             stage.unitary[0, 0] = 1.0
 
 
+def assignment_amplitudes(u: np.ndarray) -> tuple:
+    """Amplitudes of the |0101> and |1010> assignments, straight from the
+    entries of a preparation matrix."""
+    return (u[0, 0] * u[3, 4] * u[4, 2] * u[7, 6],
+            u[1, 2] * u[2, 0] * u[5, 6] * u[6, 4])
+
+
+def assignment_phase(u: np.ndarray) -> float:
+    """Phase of the |1010> assignment amplitude over the |0101> one."""
+    a0101, a1010 = assignment_amplitudes(u)
+    return float(np.angle(a1010 / a0101))
+
+
+def wrapped(x: float) -> float:
+    """``x`` wrapped to (-pi, pi]."""
+    return float(np.angle(np.exp(1j * x)))
+
+
 class TestStatePhase:
     def test_single_phase_pi_gives_state_phase_pi(self):
-        stage = PreparationStage(path_phases=(math.pi, 0, 0, 0, 0, 0, 0, 0))
-        assert abs(abs(stage.state_phase) - math.pi) < 1e-12
+        assert abs(abs(state_phase_of((math.pi, 0, 0, 0, 0, 0, 0, 0))) - math.pi) < 1e-12
 
     def test_state_phase_matches_assignment_amplitudes(self):
+        """The eight-phase reference matrix and the stage of its state phase
+        give the two assignments the same relative phase."""
         rng = np.random.default_rng(10)
         for _ in range(10):
             th = rng.uniform(-math.pi, math.pi, 8)
-            stage = PreparationStage(path_phases=tuple(th))
-            u = preparation_unitary(stage)
-            # amplitudes of the two surviving assignments, straight from entries
-            a0101 = u[0, 0] * u[3, 4] * u[4, 2] * u[7, 6]
-            a1010 = u[1, 2] * u[2, 0] * u[5, 6] * u[6, 4]
-            rel = np.angle(a1010 / a0101)
-            assert abs(np.angle(np.exp(1j * (rel - stage.state_phase)))) < 1e-12
-            assert abs(abs(a0101) - abs(a1010)) < 1e-12
+            phase = state_phase_of(th)
+            stage = PreparationStage(state_phase=phase)
+            for u in (preparation_matrix_reference(th), stage.unitary):
+                assert abs(wrapped(assignment_phase(u) - phase)) < 1e-12
+                a0101, a1010 = assignment_amplitudes(u)
+                assert abs(abs(a0101) - abs(a1010)) < 1e-12
 
     def test_with_state_phase_constructor(self):
-        for theta in (-2.5, -0.4, 0.0, 1.0, 3.0):
-            stage = PreparationStage.with_state_phase(theta)
-            assert abs(np.angle(np.exp(1j * (stage.state_phase - theta)))) < 1e-12
+        """`SimContext.with_state_phase` replaces the stage's state phase and
+        keeps its reflectivities."""
+        ctx = parse_config(default_config()).context
+        for theta in (-2.5, -0.4, 0.0, 1.0, 3.0, 40.0):
+            stage = ctx.with_state_phase(theta).stage
+            assert stage == replace(ctx.stage, state_phase=theta)
+            assert abs(wrapped(assignment_phase(stage.unitary) - theta)) < 1e-12
+
+    def test_non_finite_state_phase_rejected(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="state phase must be finite"):
+                PreparationStage(state_phase=value)
+
+    def test_path_phase_gauge(self):
+        """Only `state_phase_of` of the eight path phases reaches an outcome:
+        on seeded random devices the eight-phase reference matrix and the
+        stage of its state phase give the same post-selected outcomes, to
+        1e-11 of the post-selected mass (inclusion-exclusion round-off)."""
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            spec = SourceSpec(
+                g2=rng.uniform(0.0, 0.2),
+                measured_overlaps=dict(zip(MEASURED_PAIRS, rng.uniform(0.3, 1.0, 4))),
+                eta=rng.uniform(0.01, 1.0),
+                distinguishability_scale=tuple(rng.uniform(0.0, 1.0, 4)))
+            r = rng.uniform(0.05, 0.95, 4)
+            det = DetectorModel(efficiencies=tuple(rng.uniform(0.2, 1.0, 8)))
+            th = rng.uniform(-50.0, 50.0, 8)
+            mzi = [rng.uniform(0, TWO_PI, 2) for _ in range(4)]
+            stage = PreparationStage(state_phase=state_phase_of(th), reflectivities=tuple(r))
+            one_phase = mzi_phase_unitary(stage, mzi)
+            eight_phases = mzi_measurement(mzi) @ preparation_matrix_reference(th, r)
+            table = spec.enumeration.label_groups
+            p1 = outcome_distribution(one_phase, table, det).probs
+            p8 = outcome_distribution(eight_phases, table, det).probs
+            assert np.max(np.abs(p1 - p8)) <= 1e-11 * p8.sum()
 
 
 class TestHeaterForward:

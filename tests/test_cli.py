@@ -412,9 +412,11 @@ class TestDeterminismAndExitCodes:
         ("chip.path_phases", [0.0] * 7 + [-math.inf]),
         ("rate.repetition_rate_hz", math.nan),
         ("rate.repetition_rate_hz", math.inf),
+        ("chip.path_phases", [1e308, -1e308] + [0.0] * 6),
     ], ids=["efficiency-2", "seed-negative", "seed-inf", "seed-float", "seed-bool",
             "shots-float", "g2-string", "overlaps-list", "path-phase-nan",
-            "path-phase-minus-inf", "repetition-rate-nan", "repetition-rate-inf"])
+            "path-phase-minus-inf", "repetition-rate-nan", "repetition-rate-inf",
+            "path-phase-sum-overflow"])
     def test_invalid_config_exit_2(self, tmp_path, capsys, path, value):
         bad = tmp_path / "bad.json"
         cfg = default_config()
@@ -494,11 +496,13 @@ class TestDeterminismAndExitCodes:
         ("phase-scan", {"phase_scan": {"points": 2 ** 70}}),
         ("qss", {"qss": {"rounds": 2 ** 70}}),
         ("phase-scan", {"phase_scan": {"power_min_mw": -1e308, "power_max_mw": 1e308}}),
+        ("tomography", {"tomography": {"resamples": 1}}),
     ], ids=["tomography-resamples", "qss-rounds", "bell-sweep-photon",
             "simulate-label", "phase-scan-points", "phase-scan-rad-per-mw",
             "qss-public-fraction-high", "qss-public-fraction-negative",
             "bell-sweep-scales",
-            "phase-scan-points-huge", "qss-rounds-huge", "phase-scan-span-overflow"])
+            "phase-scan-points-huge", "qss-rounds-huge", "phase-scan-span-overflow",
+            "tomography-resamples-one"])
     def test_bad_command_block_exit_2(self, ideal_config, tmp_path, capsys,
                                       command, update):
         cfg = json.loads(ideal_config.read_text())

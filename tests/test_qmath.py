@@ -221,9 +221,12 @@ class TestProjectToPhysical:
         out = project_to_physical(-np.eye(4))
         assert np.allclose(out, np.eye(4) / 4, atol=1e-15)
 
-    @pytest.mark.parametrize("h", [[[0.5, 1.0], [0.0, 0.5]], [[np.nan, 0.0], [0.0, 1.0]],
-                                   [[np.inf, 0.0], [0.0, 1.0]]],
-                             ids=["non-hermitian", "nan", "inf"])
-    def test_invalid_input_rejected(self, h):
-        with pytest.raises(ValueError, match="not a finite Hermitian matrix"):
+    @pytest.mark.parametrize("h, message", [
+        ([[0.5, 1.0], [0.0, 0.5]], "not a finite Hermitian matrix"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "not a finite Hermitian matrix"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "not a finite Hermitian matrix"),
+        (np.zeros((0, 0)), "expected a nonempty square matrix"),
+    ], ids=["non-hermitian", "nan", "inf", "empty"])
+    def test_invalid_input_rejected(self, h, message):
+        with pytest.raises(ValueError, match=message):
             project_to_physical(np.array(h))

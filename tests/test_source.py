@@ -377,12 +377,13 @@ class TestSpecOwnsFractions:
 
     def test_rows_without_distinguishability_are_perfect(self, monkeypatch):
         """Each row keeps the switched-on sources of the configured device, and
-        makes the others ideal; eta and the path phases never change."""
+        makes the others ideal; eta and the state phase never change."""
         cfg = default_config()
         cfg["source"].update(g2=0.03, distinguishability_scale=[1.0, 0.9, 1.0, 1.0])
         cfg["chip"]["path_phases"] = [0.1] + [0.0] * 7
         cfg["detectors"]["efficiencies"] = [1.0, 0.5, 0.9, 1.0, 0.6, 1.0, 1.0, 0.7]
         ctx = parse_config(cfg).context
+        assert ctx.stage.state_phase == -0.1
         contexts = []
         run_tomography = experiments.run_tomography
         monkeypatch.setattr(experiments, "run_tomography",
@@ -392,8 +393,8 @@ class TestSpecOwnsFractions:
         for (_, multiphoton, distinguishability, couplers, detectors), row_ctx in zip(
                 experiments.ABLATION_ROWS, contexts):
             spec = row_ctx.spec
-            assert (spec.eta, row_ctx.stage.path_phases) == (ctx.spec.eta,
-                                                            ctx.stage.path_phases)
+            assert (spec.eta, row_ctx.stage.state_phase) == (ctx.spec.eta,
+                                                            ctx.stage.state_phase)
             assert spec.g2 == (0.03 if multiphoton else 0.0)
             if distinguishability:
                 assert spec.measured_overlaps == ctx.spec.measured_overlaps
