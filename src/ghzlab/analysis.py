@@ -628,12 +628,13 @@ def mle_reconstruct(ts: CountTable, max_iterations: int = 5000,
 
 
 def monte_carlo_error(ts: CountTable, statistic, n_resamples: int, seed):
-    """Standard deviation of a statistic under Poisson count resampling.
+    """Standard deviations of a tuple-valued statistic under Poisson count
+    resampling, one per component.
 
     Resample r is one Poisson draw on the whole (S, 16) count array from
-    child r of ``seed``, with the same settings.  A statistic that returns a tuple of floats gets a
-    tuple of standard deviations, one per component, each the same as a
-    separate run with that component alone would give.
+    child r of ``seed``, with the same settings.  Each component's standard
+    deviation is the same as a separate run with that component alone would
+    give.
     """
     if n_resamples < 2:
         raise ValueError("need at least 2 resamples")
@@ -642,10 +643,8 @@ def monte_carlo_error(ts: CountTable, statistic, n_resamples: int, seed):
         rng = np.random.default_rng(child)
         values.append(statistic(CountTable(ts.settings,
                                            rng.poisson(ts.counts).astype(float))))
-    if isinstance(values[0], tuple):
-        return tuple(float(np.std([float(v) for v in column], ddof=1))
-                     for column in zip(*values))
-    return float(np.std([float(v) for v in values], ddof=1))
+    return tuple(float(np.std([float(v) for v in column], ddof=1))
+                 for column in zip(*values))
 
 
 def max_fidelity_over_phase(rho: np.ndarray) -> tuple[float, float]:

@@ -210,16 +210,14 @@ class HeaterCalibration:
         object.__setattr__(self, "phi_matrix", b)
         object.__setattr__(self, "phi_offset", offset)
         object.__setattr__(self, "resistances", r)
-        # A dead phi column counts on neither side of its row's comparison,
-        # and a side left empty reduces to -inf or +inf, which never fails.
-        counted = np.ones((2, 1, 8), dtype=bool)
         for ch in self.dead_channels:
             if not 1 <= ch <= 16:
                 raise ValueError(f"dead channel {ch} out of range 1-16")
-            if ch >= 9:
-                if np.any(b[:, ch - 9] != 0.0):
-                    raise ValueError(f"dead channel {ch} has nonzero crosstalk column")
-                counted[1, 0, ch - 9] = False
+            if ch >= 9 and np.any(b[:, ch - 9] != 0.0):
+                raise ValueError(f"dead channel {ch} has nonzero crosstalk column")
+        # A dead column counts on neither side of its row's comparison, and a
+        # side left empty reduces to -inf or +inf, which never fails.
+        counted = ~self.dead_mask().reshape(2, 1, 8)
         mags = np.abs((a, b))
         off_max = np.where(counted & ~_DIAGONAL_BLOCK, mags, -np.inf).max(axis=2)
         diag_min = np.where(counted & _DIAGONAL_BLOCK, mags, np.inf).min(axis=2)
@@ -236,11 +234,11 @@ class HeaterCalibration:
     def to_text(self) -> str:
         lines = ["# heater calibration", "units krad/A^2 ; phases rad ; resistances ohm"]
         for row in self.alpha_matrix:
-            lines.append("alpha_row " + " ".join(f"{v:.6g}" for v in row))
+            lines.append("alpha_row " + " ".join(map(repr, row.tolist())))
         for row in self.phi_matrix:
-            lines.append("phi_row " + " ".join(f"{v:.6g}" for v in row))
-        lines.append("phi_offset " + " ".join(f"{v:.6g}" for v in self.phi_offset))
-        lines.append("resistances " + " ".join(f"{v:.6g}" for v in self.resistances))
+            lines.append("phi_row " + " ".join(map(repr, row.tolist())))
+        lines.append("phi_offset " + " ".join(map(repr, self.phi_offset.tolist())))
+        lines.append("resistances " + " ".join(map(repr, self.resistances.tolist())))
         lines.append("dead_channels " + " ".join(str(c) for c in sorted(self.dead_channels)))
         return "\n".join(lines) + "\n"
 

@@ -2,10 +2,12 @@
 
 Every command reads one JSON config, writes its results as JSON/CSV into
 the output directory, and records a manifest naming inputs, seed, package
-versions and result files.  Outputs are byte-identical across reruns with
-the same config and seed; only the manifest carries a timestamp.
+versions and result files, last, so that an output directory without one
+holds a run that did not finish.  Outputs are byte-identical across reruns
+with the same config and seed; only the manifest carries a timestamp.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+written among them), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -115,9 +117,9 @@ def cmd_tomography(cfg: ExperimentConfig, outdir: Path) -> list:
         "purity_error": report.purity_error,
         "theta_star_rad": report.theta_star,
         "fidelity_at_theta_star": report.fidelity_at_theta_star,
-        "mle_iterations": report.mle_iterations,
-        "mle_converged": report.mle_converged,
-        "mle_certificate": report.mle_certificate,
+        "mle_iterations": mle.iterations,
+        "mle_converged": mle.converged,
+        "mle_certificate": mle.certificate,
         "mle_resamples_converged": report.mle_resamples_converged,
     })
     return [counts_path, rho_path, text_path, report_path]
@@ -265,24 +267,20 @@ def main(argv=None) -> int:
             return 0
         cfg = load_config(args.config)
         args.out.mkdir(parents=True, exist_ok=True)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            results = COMMANDS[args.command](cfg, args.out)
+        _write_manifest(args.out, args.command, args.config, cfg, results)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            results = COMMANDS[args.command](cfg, args.out)
     except (SolverError, FitError, FloatingPointError, OverflowError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    _write_manifest(args.out, args.command, args.config, cfg, results)
-    return 0
 
 
 if __name__ == "__main__":

@@ -252,7 +252,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         _require(tomography_resamples != 1,
                  "tomography.resamples must be 0 or at least 2, got 1")
         seed = _integer(merged["seed"], "seed", 0)
-        shots = _integer(merged["shots_per_setting"], "shots_per_setting", 1)
+        shots = _integer(merged["shots_per_setting"], "shots_per_setting", 1, 2 ** 62)
         exact = merged["exact_probabilities"]
         _require(isinstance(exact, bool), "exact_probabilities must be true or false")
     except ConfigError:

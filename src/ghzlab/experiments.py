@@ -69,13 +69,10 @@ class TomographyReport:
     fidelity_at_theta_star: float
     fidelity_error: float
     purity_error: float
-    mle_iterations: int
-    mle_converged: bool
-    mle_certificate: float
     mle_resamples_converged: int
 
 
-def tomography_report(ts: CountTable, n_resamples: int = 50, seed=12345,
+def tomography_report(ts: CountTable, n_resamples: int, seed=12345,
                       exact_shots: float | None = None
                       ) -> tuple[TomographyReport, MleResult]:
     """MLE reconstruction plus fidelity/purity and their Monte-Carlo errors.
@@ -112,9 +109,6 @@ def tomography_report(ts: CountTable, n_resamples: int = 50, seed=12345,
     report = TomographyReport(fidelity=fid, purity=pur, theta_star=theta_star,
                               fidelity_at_theta_star=fid_star,
                               fidelity_error=fid_err, purity_error=pur_err,
-                              mle_iterations=mle.iterations,
-                              mle_converged=mle.converged,
-                              mle_certificate=mle.certificate,
                               mle_resamples_converged=resamples_converged)
     return report, mle
 

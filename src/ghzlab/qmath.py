@@ -198,8 +198,10 @@ def project_to_physical(h: np.ndarray, min_eigenvalue: float = 0.0) -> np.ndarra
     shifted by one common amount and clamped at zero, the shift chosen so
     the trace is one.  With ``min_eigenvalue`` > 0 the eigenvalues are
     projected onto the simplex shifted by that floor instead, which gives
-    the nearest density matrix with no eigenvalue below it.  Any finite
-    input with |h - h^dag|_F <= 1e-8 has a projection.
+    the nearest density matrix with no eigenvalue below it.  An n x n input
+    with |h - h^dag|_F <= 1e-8 and no real or imaginary part above the largest
+    float / (4 n^2) in magnitude has one, and no step overflows; others raise
+    ValueError, as does (LinAlgError) an eigensolver that does not converge.
     """
     w, v = _projected_eigensystem(h, min_eigenvalue)
     return (v * w) @ v.conj().T
@@ -213,9 +215,15 @@ def _projected_eigensystem(h: np.ndarray, min_eigenvalue: float = 0.0):
     Raises ValueError as `project_to_physical` does.
     """
     a = check_square(h)
-    if not np.all(np.isfinite(a)) or np.linalg.norm(a - a.conj().T) > 1e-8:
-        raise ValueError("input is not a finite Hermitian matrix")
     n = a.shape[0]
+    # The bound keeps the eigenvalue gaps and their sums finite, and the
+    # largest entry of h - h^dag, checked first, the squares of its norm.
+    bound = np.finfo(float).max / (4 * n * n)
+    if not (np.abs(a.real).max() <= bound and np.abs(a.imag).max() <= bound):
+        raise ValueError(f"input is not a finite Hermitian matrix of entries <= {bound:.3g}")
+    d = a - a.conj().T
+    if np.abs(d).max() > 1e-8 or np.linalg.norm(d) > 1e-8:
+        raise ValueError("input is not a finite Hermitian matrix")
     if not 0.0 <= min_eigenvalue * n < 1.0:
         raise ValueError(f"eigenvalue floor {min_eigenvalue} leaves no trace to share")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)

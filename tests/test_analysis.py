@@ -900,10 +900,10 @@ def test_resample_that_empties_a_setting_still_fits(monkeypatch):
         return fits[-1]
 
     monkeypatch.setattr(experiments, "mle_reconstruct", recorded)
-    report, _ = tomography_report(ts, n_resamples=25, seed=11)
+    report, mle = tomography_report(ts, n_resamples=25, seed=11)
     assert len(fits) == 26 and any(emptied)
     assert all(fit.converged for fit in fits)
-    assert report.mle_converged
+    assert mle.converged
     assert 0.0 < report.fidelity_error < 0.1 and 0.0 < report.purity_error < 0.1
 
 
@@ -914,9 +914,9 @@ class TestResampleConvergence:
         """As the exact `tomography` command runs it: the probabilities
         fitted, resampled at `shots_per_setting` counts per setting."""
         cfg = parse_config(default_config())
-        report, _ = tomography_report(run_tomography(cfg.context), n_resamples=25,
-                                      seed=1, exact_shots=cfg.shots_per_setting)
-        assert report.mle_converged
+        report, mle = tomography_report(run_tomography(cfg.context), n_resamples=25,
+                                        seed=1, exact_shots=cfg.shots_per_setting)
+        assert mle.converged
         assert report.mle_resamples_converged == 25
 
     def test_capped_resample_is_counted(self, monkeypatch):
@@ -930,22 +930,22 @@ class TestResampleConvergence:
             return fits[-1]
 
         monkeypatch.setattr(experiments, "mle_reconstruct", third_resample_capped)
-        report, _ = tomography_report(ts, n_resamples=25, seed=11)
+        report, mle = tomography_report(ts, n_resamples=25, seed=11)
         assert len(fits) == 26 and fits[3].iterations == 1 and not fits[3].converged
-        assert report.mle_converged
+        assert mle.converged
         assert report.mle_resamples_converged == 24
 
 
 class TestMonteCarloError:
     def test_constant_statistic_zero(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=50, seed=0)
-        assert monte_carlo_error(ts, lambda _: 3.14, 10, seed=1) == 0.0
+        assert monte_carlo_error(ts, lambda _: (3.14,), 10, seed=1) == (0.0,)
 
     def test_sqrt_n_law(self):
         counts = np.zeros((81, 16))
         counts[:, 0] = 1e4
         ts = tomo(counts)
-        err = monte_carlo_error(ts, lambda t: t.counts[0][0], 200, seed=2)
+        (err,) = monte_carlo_error(ts, lambda t: (t.counts[0][0],), 200, seed=2)
         assert err == pytest.approx(100.0, rel=0.10)
 
     def test_error_scales_with_counts(self):
@@ -954,14 +954,14 @@ class TestMonteCarloError:
             counts[:, 0] = 100.0 * scale
             return tomo(counts)
 
-        stat = lambda t: t.counts[0][0]
-        e1 = monte_carlo_error(build(1), stat, 300, seed=5)
-        e100 = monte_carlo_error(build(100), stat, 300, seed=5)
+        stat = lambda t: (t.counts[0][0],)
+        (e1,) = monte_carlo_error(build(1), stat, 300, seed=5)
+        (e100,) = monte_carlo_error(build(100), stat, 300, seed=5)
         assert e100 / e1 == pytest.approx(10.0, rel=0.15)
 
     def test_deterministic_given_seed(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=50, seed=0)
-        stat = lambda t: float(t.counts[0].sum())
+        stat = lambda t: (float(t.counts[0].sum()),)
         assert monte_carlo_error(ts, stat, 20, seed=7) == \
             monte_carlo_error(ts, stat, 20, seed=7)
 
@@ -970,8 +970,8 @@ class TestMonteCarloError:
         first = lambda t: float(t.counts[0][0])
         total = lambda t: float(t.counts[5].sum()) / 3.0
         both = monte_carlo_error(ts, lambda t: (first(t), total(t)), 20, seed=7)
-        assert both == (monte_carlo_error(ts, first, 20, seed=7),
-                        monte_carlo_error(ts, total, 20, seed=7))
+        assert both == (monte_carlo_error(ts, lambda t: (first(t),), 20, seed=7)
+                        + monte_carlo_error(ts, lambda t: (total(t),), 20, seed=7))
 
     def test_resample_r_is_one_draw_from_child_r(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=50, seed=0)
@@ -979,7 +979,7 @@ class TestMonteCarloError:
 
         def record(t):
             drawn.append(t.counts)
-            return 0.0
+            return (0.0,)
 
         monte_carlo_error(ts, record, 4, seed=7)
         children = np.random.SeedSequence(7).spawn(4)
@@ -991,11 +991,11 @@ class TestMonteCarloError:
     def test_report_errors_match_two_pass_computation(self, ideal_ctx):
         ts = run_tomography(ideal_ctx, shots=450, seed=3)
         report, mle = tomography_report(ts, n_resamples=3, seed=11)
-        fid = monte_carlo_error(
-            ts, lambda t: fidelity_to_pure(mle_reconstruct(t, factor=mle.factor).rho,
-                                           ghz4()), 3, 11)
-        pur = monte_carlo_error(
-            ts, lambda t: purity(mle_reconstruct(t, factor=mle.factor).rho), 3, 11)
+        (fid,) = monte_carlo_error(
+            ts, lambda t: (fidelity_to_pure(mle_reconstruct(t, factor=mle.factor).rho,
+                                            ghz4()),), 3, 11)
+        (pur,) = monte_carlo_error(
+            ts, lambda t: (purity(mle_reconstruct(t, factor=mle.factor).rho),), 3, 11)
         assert report.fidelity_error == fid
         assert report.purity_error == pur
 

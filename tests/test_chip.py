@@ -543,13 +543,19 @@ class TestVertexEnumeration:
 
 class TestHeaterCalibrationType:
     def test_text_round_trip(self, tmp_path):
-        cal = HeaterCalibration()
+        # every value carries all 17 significant digits, and the file keeps them
+        default, rng = HeaterCalibration(), np.random.default_rng(545)
+        phi = default.phi_matrix + rng.uniform(-0.01, 0.01, (4, 8))
+        phi[:, 6] = 0.0
+        cal = HeaterCalibration(
+            alpha_matrix=default.alpha_matrix + rng.uniform(-0.01, 0.01, (4, 8)),
+            phi_matrix=phi, phi_offset=default.phi_offset + rng.uniform(-0.01, 0.01, 4),
+            resistances=rng.uniform(400.0, 440.0, 16), dead_channels=frozenset({3, 15}))
         path = tmp_path / "cal.txt"
         path.write_text(cal.to_text())
         back = HeaterCalibration.from_file(path)
-        assert np.allclose(back.alpha_matrix, cal.alpha_matrix)
-        assert np.allclose(back.phi_matrix, cal.phi_matrix)
-        assert np.allclose(back.phi_offset, cal.phi_offset)
+        for name in ("alpha_matrix", "phi_matrix", "phi_offset", "resistances"):
+            assert np.array_equal(getattr(back, name), getattr(cal, name)), name
         assert back.dead_channels == cal.dead_channels
 
     def test_dead_column_must_be_zero(self):
@@ -577,6 +583,21 @@ class TestHeaterCalibrationType:
         HeaterCalibration(phi_matrix=phi, dead_channels=frozenset({10, 15}))
         with pytest.raises(ValueError, match="^row 1: diagonal-block entries do not dominate$"):
             HeaterCalibration(phi_matrix=phi, dead_channels=frozenset({15}))
+
+    def test_dead_alpha_diagonal_column_is_exempt(self):
+        # alpha column 2 is resistor 3, in row 2's diagonal block
+        alpha = HeaterCalibration().alpha_matrix.copy()
+        alpha[:, 2] = 0.0
+        cal = HeaterCalibration(alpha_matrix=alpha, dead_channels=frozenset({3, 15}))
+        with pytest.raises(ValueError, match="^row 2: diagonal-block entries do not dominate$"):
+            HeaterCalibration(alpha_matrix=alpha, dead_channels=frozenset({15}))
+        rng = np.random.default_rng(33)
+        alpha_t, phi_t = rng.uniform(0, TWO_PI, 4), rng.uniform(0, TWO_PI, 4)
+        currents = heater_solve(cal, alpha_t, phi_t)
+        assert currents[2] == 0.0 and currents[14] == 0.0
+        alpha_got, phi_got = heater_forward(cal, currents)
+        assert np.abs(np.angle(np.exp(1j * (alpha_got - alpha_t)))).max() < 1e-6
+        assert np.abs(np.angle(np.exp(1j * (phi_got - phi_t)))).max() < 1e-6
 
     def test_first_failing_row_is_reported(self):
         cal = HeaterCalibration()

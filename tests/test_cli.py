@@ -413,10 +413,12 @@ class TestDeterminismAndExitCodes:
         ("rate.repetition_rate_hz", math.nan),
         ("rate.repetition_rate_hz", math.inf),
         ("chip.path_phases", [1e308, -1e308] + [0.0] * 6),
+        ("shots_per_setting", 10 ** 400),
+        ("shots_per_setting", 2 ** 62 + 1),
     ], ids=["efficiency-2", "seed-negative", "seed-inf", "seed-float", "seed-bool",
             "shots-float", "g2-string", "overlaps-list", "path-phase-nan",
             "path-phase-minus-inf", "repetition-rate-nan", "repetition-rate-inf",
-            "path-phase-sum-overflow"])
+            "path-phase-sum-overflow", "shots-overflow", "shots-above-2-62"])
     def test_invalid_config_exit_2(self, tmp_path, capsys, path, value):
         bad = tmp_path / "bad.json"
         cfg = default_config()
@@ -430,12 +432,27 @@ class TestDeterminismAndExitCodes:
         assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}")
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sampled"])
+    def test_largest_shots_per_setting_runs(self, tmp_path, exact):
+        """At 2^62 shots the multinomial draws fit an int64 and the resamples'
+        Poisson means stay below numpy's limit."""
+        cfg = default_config()
+        cfg.update(shots_per_setting=2 ** 62, exact_probabilities=exact)
+        cfg["tomography"]["resamples"] = 2
+        path = tmp_path / "config.json"
+        path.write_text(dump_config(cfg))
+        for command in ("tomography", "witness", "bell"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == 0
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("case", ["config-not-utf8", "out-is-a-file",
-                                      "config-init-into-missing-dir"])
+                                      "config-init-into-missing-dir",
+                                      "result-file-is-a-directory",
+                                      "manifest-is-a-directory"])
     def test_unusable_path_exit_2(self, ideal_config, tmp_path, case):
         # a separate process, so that stderr shows any traceback
         out = tmp_path / "o"
@@ -443,9 +460,14 @@ class TestDeterminismAndExitCodes:
             ideal_config.write_bytes(b'{"schema": "\xff"}')
         elif case == "out-is-a-file":
             out.write_text("a file\n")
+        elif case == "result-file-is-a-directory":
+            (out / "rate.json").mkdir(parents=True)
+        elif case == "manifest-is-a-directory":
+            (out / "manifest.json").mkdir(parents=True)
+        command = "rate" if case.endswith("-is-a-directory") else "simulate"
         args = (["config-init", "--out", str(tmp_path / "missing" / "config.json")]
                 if case == "config-init-into-missing-dir" else
-                ["simulate", "--config", str(ideal_config), "--out", str(out)])
+                [command, "--config", str(ideal_config), "--out", str(out)])
         proc = subprocess.run([sys.executable, "-m", "ghzlab.cli", *args],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               env=package_env(), timeout=120)
@@ -530,7 +552,6 @@ class TestDeterminismAndExitCodes:
     @pytest.mark.parametrize("command, update", [
         ("qss", {"qss": {"rounds": 1}, "seed": 2}),
         ("bell", {"detectors": {"efficiencies": [1e-300] * 8}}),
-        ("tomography", {"shots_per_setting": 10 ** 400}),
         ("bell", {"detectors": {"efficiencies": [1e-4] * 8}}),
         ("simulate", {"detectors": {"efficiencies": [1e-4] * 8}}),
         ("phase-scan", {"phase_scan": {"power_min_mw": 28.0, "power_max_mw": 28.0},
@@ -543,9 +564,8 @@ class TestDeterminismAndExitCodes:
             "points": 5, "rad_per_mw": 0.0005, "offset_rad": 0.3}}),
         ("phase-scan", {**_INIT_CONTEXT, "exact_probabilities": False, "phase_scan": {
             "rad_per_mw": 0.0, "offset_rad": 0.0}}),
-    ], ids=["qss-nothing-sifted", "no-post-selected-mass", "shots-overflow",
-            "bell-cancellation", "simulate-cancellation", "phase-scan-one-power",
-            "phase-scan-linspace-overflow", "phase-scan-alias-band-top",
+    ], ids=["qss-nothing-sifted", "no-post-selected-mass", "bell-cancellation",
+            "simulate-cancellation", "phase-scan-one-power", "phase-scan-linspace-overflow", "phase-scan-alias-band-top",
             "phase-scan-alias-band-bottom", "phase-scan-alias-no-phase"])
     def test_degenerate_run_exit_3(self, ideal_config, tmp_path, capsys, command, update):
         cfg = json.loads(ideal_config.read_text())

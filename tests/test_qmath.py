@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ghzlab.qmath import (PauliLabel, fidelity_to_pure, ghz4, pauli_operator,
-                          permanent, project_to_physical, purity)
+from ghzlab.qmath import (PauliLabel, check_density_matrix, fidelity_to_pure, ghz4,
+                          pauli_operator, permanent, project_to_physical, purity)
 
 from oracles import ghz_state, oracle_clamp_projection, permanent_by_permutations
 
@@ -217,6 +219,30 @@ class TestProjectToPhysical:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out).min() >= floor - 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16).flatmap(
+        lambda n: arrays(float, (2, n, n), elements=st.floats(-1e308, 1e308))))
+    def test_any_finite_hermitian_projects_or_raises(self, parts):
+        """A density matrix, or ValueError: above the documented bound, or
+        from an eigendecomposition that does not converge (a 12 x 12 matrix
+        of ones and 5.3e227 is one); never a warning."""
+        re, im = np.triu(parts[0]), np.triu(parts[1], 1)
+        h = np.empty(re.shape, dtype=complex)
+        h.real = re + np.triu(re, 1).T
+        h.imag = im - im.T
+        n = len(h)
+        above = max(np.abs(re).max(), np.abs(im).max()) > np.finfo(float).max / (4 * n * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if above:
+                with pytest.raises(ValueError, match="entries <="):
+                    project_to_physical(h)
+            else:
+                try:
+                    check_density_matrix(project_to_physical(h))
+                except np.linalg.LinAlgError:
+                    pass
+
     def test_negative_input_gives_maximally_mixed(self):
         out = project_to_physical(-np.eye(4))
         assert np.allclose(out, np.eye(4) / 4, atol=1e-15)
@@ -226,7 +252,9 @@ class TestProjectToPhysical:
         ([[np.nan, 0.0], [0.0, 1.0]], "not a finite Hermitian matrix"),
         ([[np.inf, 0.0], [0.0, 1.0]], "not a finite Hermitian matrix"),
         (np.zeros((0, 0)), "expected a nonempty square matrix"),
-    ], ids=["non-hermitian", "nan", "inf", "empty"])
+        (np.diag([1e308, -1e308, 0.0, 1.0]), "entries <= 2.81e"),
+        ([[0.0, 1e308], [1e308, 0.0]], "entries <= 1.12e"),
+    ], ids=["non-hermitian", "nan", "inf", "empty", "gap-overflow", "eigenvalue-overflow"])
     def test_invalid_input_rejected(self, h, message):
         with pytest.raises(ValueError, match=message):
             project_to_physical(np.array(h))
